@@ -369,6 +369,9 @@ class TcpHub:
                 client, _ = self._server.accept()
             except OSError:
                 break
+            # The plane only sends small whole frames; Nagle buys nothing and
+            # costs a delayed-ACK stall (~40 ms) on about every fourth batch.
+            client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._clients_lock:
                 self._clients.append(client)
             threading.Thread(
@@ -558,6 +561,7 @@ class TcpClientEndpoint:
         self.name = f"tcp-{uuid.uuid4().hex[:8]}"
         self.subscriptions: Set[str] = set(subscriptions or [])
         self._sock = socket.create_connection((host, port))
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._send_lock = threading.Lock()
         self._queue: "queue.Queue[Message]" = queue.Queue()
         self._closed = False
