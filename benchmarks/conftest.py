@@ -89,14 +89,7 @@ def emit_bench_json(request, payload: dict, *, name: str = None) -> Path:
         except (TypeError, ValueError):
             return repr(value)
 
-    text = json.dumps(record, indent=2, default=jsonable) + "\n"
-    path.write_text(text)
-    # Mirror the record at the repo root (tracked in git, unlike results/),
-    # so the perf trajectory is visible in history instead of staying local.
-    try:
-        (Path(__file__).parent.parent / f"BENCH_{name}.json").write_text(text)
-    except OSError:
-        pass  # read-only checkout: the results/ copy above still exists
+    path.write_text(json.dumps(record, indent=2, default=jsonable) + "\n")
     return path
 
 

@@ -1,7 +1,7 @@
 """A multi-tenant dataset broker: one data plane, many datasets.
 
 ``repro.serve`` binds one address per dataset: every loader gets its own hub
-(for ``tcp://`` a whole broker thread and listening port) and its own
+(for ``tcp://`` a listening port) and its own
 shared-memory pool.  That is the right shape for one team and one dataset,
 but a shared data-loading *service* — the deployment the paper argues for —
 hosts many datasets for many training jobs, and per-dataset ports and pools
@@ -136,35 +136,12 @@ class CatalogService:
     """
 
     def __init__(self, broker: "DatasetBroker") -> None:
-        from repro.messaging.sockets import RepSocket
+        from repro.messaging.sockets import Responder
 
         self._broker = broker
-        self._rep = RepSocket(
-            broker.hub, f"{broker.address}/catalog", identity="broker-catalog"
+        self._responder = Responder(
+            broker.hub, f"{broker.address}/catalog", self._handle, "repro-broker-catalog"
         )
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._serve, daemon=True, name="repro-broker-catalog"
-        )
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while not self._stop.is_set():
-            try:
-                request = self._rep.recv(timeout=0.2)
-            except Exception:
-                continue
-            payload = (
-                request.body.get("payload") if isinstance(request.body, dict) else None
-            )
-            try:
-                reply = self._handle(payload)
-            except Exception as exc:  # a handler bug must not kill the channel
-                reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            try:
-                self._rep.reply(request, reply)
-            except Exception:
-                pass  # requester vanished; keep serving others
 
     def _handle(self, payload) -> Dict[str, object]:
         _CATALOG_REQUESTS.inc()
@@ -189,11 +166,7 @@ class CatalogService:
         return {"ok": False, "error": f"unknown catalog op {op!r}"}
 
     def stop(self) -> None:
-        if self._stop.is_set():
-            return
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-        self._rep.close()
+        self._responder.stop()
 
 
 class DatasetBroker:

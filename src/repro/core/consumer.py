@@ -14,7 +14,7 @@ training loop moves past it (step 6), emits heartbeats, and departs cleanly
 with BYE.
 
 Message reception rides the per-process :class:`~repro.messaging.reactor.
-ConsumerReactor` rather than a private blocking receive loop: the reactor
+Reactor` rather than a private blocking receive loop: the reactor
 fans the data channel out to this consumer's **mailbox** (a bounded queue)
 and runs its heartbeat/registration-retry timer, so attaching K consumers
 costs O(1) threads, not O(K).  The reactor thread does only eager signal

@@ -14,8 +14,8 @@ thread, and registers itself in a process-wide directory so that consumers in
         ...
 
 Serving a ``tcp://`` address makes the same session reachable from other OS
-processes: the transport runs a broker thread behind the address and stages
-batches in posix shared memory, so ``repro.attach(session.address)`` works
+processes: the transport listens behind the address (on the process's
+reactor, no thread of its own) and stages batches in posix shared memory, so ``repro.attach(session.address)`` works
 from a ``multiprocessing.Process`` (or any separate script) unchanged.
 
 Explicit ``hub=`` / ``pool=`` arguments (and non-URI addresses) keep working
@@ -75,33 +75,15 @@ class DescribeService:
     """
 
     def __init__(self, hub, address: str, manifest: Dict[str, object]) -> None:
-        from repro.messaging.sockets import RepSocket
+        from repro.messaging.sockets import Responder
 
-        self._rep = RepSocket(hub, f"{address}/group", identity=f"describe-{address}")
-        self._manifest = dict(manifest)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._serve, daemon=True, name="repro-session-describe"
+        manifest = dict(manifest)
+        self._responder = Responder(
+            hub, f"{address}/group", lambda _payload: dict(manifest), "repro-session-describe"
         )
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while not self._stop.is_set():
-            try:
-                request = self._rep.recv(timeout=0.2)
-            except Exception:
-                continue
-            try:
-                self._rep.reply(request, dict(self._manifest))
-            except Exception:
-                pass  # requester vanished; keep serving others
 
     def stop(self) -> None:
-        if self._stop.is_set():
-            return
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-        self._rep.close()
+        self._responder.stop()
 
 
 class SharedLoaderSession:

@@ -9,15 +9,18 @@ the same patterns:
 * :class:`~repro.messaging.message.Message` — a typed envelope (topic, kind,
   sender, body) with a stable wire encoding.
 * :class:`~repro.messaging.transport.InProcHub` — an in-process broker with
-  named endpoints, used by threaded runs, tests and the simulator.
-* :class:`~repro.messaging.transport.TcpHub` — the same API over TCP sockets
-  for true multi-process runs, with
-  :class:`~repro.messaging.transport.TcpServerHub` /
-  :class:`~repro.messaging.transport.TcpHubClient` adapters so the regular
-  socket wrappers run unchanged on either side of the broker.
-* :mod:`~repro.messaging.sockets` — ``PubSocket`` / ``SubSocket``,
-  ``PushSocket`` / ``PullSocket`` and ``ReqSocket`` / ``RepSocket`` pattern
-  wrappers.
+  named receive queues (:class:`~repro.messaging.transport.Inbox`), used by
+  threaded runs, tests and the simulator.
+* :class:`~repro.messaging.transport.TcpServerHub` /
+  :class:`~repro.messaging.transport.TcpHubClient` — the same surface for
+  true multi-process runs: the serving process's hub also listens on a port,
+  an attaching process reaches it through the client, and the socket
+  wrappers run unchanged on either side.
+* :mod:`~repro.messaging.reactor` — the one event loop per process that
+  every ``tcp://`` socket, shared subscription and timer rides on.
+* :mod:`~repro.messaging.sockets` — ``PubSocket``, ``PushSocket`` /
+  ``PullSocket`` and ``ReqSocket`` / ``RepSocket`` pattern wrappers, plus
+  the ``Responder`` service thread.
 * :class:`~repro.messaging.heartbeat.HeartbeatMonitor` — per-peer liveness
   tracking with the detach-after-timeout behaviour the producer relies on.
 * :mod:`~repro.messaging.endpoint` — URI-addressed endpoints: a process-wide
@@ -53,9 +56,8 @@ from repro.messaging.errors import (
 )
 from repro.messaging.message import Message, MessageKind
 from repro.messaging.transport import (
-    Endpoint,
+    Inbox,
     InProcHub,
-    TcpHub,
     TcpHubClient,
     TcpServerHub,
     channel_key,
@@ -66,25 +68,24 @@ from repro.messaging.sockets import (
     PushSocket,
     RepSocket,
     ReqSocket,
-    SubSocket,
+    Responder,
 )
 from repro.messaging.heartbeat import HeartbeatMonitor, HeartbeatSender
 
 __all__ = [
     "Message",
     "MessageKind",
-    "Endpoint",
+    "Inbox",
     "InProcHub",
-    "TcpHub",
     "TcpHubClient",
     "TcpServerHub",
     "channel_key",
     "PubSocket",
-    "SubSocket",
     "PushSocket",
     "PullSocket",
     "ReqSocket",
     "RepSocket",
+    "Responder",
     "HeartbeatMonitor",
     "HeartbeatSender",
     "MessagingError",

@@ -17,11 +17,11 @@ makes that literal for the reproduction:
   :class:`~repro.messaging.transport.InProcHub` and
   :class:`~repro.tensor.shared_memory.SharedMemoryPool`, shared by everyone
   who connects to the same address from any thread in the process.
-* :class:`TcpTransport` — the cross-process transport: binding starts a
-  :class:`~repro.messaging.transport.TcpHub` broker (port 0 auto-assigns) and
-  a ``posix`` shared-memory pool; connecting from any OS process dials the
-  broker and attaches the producer's segments by name, so batches stay
-  zero-copy while only the small pointer envelopes cross the socket.
+* :class:`TcpTransport` — the cross-process transport: binding opens a
+  listening :class:`~repro.messaging.transport.TcpServerHub` (port 0
+  auto-assigns) and a ``posix`` shared-memory pool; connecting from any OS
+  process dials it and attaches the producer's segments by name, so batches
+  stay zero-copy while only the small pointer envelopes cross the socket.
 * :class:`LocalObjectTransport` — a generic transport serving arbitrary
   Python objects at addresses; the simulation layer registers it under
   ``sim://`` so simulated loading pipelines are attached by URI too.
@@ -37,12 +37,6 @@ Typical flow (what :func:`repro.serve` / :func:`repro.attach` do internally)::
 ``TensorProducer(loader, address="inproc://demo")`` and
 ``TensorConsumer(address="inproc://demo")`` run exactly this resolution when
 no explicit ``hub=``/``pool=`` override is passed.
-
-.. note::
-   This module's :class:`Endpoint` (a resolved URI address) is distinct from
-   :class:`repro.messaging.transport.Endpoint` (a hub-level receive queue,
-   the one ``repro.messaging`` re-exports as ``Endpoint`` for backward
-   compatibility).  Import this one as ``repro.messaging.endpoint.Endpoint``.
 """
 
 from __future__ import annotations
@@ -59,7 +53,7 @@ from repro.messaging.errors import (
     MessagingError,
     UnknownSchemeError,
 )
-from repro.messaging.transport import InProcHub, TcpHub, TcpServerHub
+from repro.messaging.transport import InProcHub, TcpServerHub
 
 _SCHEME_RE = re.compile(r"^[a-z][a-z0-9+.-]*$")
 
@@ -278,21 +272,21 @@ def split_dataset_address(address: str) -> Tuple[str, Optional[str]]:
 class TcpTransport(Transport):
     """``tcp://`` — shared loaders reachable from other OS processes.
 
-    Binding spins up a :class:`~repro.messaging.transport.TcpHub` broker
-    thread on the locator's host:port (port ``0`` picks a free port; the
+    Binding opens a :class:`~repro.messaging.transport.TcpServerHub`
+    listening on the locator's host:port (port ``0`` picks a free port; the
     endpoint's ``address`` carries the resolved one) plus a ``posix``-backed
     shared-memory pool, so message envelopes travel over TCP while tensor
     bytes are handed off zero-copy through OS shared memory — mirroring the
-    paper's ZeroMQ + shared-memory deployment.  Connecting dials the broker
+    paper's ZeroMQ + shared-memory deployment.  Connecting dials the hub
     and opens an attach-by-name pool that maps the producer's segments into
-    this process.
+    this process.  Both ends' sockets ride the process's reactor.
     """
 
     scheme = "tcp"
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._served: Dict[str, TcpHub] = {}  #: guarded by _lock
+        self._served: Dict[str, TcpServerHub] = {}  #: guarded by _lock
 
     def bind(self, address: str, resource: Optional[Any] = None) -> Endpoint:
         from repro.tensor.shared_memory import SharedMemoryPool
@@ -307,17 +301,17 @@ class TcpTransport(Transport):
                 f"behind a DatasetBroker (repro.broker)"
             )
         try:
-            tcp_hub = TcpHub(host, port)
+            hub = TcpServerHub(host, port)
         except OSError as exc:
             raise AddressInUseError(f"cannot bind {address!r}: {exc}") from exc
-        locator = f"{tcp_hub.host}:{tcp_hub.port}"
+        locator = f"{hub.host}:{hub.port}"
         with self._lock:
-            self._served[locator] = tcp_hub
+            self._served[locator] = hub
         return Endpoint(
             f"tcp://{locator}",
             transport=self,
             role="bind",
-            hub=TcpServerHub(tcp_hub),
+            hub=hub,
             pool=SharedMemoryPool(backend="posix"),
         )
 
@@ -349,9 +343,9 @@ class TcpTransport(Transport):
 
     def release(self, locator: str) -> None:
         with self._lock:
-            tcp_hub = self._served.pop(locator, None)
-        if tcp_hub is not None:
-            tcp_hub.close()
+            hub = self._served.pop(locator, None)
+        if hub is not None:
+            hub.close()
 
     def locators(self) -> List[str]:
         with self._lock:

@@ -1,28 +1,32 @@
-"""The per-process consumer reactor: one event loop for every attach.
+"""The per-process reactor: one event loop for every ``tcp://`` socket and
+every attach.
 
 Before this module, each attached consumer cost threads: a blocking recv
-pump, a heartbeat thread if backgrounded, one TCP reader thread per broker
-connection, and — under sharding — a parked feeder thread per group member.
-A node collocating hundreds of trainers (the paper's Section 4 scenario,
-and DGL's ``dist_context`` deployment shape) burned threads and sockets
-linearly in K consumers x M members.
+pump, a heartbeat thread if backgrounded, one TCP reader thread per
+connection, and — under sharding — a parked feeder thread per group member;
+and a serving process spent an accept thread, a thread per client and a
+forwarder thread per remote endpoint.  A node collocating hundreds of
+trainers (the paper's Section 4 scenario, and DGL's ``dist_context``
+deployment shape) burned threads and sockets linearly in its peers.
 
-:class:`ConsumerReactor` collapses all of that onto **one** daemon thread
-(``repro-reactor``) per process:
+:class:`Reactor` collapses all of that onto **one** daemon thread
+(``repro-reactor``) per process, whichever side of a link the process is on:
 
+* **Sockets** — :meth:`~Reactor.register_socket` watches a non-blocking
+  socket for readability (and, while output is waiting, writability).  The
+  serving hub's listener and accepted connections and the attaching side's
+  dialled connections all live here, so no thread exists per connection.
 * **Inbound messages** — hub deliveries are routed to registered handlers
-  through :meth:`subscribe` instead of per-consumer receive loops.  In-proc
-  endpoints forward into the reactor's inbox via an endpoint *sink*; TCP
-  broker connections register their sockets with the reactor's selector, so
-  no reader thread exists per connection.
+  through :meth:`~Reactor.subscribe` instead of per-consumer receive loops.
+  In-proc inboxes forward into the reactor's inbox via a *sink*.
 * **Shared subscriptions** — one physical hub endpoint per
   ``(hub, channel)`` pair, subscribed to the union of its local consumers'
   topic prefixes and fanned out locally.  N consumers of one data channel
-  cost one endpoint (and over TCP, one broker connection), not N.
+  cost one endpoint (and over TCP, one connection), not N.
 * **Timer wheel** — periodic work (heartbeats, registration retries) runs
-  from a heap of timers on the reactor thread via :meth:`every`, replacing
-  per-consumer heartbeat threads.
-* **Connection table** — :meth:`shared_tcp_client` refcounts one
+  from a heap of timers on the reactor thread via :meth:`~Reactor.every`,
+  replacing per-consumer heartbeat threads.
+* **Connection table** — :meth:`~Reactor.shared_tcp_client` refcounts one
   :class:`~repro.messaging.transport.TcpHubClient` (plus one attach-by-name
   shared-memory pool) per ``(host, port)``, so consumers of
   ``tcp://host:port/imagenet`` and ``.../audio`` share a single TCP
@@ -49,7 +53,7 @@ from repro.messaging.message import Message
 from repro.obs.metrics import counter
 
 __all__ = [
-    "ConsumerReactor",
+    "Reactor",
     "SubscriptionHandle",
     "TimerHandle",
     "get_reactor",
@@ -63,6 +67,9 @@ _DISPATCHES = counter("repro.reactor.dispatches")
 _TIMER_FIRES = counter("repro.reactor.timer_fires")
 _SUBMITS = counter("repro.reactor.submits")
 
+#: Selector event masks in the order ``register_socket`` stores its callbacks.
+_EVENTS = (selectors.EVENT_READ, selectors.EVENT_WRITE)
+
 
 def reactor_only(fn):
     """Mark ``fn`` as running exclusively on the reactor thread.
@@ -71,7 +78,7 @@ def reactor_only(fn):
     enforced statically by ``reprolint`` (RL006): decorated code must never
     block (no ``time.sleep``, no blocking queue ops, no ``Event.wait``, no
     ``Thread.join``) and must never dial sockets, because it shares the one
-    event loop every consumer in the process rides on.  Conversely, selector
+    event loop every socket and consumer in the process rides on.  Conversely, selector
     state may *only* be touched from decorated code, which is how the
     "selector lives on the reactor thread" invariant in this module's
     docstrings becomes machine-checked.
@@ -97,7 +104,7 @@ class TimerHandle:
 class SubscriptionHandle:
     """One local consumer's view of a shared channel subscription."""
 
-    def __init__(self, reactor: "ConsumerReactor", channel: "_Channel",
+    def __init__(self, reactor: "Reactor", channel: "_Channel",
                  topics, handler: Callable[[Message], None]) -> None:
         self._reactor = reactor
         self._channel = channel
@@ -146,13 +153,13 @@ class _Channel:
 class _SharedTcpClient:
     """A refcounted ``(host, port)`` entry in the reactor's connection table."""
 
-    def __init__(self, reactor: "ConsumerReactor", host: str, port: int) -> None:
+    def __init__(self, reactor: "Reactor", host: str, port: int) -> None:
         from repro.messaging.transport import TcpHubClient
         from repro.tensor.shared_memory import SharedMemoryPool
 
         self._reactor = reactor
         self.key = (host, int(port))
-        self.client = TcpHubClient(host, port, reactor=reactor)
+        self.client = TcpHubClient(host, port)
         self.pool = SharedMemoryPool(backend="posix", attach_by_name=True)
         self.refs = 0
 
@@ -160,7 +167,7 @@ class _SharedTcpClient:
         self._reactor._release_client(self)
 
 
-class ConsumerReactor:
+class Reactor:
     """A single event loop owning subscriptions, timers and TCP connections.
 
     Everything stateful (selector, timer heap) is touched only from the
@@ -217,19 +224,21 @@ class ConsumerReactor:
             except OSError:
                 events = []
             self._sleeping = False
-            for key, _mask in events:
+            for key, mask in events:
                 if key.fileobj is self._waker_recv:
                     try:
                         while self._waker_recv.recv(4096):
                             pass
                     except (BlockingIOError, OSError):
                         pass
-                elif key.data is not None:
-                    _DISPATCHES.inc()
-                    try:
-                        key.data()
-                    except Exception:
-                        pass
+                    continue
+                for ready, callback in zip(_EVENTS, key.data):
+                    if mask & ready:
+                        _DISPATCHES.inc()
+                        try:
+                            callback()
+                        except Exception:
+                            pass
             while True:
                 try:
                     work = self._inbox.get_nowait()
@@ -307,18 +316,37 @@ class ConsumerReactor:
 
     # ------------------------------------------------------------------ sockets
     def register_socket(self, sock: socket.socket,
-                        on_readable: Callable[[], None]) -> None:
+                        on_readable: Callable[[], None],
+                        on_writable: Optional[Callable[[], None]] = None) -> None:
         """Watch ``sock`` for readability, calling ``on_readable`` on the
-        reactor thread.  The selector is only ever touched from the loop."""
+        reactor thread (and ``on_writable`` while :meth:`watch_writable` is
+        on).  The selector is only ever touched from the loop."""
         @reactor_only
         def register() -> None:
             try:
-                self._selector.register(sock, selectors.EVENT_READ, on_readable)
+                self._selector.register(
+                    sock, selectors.EVENT_READ, (on_readable, on_writable)
+                )
             except (KeyError, ValueError, OSError):
                 return
             self._registered_sockets += 1
 
         self.submit(register)
+
+    def watch_writable(self, sock: socket.socket, enabled: bool) -> None:
+        """Start or stop calling a registered socket's ``on_writable`` — on
+        while output waits for the kernel buffer to drain, off otherwise (a
+        socket is nearly always writable)."""
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if enabled else 0)
+
+        @reactor_only
+        def modify() -> None:
+            try:
+                self._selector.modify(sock, events, self._selector.get_key(sock).data)
+            except (KeyError, ValueError, OSError):
+                pass  # already unregistered
+
+        self.submit(modify)
 
     def unregister_socket(self, sock: socket.socket,
                           after: Optional[Callable[[], None]] = None) -> None:
@@ -499,18 +527,18 @@ class ConsumerReactor:
     def __repr__(self) -> str:
         stats = self.stats()
         return (
-            f"ConsumerReactor(channels={stats['channels']}, "
+            f"Reactor(channels={stats['channels']}, "
             f"timers={stats['timers']}, tcp_clients={stats['tcp_clients']}, "
             f"running={stats['running']})"
         )
 
 
 _singleton_lock = threading.Lock()
-_singleton: Optional[ConsumerReactor] = None
+_singleton: Optional[Reactor] = None
 _singleton_pid: Optional[int] = None
 
 
-def get_reactor() -> ConsumerReactor:
+def get_reactor() -> Reactor:
     """The process-wide reactor, created on first use.
 
     Keyed by pid: a ``fork()`` child inherits the parent's reactor object but
@@ -520,6 +548,6 @@ def get_reactor() -> ConsumerReactor:
     global _singleton, _singleton_pid
     with _singleton_lock:
         if _singleton is None or _singleton_pid != os.getpid():
-            _singleton = ConsumerReactor()
+            _singleton = Reactor()
             _singleton_pid = os.getpid()
         return _singleton

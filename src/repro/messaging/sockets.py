@@ -2,31 +2,33 @@
 
 Three patterns are provided, matching the channels TensorSocket uses:
 
-* **PUB/SUB** — the data channel.  The producer's :class:`PubSocket` binds the
-  data address and multicasts :class:`BatchPayload` messages; every consumer's
-  :class:`SubSocket` connects and filters on a topic prefix.
+* **PUB/SUB** — the data channel.  The producer's :class:`PubSocket`
+  multicasts :class:`BatchPayload` messages at the data address; consumers
+  subscribe through the reactor
+  (:meth:`repro.messaging.reactor.Reactor.subscribe`), which shares one hub
+  endpoint per channel and filters on topic prefixes.
 * **PUSH/PULL** — the acknowledgement and registration channel.  Consumers
   push ``ACK`` / ``HELLO`` / ``BYE`` messages toward the producer's single
   :class:`PullSocket`.
-* **REQ/REP** — a small synchronous control channel used by utilities (e.g.
-  querying producer status from a monitoring script).
+* **REQ/REP** — a small synchronous control channel (describe, metrics and
+  catalog queries); :class:`Responder` is the serving end with its thread.
 
 All sockets work over anything with the hub surface
 (``bind/connect/publish/push``): an
-:class:`~repro.messaging.transport.InProcHub`, the broker-owning process's
+:class:`~repro.messaging.transport.InProcHub`, the serving process's
 :class:`~repro.messaging.transport.TcpServerHub`, or a remote process's
-:class:`~repro.messaging.transport.TcpHubClient`, which routes through a
-:class:`~repro.messaging.transport.TcpHub` broker over TCP.
+:class:`~repro.messaging.transport.TcpHubClient`.
 """
 
 from __future__ import annotations
 
+import threading
 import uuid
-from typing import Iterable, List, Optional
+from typing import Callable, List, Optional
 
 from repro.messaging.errors import MessagingError
 from repro.messaging.message import Message, MessageKind
-from repro.messaging.transport import Endpoint, InProcHub, TcpClientEndpoint
+from repro.messaging.transport import Inbox, InProcHub
 
 
 class _HubSocket:
@@ -36,7 +38,7 @@ class _HubSocket:
         self._hub = hub
         self._address = address
         self.identity = identity or f"sock-{uuid.uuid4().hex[:8]}"
-        self._endpoint: Optional[Endpoint] = None
+        self._endpoint: Optional[Inbox] = None
 
     @property
     def address(self) -> str:
@@ -77,34 +79,6 @@ class PubSocket(_HubSocket):
     @property
     def total_deliveries(self) -> int:
         return self._deliveries
-
-
-class SubSocket(_HubSocket):
-    """Subscriber end of PUB/SUB with topic-prefix filtering."""
-
-    def __init__(
-        self,
-        hub: InProcHub,
-        address: str,
-        topics: Iterable[str] = ("",),
-        identity: Optional[str] = None,
-    ) -> None:
-        super().__init__(hub, address, identity)
-        # Subscriptions are applied atomically at connect time so no publish
-        # can slip between the connect and a half-applied topic filter.
-        self._endpoint = hub.connect(address, name=self.identity, subscriptions=tuple(topics))
-
-    def subscribe(self, prefix: str) -> None:
-        self._endpoint.subscribe(prefix)
-
-    def recv(self, timeout: Optional[float] = None, block: bool = True) -> Message:
-        return self._endpoint.receive(timeout=timeout, block=block)
-
-    def try_recv(self) -> Optional[Message]:
-        return self._endpoint.try_receive()
-
-    def pending(self) -> int:
-        return self._endpoint.pending()
 
 
 class PushSocket(_HubSocket):
@@ -200,89 +174,44 @@ class RepSocket(_HubSocket):
             served += 1
 
 
-# ---------------------------------------------------------------------------
-# TCP-backed variants
-# ---------------------------------------------------------------------------
+class Responder:
+    """The serving end of a REQ/REP channel, with the thread that runs it.
 
-
-class TcpPubSocket:
-    """Publisher over a :class:`~repro.messaging.transport.TcpHub` broker."""
-
-    def __init__(self, host: str, port: int, address: str, identity: Optional[str] = None) -> None:
-        self.identity = identity or f"sock-{uuid.uuid4().hex[:8]}"
-        self._address = address
-        self._client = TcpClientEndpoint(host, port, op="open")
-
-    def send(self, kind: MessageKind, body=None, topic: str = "") -> None:
-        message = Message(topic=topic, kind=kind, sender=self.identity, body=body)
-        self._client.send_publish(self._address, message)
-
-    def close(self) -> None:
-        self._client.close()
-
-
-class TcpSubSocket:
-    """Subscriber over a TCP broker."""
+    Binds ``address`` and answers every request with ``handler(payload)``.
+    A handler that raises is answered with ``{"ok": False, "error": ...}``
+    rather than killing the channel.  The responder is a thread, not a
+    reactor callback, because handlers may do slow work (the catalog's
+    ``subscribe`` can mount a dataset).
+    """
 
     def __init__(
-        self,
-        host: str,
-        port: int,
-        address: str,
-        topics: Iterable[str] = ("",),
-        identity: Optional[str] = None,
+        self, hub: InProcHub, address: str, handler: Callable[[object], object], thread_name: str
     ) -> None:
-        self.identity = identity or f"sock-{uuid.uuid4().hex[:8]}"
-        self._client = TcpClientEndpoint(
-            host, port, op="connect", address=address, subscriptions=list(topics)
-        )
+        self._rep = RepSocket(hub, address, identity=thread_name)
+        self._handler = handler
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True, name=thread_name)
+        self._thread.start()
 
-    def recv(self, timeout: Optional[float] = None, block: bool = True) -> Message:
-        return self._client.receive(timeout=timeout, block=block)
+    def _serve(self) -> None:
+        while not self._stop.is_set():
+            try:
+                request = self._rep.recv(timeout=0.2)
+            except Exception:
+                continue
+            payload = request.body.get("payload") if isinstance(request.body, dict) else None
+            try:
+                reply = self._handler(payload)
+            except Exception as exc:  # a handler bug must not kill the channel
+                reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            try:
+                self._rep.reply(request, reply)
+            except Exception:
+                pass  # requester vanished; keep serving others
 
-    def try_recv(self) -> Optional[Message]:
-        return self._client.try_receive()
-
-    def close(self) -> None:
-        self._client.close()
-
-
-class TcpPushSocket:
-    """Push socket over a TCP broker."""
-
-    def __init__(self, host: str, port: int, address: str, identity: Optional[str] = None) -> None:
-        self.identity = identity or f"sock-{uuid.uuid4().hex[:8]}"
-        self._address = address
-        self._client = TcpClientEndpoint(host, port, op="open")
-
-    def send(self, kind: MessageKind, body=None, topic: str = "") -> None:
-        message = Message(topic=topic, kind=kind, sender=self.identity, body=body)
-        self._client.send_push(self._address, message)
-
-    def close(self) -> None:
-        self._client.close()
-
-
-class TcpPullSocket:
-    """Pull socket over a TCP broker (binds the address broker-side)."""
-
-    def __init__(self, host: str, port: int, address: str, identity: Optional[str] = None) -> None:
-        self.identity = identity or f"sock-{uuid.uuid4().hex[:8]}"
-        self._client = TcpClientEndpoint(host, port, op="bind", address=address)
-
-    def recv(self, timeout: Optional[float] = None, block: bool = True) -> Message:
-        return self._client.receive(timeout=timeout, block=block)
-
-    def try_recv(self) -> Optional[Message]:
-        return self._client.try_receive()
-
-    def drain(self) -> List[Message]:
-        messages = []
-        while True:
-            message = self._client.try_receive()
-            if message is None:
-                return messages
-            messages.append(message)
-
-    def close(self) -> None:
-        self._client.close()
+    def stop(self) -> None:
+        if self._stop.is_set():
+            return
+        self._stop.set()
+        self._thread.join(timeout=2.0)
+        self._rep.close()

@@ -1,22 +1,29 @@
 """Transports: how message envelopes move between parties.
 
 The socket patterns in :mod:`repro.messaging.sockets` are written against a
-small transport abstraction so the same producer/consumer protocol code can
-run in three settings:
+small hub surface so the same producer/consumer protocol code runs in every
+setting:
 
-* **In-process** (:class:`InProcHub`) — endpoints are thread-safe queues held
+* **In-process** (:class:`InProcHub`) — receive queues (:class:`Inbox`) held
   in one registry.  Used by tests, threaded real-mode runs, and the
   discrete-event simulator.
-* **TCP** (:class:`TcpHub`) — a lightweight broker thread speaking a
-  length-prefixed pickle protocol, so producer and consumers can live in
-  separate OS processes, mirroring the ZeroMQ deployment in the paper.
+* **TCP, serving side** (:class:`TcpServerHub`) — an :class:`InProcHub` that
+  also listens on a port: local sockets use it directly, remote processes
+  reach the same inboxes over a length-prefixed frame protocol, mirroring
+  the ZeroMQ deployment in the paper.
+* **TCP, attaching side** (:class:`TcpHubClient`) — the hub surface over
+  connections to a serving hub in another OS process.
 
-Both hubs expose the same two primitives:
+Both ends of a ``tcp://`` link run on the process's one event loop
+(:func:`~repro.messaging.reactor.get_reactor`): no thread is spawned per
+listener, per connection or per endpoint.
 
-* ``bind(address)`` / ``connect(address)`` → :class:`Endpoint`
-* ``publish(address, message)`` — fan out to every endpoint connected to the
+Every hub exposes the same primitives:
+
+* ``bind(address)`` / ``connect(address)`` → :class:`Inbox`
+* ``publish(address, message)`` — fan out to every inbox connected to the
   address whose subscription matches the message topic (PUB/SUB), and
-* ``push(address, message)`` — deliver to the single endpoint bound at the
+* ``push(address, message)`` — deliver to the single inbox bound at the
   address (PUSH/PULL and REQ/REP routing).
 """
 
@@ -29,17 +36,17 @@ import struct
 import threading
 import time
 import uuid
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.messaging.errors import EndpointClosedError, MessagingError, TimeoutError_
 from repro.messaging.message import Message, MessageKind
-from repro.messaging.reactor import reactor_only
+from repro.messaging.reactor import get_reactor, reactor_only
 
 
-class Endpoint:
+class Inbox:
     """A receive queue owned by one socket.
 
-    Endpoints hold subscriptions (topic prefixes).  An endpoint with no
+    Inboxes hold subscriptions (topic prefixes).  An inbox with no
     subscriptions receives everything published to the addresses it is
     connected to; this matches ZeroMQ SUB sockets subscribed to ``""``.
     """
@@ -70,7 +77,8 @@ class Endpoint:
         """Route future deliveries to ``sink(message)`` instead of the queue.
 
         The reactor installs a sink so deliveries push into its event loop
-        rather than sitting in a queue behind a blocking reader.  Messages
+        rather than sitting in a queue behind a blocking reader; the serving
+        hub installs one that writes to the remote peer's socket.  Messages
         already queued are drained through the sink first, in order, so the
         handover cannot reorder or drop anything.
         """
@@ -124,25 +132,25 @@ class Endpoint:
         return self._closed
 
     def __repr__(self) -> str:
-        return f"Endpoint(name={self.name!r}, address={self.address!r})"
+        return f"{type(self).__name__}(name={self.name!r}, address={self.address!r})"
 
 
 class InProcHub:
-    """An in-process broker: named addresses, bound and connected endpoints."""
+    """An in-process broker: named addresses, bound and connected inboxes."""
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._bound: Dict[str, Endpoint] = {}  #: guarded by _lock
-        self._connected: Dict[str, List[Endpoint]] = {}  #: guarded by _lock
+        self._bound: Dict[str, Inbox] = {}  #: guarded by _lock
+        self._connected: Dict[str, List[Inbox]] = {}  #: guarded by _lock
         self._messages_published = 0
         self._messages_pushed = 0
 
     # -- endpoint management -----------------------------------------------------------
-    def bind(self, address: str, name: Optional[str] = None) -> Endpoint:
+    def bind(self, address: str, name: Optional[str] = None) -> Inbox:
         with self._lock:
             if address in self._bound:
                 raise MessagingError(f"address {address!r} is already bound")
-            endpoint = Endpoint(name or f"bound-{uuid.uuid4().hex[:8]}", address)
+            endpoint = Inbox(name or f"bound-{uuid.uuid4().hex[:8]}", address)
             self._bound[address] = endpoint
             return endpoint
 
@@ -151,9 +159,9 @@ class InProcHub:
         address: str,
         name: Optional[str] = None,
         subscriptions: Optional[Iterable[str]] = None,
-    ) -> Endpoint:
+    ) -> Inbox:
         with self._lock:
-            endpoint = Endpoint(name or f"conn-{uuid.uuid4().hex[:8]}", address)
+            endpoint = Inbox(name or f"conn-{uuid.uuid4().hex[:8]}", address)
             # Applied before the endpoint becomes reachable, so a publish can
             # never observe a half-subscribed endpoint.
             for prefix in subscriptions or ():
@@ -162,7 +170,7 @@ class InProcHub:
             self._connected.setdefault(address, []).append(endpoint)
             return endpoint
 
-    def _prune_closed_locked(self, address: str) -> List[Endpoint]:
+    def _prune_closed_locked(self, address: str) -> List[Inbox]:
         """Drop endpoints that were closed without a disconnect() call.
 
         A long-lived hub would otherwise keep one dead queue per departed
@@ -179,7 +187,7 @@ class InProcHub:
                 del self._connected[address]
         return live
 
-    def disconnect(self, endpoint: Endpoint) -> None:
+    def disconnect(self, endpoint: Inbox) -> None:
         with self._lock:
             peers = self._connected.get(endpoint.address, [])
             if endpoint in peers:
@@ -243,580 +251,218 @@ class InProcHub:
 # ---------------------------------------------------------------------------
 #
 # Wire format: a 4-byte big-endian length, then a 1-byte tag, then the body
-# (the length counts the tag).  Control frames carry a pickled dict exactly
-# as before; the data-plane frames (DELIVER broker→client, PUBLISH/PUSH
-# client→broker) carry the already-pickled ``Message.to_bytes()`` payload
-# *raw* — the old protocol re-pickled those bytes inside a wrapper dict,
-# serializing and copying every data frame twice on both directions of the
-# hot path.  The pieces (header+tag, routing preamble, message bytes) go to
-# the kernel via ``sendmsg`` scatter-gather, so they are never joined into
-# one buffer in userspace either.
+# (the length counts the tag).  Control frames carry a pickled dict; the
+# data-plane frames (DELIVER server→client, PUBLISH/PUSH client→server) carry
+# the already-pickled ``Message.to_bytes()`` payload *raw*, so an envelope is
+# serialized once per hop.
 
 _HEADER = struct.Struct("!I")
 #: PUBLISH/PUSH routing preamble: length of the UTF-8 channel address.
 _ADDR = struct.Struct("!H")
 
 _TAG_CTRL = 0  #: pickled dict (handshakes, subscribe, close, replies)
-_TAG_DELIVER = 1  #: raw Message bytes (broker -> client)
-_TAG_PUBLISH = 2  #: !H addr-len + addr + raw Message bytes (client -> broker)
+_TAG_DELIVER = 1  #: raw Message bytes (server -> client)
+_TAG_PUBLISH = 2  #: !H addr-len + addr + raw Message bytes (client -> server)
 _TAG_PUSH = 3  #: same layout as PUBLISH
 
-_HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
+#: Hard cap on one frame (tag + body).  Envelopes are a few hundred bytes —
+#: tensor bytes travel through shared memory, never the socket — so a length
+#: prefix beyond this is corrupt or hostile, and is refused before a byte of
+#: the body is buffered.
+MAX_FRAME_BYTES = 16 << 20
+
+_RECV_BYTES = 65536
 
 
-def _frame_parts(tag: int, *parts) -> List:
-    """The buffer list of one tagged frame (header+tag first, body unjoined)."""
+class ProtocolError(MessagingError):
+    """A peer sent bytes that are not a frame of this protocol."""
+
+
+def _frame(tag: int, *parts: bytes) -> bytes:
+    """One tagged frame as a single buffer."""
     length = 1 + sum(len(part) for part in parts)
-    return [_HEADER.pack(length) + bytes((tag,)), *parts]
+    return b"".join((_HEADER.pack(length), bytes((tag,)), *parts))
 
 
-def _send_parts(sock: socket.socket, parts: List) -> None:
-    """sendall() a buffer list on a *blocking* socket, scatter-gather when
-    the platform has ``sendmsg`` (no userspace join of the frame pieces)."""
-    if not _HAS_SENDMSG:
-        sock.sendall(b"".join(bytes(p) if not isinstance(p, bytes) else p for p in parts))
-        return
-    views = [memoryview(part) for part in parts]
-    while views:
-        try:
-            sent = sock.sendmsg(views)
-        except InterruptedError:
-            continue
-        while sent and views:
-            head = views[0]
-            if sent >= len(head):
-                sent -= len(head)
-                views.pop(0)
-            else:
-                views[0] = head[sent:]
-                sent = 0
+def _ctrl_frame(obj: dict) -> bytes:
+    return _frame(_TAG_CTRL, pickle.dumps(obj))
 
 
-def _send_ctrl(sock: socket.socket, obj: dict) -> None:
-    _send_parts(sock, _frame_parts(_TAG_CTRL, pickle.dumps(obj)))
+def _routed_frame(tag: int, address: str, message: Message) -> bytes:
+    """A PUBLISH/PUSH frame: routing preamble + the message's own bytes."""
+    addr = address.encode("utf-8")
+    return _frame(tag, _ADDR.pack(len(addr)), addr, message.to_bytes())
 
 
-def _recv_exactly(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining > 0:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("peer closed the connection")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_frame(sock: socket.socket) -> Tuple[int, memoryview]:
-    """One tagged frame: ``(tag, body)``; the body view skips the tag byte."""
-    header = _recv_exactly(sock, _HEADER.size)
-    (length,) = _HEADER.unpack(header)
-    body = _recv_exactly(sock, length)
-    if not body:
-        raise ConnectionError("zero-length frame (missing tag byte)")
-    return body[0], memoryview(body)[1:]
-
-
-def _split_routed(body: memoryview) -> Tuple[str, memoryview]:
-    """Decode a PUBLISH/PUSH body into ``(address, raw message bytes)``."""
+def _split_routed(body: bytearray) -> Tuple[str, Message]:
+    """Decode a PUBLISH/PUSH body into ``(address, message)``."""
     (addr_len,) = _ADDR.unpack_from(body, 0)
-    start = _ADDR.size
-    address = bytes(body[start : start + addr_len]).decode("utf-8")
-    return address, body[start + addr_len :]
+    end = _ADDR.size + addr_len
+    # Through the class at call time, so a wrapper installed on
+    # ``Message.from_bytes`` (the benchmark's tracer) sees every decode.
+    return body[_ADDR.size : end].decode("utf-8"), Message.from_bytes(memoryview(body)[end:])
 
 
-class TcpHub:
-    """A broker listening on one TCP port, routing frames between clients.
+class _Connection:
+    """One TCP socket on the process's reactor — either end of a ``tcp://`` link.
 
-    Each client registers with ``{"op": "bind"|"connect", "address": ...}`` and
-    then exchanges ``{"op": "publish"|"push", "address": ..., "message": ...}``
-    frames.  The broker applies the same routing rules as :class:`InProcHub`.
+    *Reads.*  The reactor's selector calls :meth:`_on_readable`, which parses
+    whole frames out of an incremental buffer and hands each body to the
+    handler registered for its tag.  Anything the reader or a handler cannot
+    make sense of — a length over :data:`MAX_FRAME_BYTES`, a zero-length
+    frame, an unknown tag, an undecodable body — closes *this* connection
+    and costs no other peer anything.
 
-    The TCP path exists so that the real-mode examples can run the producer and
-    consumers as genuinely separate OS processes; the in-process hub remains
-    the default everywhere else because it is dependency-free and deterministic.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind((host, port))
-        self._server.listen(64)
-        self.host, self.port = self._server.getsockname()
-        self._inner = InProcHub()
-        self._running = True
-        self._clients: List[socket.socket] = []  #: guarded by _clients_lock
-        # Endpoints with a live _forward_loop — the only queues close() can
-        # meaningfully wait on when draining final deliveries.
-        self._forwarded: List[Endpoint] = []  #: guarded by _clients_lock
-        self._clients_lock = threading.Lock()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-tcp-accept", daemon=True
-        )
-        self._accept_thread.start()
-
-    @property
-    def inner_hub(self) -> InProcHub:
-        """The broker's routing hub; the serving process's sockets attach here
-        directly (via :class:`TcpServerHub`) so its traffic skips the loopback."""
-        return self._inner
-
-    # -- server side -----------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                client, _ = self._server.accept()
-            except OSError:
-                break
-            # The plane only sends small whole frames; Nagle buys nothing and
-            # costs a delayed-ACK stall (~40 ms) on about every fourth batch.
-            client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._clients_lock:
-                self._clients.append(client)
-            threading.Thread(
-                target=self._serve_client,
-                args=(client,),
-                name="repro-tcp-serve",
-                daemon=True,
-            ).start()
-
-    def _serve_client(self, client: socket.socket) -> None:
-        endpoint: Optional[Endpoint] = None
-        try:
-            while self._running:
-                tag, body = _recv_frame(client)
-                if tag == _TAG_PUBLISH:
-                    address, raw = _split_routed(body)
-                    message = Message.from_bytes(raw)
-                    try:
-                        self._inner.publish(address, message)
-                    except MessagingError:
-                        pass
-                    continue
-                if tag == _TAG_PUSH:
-                    address, raw = _split_routed(body)
-                    message = Message.from_bytes(raw)
-                    try:
-                        self._inner.push(address, message)
-                    except MessagingError:
-                        # Nothing bound at the address (e.g. the producer is
-                        # gone); pushes are fire-and-forget over TCP.
-                        pass
-                    continue
-                if tag != _TAG_CTRL:
-                    continue  # unknown/unsupported tag: skip the frame
-                frame = pickle.loads(body)
-                op = frame["op"]
-                if op in ("bind", "connect"):
-                    address = frame["address"]
-                    try:
-                        if op == "bind":
-                            new_endpoint = self._inner.bind(address)
-                        else:
-                            # Subscriptions go through connect() so the
-                            # endpoint is never reachable in a catch-all
-                            # (no-subscription) state.
-                            new_endpoint = self._inner.connect(
-                                address, subscriptions=frame.get("subscriptions")
-                            )
-                    except MessagingError as exc:
-                        # A broker-side failure (e.g. the address is already
-                        # bound) must travel back as an error reply — raising
-                        # here would kill this thread and leave the client
-                        # waiting on a reply that never comes.
-                        _send_ctrl(client, {"ok": False, "error": str(exc)})
-                        continue
-                    endpoint = new_endpoint
-                    # Reply before starting the forwarder so a delivery can
-                    # never overtake the registration acknowledgement.
-                    _send_ctrl(client, {"ok": True})
-                    with self._clients_lock:
-                        self._forwarded.append(endpoint)
-                    threading.Thread(
-                        target=self._forward_loop,
-                        args=(endpoint, client),
-                        name="repro-tcp-forward",
-                        daemon=True,
-                    ).start()
-                elif op == "open":
-                    # A send-only channel (publish/push source, no endpoint).
-                    _send_ctrl(client, {"ok": True})
-                elif op == "subscribe" and endpoint is not None:
-                    endpoint.subscribe(frame["prefix"])
-                    token = frame.get("ack")
-                    if token is not None:
-                        # The confirmation rides the delivery stream (the
-                        # forward loop is this connection's only writer after
-                        # the handshake), so once the client sees it the new
-                        # prefix is live for every later publish — even one
-                        # triggered through another connection, e.g. a REPLY
-                        # raced by a control-plane HELLO.
-                        endpoint.deliver(
-                            Message(
-                                f"__suback__/{token}",
-                                MessageKind.REPLY,
-                                "broker",
-                            )
-                        )
-                elif op == "close":
-                    break
-        except (ConnectionError, EOFError, OSError):
-            pass
-        finally:
-            if endpoint is not None:
-                self._inner.disconnect(endpoint)
-            try:
-                client.close()
-            except OSError:
-                pass
-            with self._clients_lock:
-                if client in self._clients:
-                    self._clients.remove(client)
-                if endpoint is not None and endpoint in self._forwarded:
-                    self._forwarded.remove(endpoint)
-
-    def _forward_loop(self, endpoint: Endpoint, client: socket.socket) -> None:
-        """Push every message delivered to a server-side endpoint down to the client."""
-        while self._running and not endpoint.closed:
-            try:
-                message = endpoint.receive(timeout=0.2)
-            except TimeoutError_:
-                continue
-            except EndpointClosedError:
-                break
-            try:
-                # The message's own pickled bytes are the frame body — no
-                # wrapper dict, no second pickle pass, no userspace copy of
-                # the payload into a joined buffer.
-                _send_parts(client, _frame_parts(_TAG_DELIVER, message.to_bytes()))
-            except OSError:
-                break
-
-    def _pending_forwarded(self) -> int:
-        with self._clients_lock:
-            return sum(ep.pending() for ep in self._forwarded if not ep.closed)
-
-    # -- lifecycle ---------------------------------------------------------------------
-    def close(self, drain_timeout: float = 1.0) -> None:
-        """Stop the broker: close the listening socket (releasing the port)
-        and every client connection so serve/forward threads exit promptly.
-
-        Waits up to ``drain_timeout`` for the forwarders to flush queued
-        deliveries first, so a final SHUTDOWN/EPOCH_END broadcast is not cut
-        off mid-flight.  Only forwarded (remote-client) endpoints are waited
-        on: a local subscriber's unread queue has no forwarder to empty it.
-        """
-        deadline = time.monotonic() + max(0.0, drain_timeout)
-        while self._pending_forwarded() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        self._running = False
-        try:
-            # close() alone does not release the port while the accept thread
-            # is blocked inside accept(); shutdown() wakes it so the listening
-            # socket actually dies and the port is immediately rebindable.
-            self._server.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._server.close()
-        except OSError:
-            pass
-        self._accept_thread.join(timeout=2.0)
-        with self._clients_lock:
-            clients = list(self._clients)
-            self._clients.clear()
-        for client in clients:
-            try:
-                client.close()
-            except OSError:
-                pass
-
-    @property
-    def endpoint_address(self) -> Tuple[str, int]:
-        return (self.host, self.port)
-
-    def __repr__(self) -> str:
-        return f"TcpHub({self.host}:{self.port})"
-
-
-class TcpClientEndpoint:
-    """Client-side endpoint talking to a :class:`TcpHub` broker.
-
-    Provides the same ``deliver``/``receive`` surface as :class:`Endpoint` so
-    the socket wrappers do not care whether they are in-process or remote.
+    *Writes.*  :meth:`send` may be called from any thread and never blocks:
+    the frame goes straight to the kernel, and whatever a full socket buffer
+    does not take waits in ``_pending`` until the reactor sees the socket
+    writable again.  Frames leave in the order ``send`` was called.
     """
 
     def __init__(
         self,
-        host: str,
-        port: int,
-        *,
-        op: str,
-        address: str = "",
-        subscriptions: Optional[List[str]] = None,
-        reactor=None,
+        sock: socket.socket,
+        handlers: Dict[int, Callable[[bytearray], None]],
+        on_close: Optional[Callable[[], None]] = None,
     ) -> None:
-        self.address = address
-        self.name = f"tcp-{uuid.uuid4().hex[:8]}"
-        self.subscriptions: Set[str] = set(subscriptions or [])
-        self._sock = socket.create_connection((host, port))
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._send_lock = threading.Lock()
-        self._queue: "queue.Queue[Message]" = queue.Queue()
-        self._closed = False
-        self._sink_lock = threading.Lock()
-        self._sink = None  #: guarded by _sink_lock
-        self._reactor = reactor
+        self._sock = sock
+        self._handlers = handlers
+        self._on_close = on_close
+        self._reactor = get_reactor()
         self._rbuf = bytearray()
-        self._acks: Dict[str, threading.Event] = {}
-        self._reader: Optional[threading.Thread] = None
-        # The registration handshake is a plain blocking request/reply in
-        # both modes; only steady-state I/O differs.
-        self._request(
-            {"op": op, "address": address, "subscriptions": list(self.subscriptions)}
-        )
-        if reactor is not None:
-            # Reactor mode: no reader thread.  The socket goes non-blocking
-            # and the reactor's selector drives frame parsing.
-            self._sock.setblocking(False)
-            reactor.register_socket(self._sock, self._on_readable)
-        else:
-            self._reader = threading.Thread(
-                target=self._read_loop, name="repro-tcp-reader", daemon=True
-            )
-            self._reader.start()
+        self._send_lock = threading.Lock()
+        self._pending = bytearray()  #: guarded by _send_lock
+        self._closed = False
+        # Set whenever nothing waits in _pending; close(linger=) waits on it.
+        self._drained = threading.Event()
+        self._drained.set()
 
-    def _request(self, frame: dict) -> None:
+    def request(self, obj: dict) -> None:
+        """Blocking request/acknowledgement on a socket not yet handed to the
+        reactor (the registration handshake); raises :class:`MessagingError`
+        unless the peer answers ``{"ok": True}``."""
         try:
-            with self._send_lock:
-                _send_ctrl(self._sock, frame)
-                tag, body = _recv_frame(self._sock)
-                if tag != _TAG_CTRL:
-                    raise MessagingError(
-                        f"expected a control reply to {frame!r}, got frame tag {tag}"
-                    )
-                reply = pickle.loads(body)
-        except (ConnectionError, EOFError, OSError) as exc:
-            raise MessagingError(f"broker connection lost during {frame!r}: {exc}") from exc
+            self._sock.sendall(_ctrl_frame(obj))
+            while (frame := self._next_frame()) is None:
+                chunk = self._sock.recv(_RECV_BYTES)
+                if not chunk:
+                    raise ConnectionError("peer closed the connection")
+                self._rbuf += chunk
+            tag, body = frame
+            if tag != _TAG_CTRL:
+                raise ProtocolError(f"expected a control reply, got frame tag {tag}")
+            reply = pickle.loads(body)
+        except (OSError, EOFError, pickle.UnpicklingError) as exc:
+            raise MessagingError(f"broker connection lost during {obj!r}: {exc}") from exc
         if not reply.get("ok"):
-            raise MessagingError(f"broker rejected {frame!r}: {reply!r}")
+            raise MessagingError(f"broker rejected {obj!r}: {reply!r}")
 
-    def _send(self, frame: dict) -> None:
-        """Fire-and-forget control frame; broker connection loss surfaces
-        uniformly as :class:`MessagingError` so protocol code can treat TCP
-        like a hub."""
-        self._send_tagged(_TAG_CTRL, pickle.dumps(frame))
+    def start(self) -> None:
+        """Hand the socket to the reactor: non-blocking from here on."""
+        self._sock.setblocking(False)
+        self._reactor.register_socket(self._sock, self._on_readable, self._on_writable)
+        # Frames that arrived on the heels of a handshake reply are already
+        # buffered, and no readiness event will announce them.
+        self._reactor.submit(self._on_readable)
 
-    def _send_tagged(self, tag: int, *parts) -> None:
-        """Send one tagged frame, serialized once, whatever the I/O mode."""
-        if self._closed:
-            raise EndpointClosedError(f"endpoint {self.name!r} is closed")
-        frame = _frame_parts(tag, *parts)
-        try:
-            with self._send_lock:
-                if self._reactor is not None:
-                    self._send_all_nonblocking(frame)
-                else:
-                    _send_parts(self._sock, frame)
-        except OSError as exc:
-            raise MessagingError(f"broker connection lost: {exc}") from exc
+    # -- reading (reactor thread) ---------------------------------------------------------
+    def _next_frame(self) -> Optional[Tuple[int, bytearray]]:
+        """Pop one whole ``(tag, body)`` off the read buffer, if one is there."""
+        buf = self._rbuf
+        if len(buf) < _HEADER.size:
+            return None
+        (length,) = _HEADER.unpack_from(buf, 0)
+        if not 0 < length <= MAX_FRAME_BYTES:
+            raise ProtocolError(f"frame length {length} outside 1..{MAX_FRAME_BYTES}")
+        end = _HEADER.size + length
+        if len(buf) < end:
+            return None
+        tag, body = buf[_HEADER.size], buf[_HEADER.size + 1 : end]
+        del buf[:end]
+        return tag, body
 
-    def _send_all_nonblocking(self, parts: List) -> None:
-        """sendall() a buffer list on the non-blocking reactor-mode socket.
-
-        Caller holds ``_send_lock``.  Scatter-gather via ``sendmsg`` where
-        available, with the consumed prefix dropped after every partial send.
-        A full kernel buffer parks this sender in short writability waits
-        instead of busy-spinning; ``close()`` concurrently flips ``_closed``
-        to break the wait.
-        """
-        import select as _select
-
-        views = [memoryview(part) for part in parts]
-        while views:
-            if self._closed:
-                raise OSError("endpoint closed during send")
-            try:
-                if _HAS_SENDMSG:
-                    sent = self._sock.sendmsg(views)
-                else:
-                    sent = self._sock.send(views[0])
-            except (BlockingIOError, InterruptedError):
-                _select.select([], [self._sock], [], 0.5)
-                continue
-            while sent and views:
-                head = views[0]
-                if sent >= len(head):
-                    sent -= len(head)
-                    views.pop(0)
-                else:
-                    views[0] = head[sent:]
-                    sent = 0
-
-    def _read_loop(self) -> None:
-        while not self._closed:
-            try:
-                tag, body = _recv_frame(self._sock)
-            except (ConnectionError, EOFError, OSError):
-                break
-            if tag == _TAG_DELIVER:
-                self._dispatch(Message.from_bytes(body))
-
-    # -- reactor-mode receive path ------------------------------------------------------
     @reactor_only
     def _on_readable(self) -> None:
-        """Selector callback (reactor thread): pull bytes, parse whole frames."""
-        while not self._closed:
+        try:
+            # One recv per readiness event: the selector is level-triggered,
+            # so a peer that floods is revisited next turn, not served first.
             try:
-                chunk = self._sock.recv(65536)
+                chunk = self._sock.recv(_RECV_BYTES)
             except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                self._detach_from_reactor()
-                return
-            if not chunk:
-                # EOF: the broker went away; nothing more will arrive.
-                self._detach_from_reactor()
-                return
-            self._rbuf.extend(chunk)
-        self._drain_rbuf()
+                chunk = None  # nothing new (start()'s look at the buffer)
+            if chunk == b"":
+                raise ConnectionError("peer closed the connection")
+            if chunk:
+                self._rbuf += chunk
+            while not self._closed and (frame := self._next_frame()) is not None:
+                tag, body = frame
+                handler = self._handlers.get(tag)
+                if handler is None:
+                    raise ProtocolError(f"unknown frame tag {tag}")
+                handler(body)
+        except Exception:
+            # EOF, a dead socket, or input no handler could make sense of:
+            # nothing after it in the stream can be trusted, so the
+            # connection goes — and only the connection.
+            self.close()
 
-    @reactor_only
-    def _drain_rbuf(self) -> None:
-        while len(self._rbuf) >= _HEADER.size + 1:
-            (length,) = _HEADER.unpack(bytes(self._rbuf[: _HEADER.size]))
-            end = _HEADER.size + length
-            if len(self._rbuf) < end:
-                return
-            tag = self._rbuf[_HEADER.size]
-            payload = bytes(self._rbuf[_HEADER.size + 1 : end])
-            del self._rbuf[:end]
-            if tag != _TAG_DELIVER:
-                continue
-            try:
-                message = Message.from_bytes(payload)
-            except Exception:
-                continue
-            self._dispatch(message)
-
-    def _detach_from_reactor(self) -> None:
-        if self._reactor is not None:
-            self._reactor.unregister_socket(self._sock)
-
-    def _dispatch(self, message: Message) -> None:
-        if message.topic.startswith("__suback__/"):
-            waiter = self._acks.pop(message.topic.split("/", 1)[1], None)
-            if waiter is not None:
-                waiter.set()
-            return
-        with self._sink_lock:
-            if self._sink is not None:
-                self._sink(message)
-                return
-            # Unbounded queue: put_nowait keeps the reactor thread (which
-            # calls _dispatch in reactor mode) out of any blocking wait.
-            self._queue.put_nowait(message)
-
-    def set_sink(self, sink) -> None:
-        """Same handover contract as :meth:`Endpoint.set_sink`."""
-        with self._sink_lock:
-            self._sink = sink
-            if sink is None:
-                return
-            while True:
-                try:
-                    backlog = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                sink(backlog)
-
-    # -- sending ----------------------------------------------------------------------
-    def send_publish(self, address: str, message: Message) -> None:
-        """Publish: routing preamble + the message's own bytes, pickled once."""
-        addr = address.encode("utf-8")
-        self._send_tagged(_TAG_PUBLISH, _ADDR.pack(len(addr)) + addr, message.to_bytes())
-
-    def send_push(self, address: str, message: Message) -> None:
-        addr = address.encode("utf-8")
-        self._send_tagged(_TAG_PUSH, _ADDR.pack(len(addr)) + addr, message.to_bytes())
-
-    # -- receiving ---------------------------------------------------------------------
-    def subscribe(self, prefix: str = "") -> None:
-        """Add ``prefix`` and wait for the broker to confirm it is live.
-
-        The subscribe op travels on this endpoint's socket but a dependent
-        send (e.g. the consumer's HELLO) may travel on another — without the
-        confirmation the broker could admit the consumer and publish to the
-        new prefix before it ever processed the subscribe, silently dropping
-        the first messages (a rubberband catch-up replay, most visibly)."""
-        self.subscriptions.add(prefix)
-        token = uuid.uuid4().hex
-        waiter = threading.Event()
-        self._acks[token] = waiter
-        try:
-            self._send({"op": "subscribe", "prefix": prefix, "ack": token})
-            # The reactor thread parses this socket's inbound frames; if it
-            # is the caller, blocking here would deadlock the confirmation.
-            on_reactor = getattr(self._reactor, "on_reactor_thread", None)
-            if on_reactor is None or not on_reactor():
-                waiter.wait(timeout=5.0)
-        finally:
-            self._acks.pop(token, None)
-
-    def receive(self, timeout: Optional[float] = None, block: bool = True) -> Message:
-        try:
-            return self._queue.get(block=block, timeout=timeout)
-        except queue.Empty as exc:
-            raise TimeoutError_(f"no message within timeout={timeout}") from exc
-
-    def try_receive(self) -> Optional[Message]:
-        try:
-            return self._queue.get_nowait()
-        except queue.Empty:
-            return None
-
-    def pending(self) -> int:
-        return self._queue.qsize()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._reactor is not None:
-            payload = pickle.dumps({"op": "close"})
-            try:
-                with self._send_lock:
-                    # Best-effort single write on the *non-blocking* reactor
-                    # socket; a full buffer just means the broker learns
-                    # about the close from the FIN instead.
-                    self._sock.send(  # reprolint: disable=RL002
-                        _HEADER.pack(len(payload) + 1) + bytes((_TAG_CTRL,)) + payload
-                    )
-            except OSError:
-                pass
-            # The socket must leave the selector before it is closed, and the
-            # selector lives on the reactor thread — so the close rides along.
-            self._reactor.unregister_socket(self._sock, after=self._sock.close)
-            return
+    # -- writing (any thread) -------------------------------------------------------------
+    def send(self, frame: bytes) -> None:
+        """Write one whole frame without blocking; raises :class:`OSError`
+        (and closes the connection) when the peer is gone."""
         try:
             with self._send_lock:
-                _send_ctrl(self._sock, {"op": "close"})
+                if self._closed:
+                    raise ConnectionError("connection is closed")
+                sent = 0
+                if not self._pending:  # else: keep order behind what waits
+                    try:
+                        # Non-blocking socket: returns at once, full or not.
+                        sent = self._sock.send(frame)  # reprolint: disable=RL002
+                    except (BlockingIOError, InterruptedError):
+                        pass
+                if sent < len(frame):
+                    if not self._pending:
+                        self._drained.clear()
+                        self._reactor.watch_writable(self._sock, True)
+                    self._pending += memoryview(frame)[sent:]
         except OSError:
-            pass
+            self.close()
+            raise
+
+    @reactor_only
+    def _on_writable(self) -> None:
         try:
-            self._sock.close()
+            with self._send_lock:
+                if self._closed or not self._pending:
+                    return
+                try:
+                    sent = self._sock.send(self._pending)  # reprolint: disable=RL002
+                except (BlockingIOError, InterruptedError):
+                    return
+                del self._pending[:sent]
+                if not self._pending:
+                    self._drained.set()
+                    self._reactor.watch_writable(self._sock, False)
         except OSError:
-            pass
+            self.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-
-# ---------------------------------------------------------------------------
-# Hub adapters: the socket patterns over a TcpHub broker
-# ---------------------------------------------------------------------------
+    # -- lifecycle ------------------------------------------------------------------------
+    def close(self, linger: float = 0.0) -> None:
+        """Close the socket (idempotent, any thread), first giving pending
+        output up to ``linger`` seconds to reach the kernel."""
+        if linger > 0 and not self._reactor.on_reactor_thread():
+            self._drained.wait(linger)
+        with self._send_lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._drained.set()
+        # The socket must leave the selector before it is closed, and the
+        # selector lives on the reactor thread — so the close rides along.
+        self._reactor.unregister_socket(self._sock, after=self._sock.close)
+        if self._on_close is not None:
+            self._on_close()
 
 
 def channel_key(address: str) -> str:
@@ -834,99 +480,311 @@ def channel_key(address: str) -> str:
     slash = rest.find("/")
     return rest[slash:] if slash >= 0 else "/"
 
+class _RemotePeer:
+    """Serving side of one client connection: its frames in, its deliveries out."""
 
-class TcpServerHub:
-    """The broker-owning process's view of a :class:`TcpHub`.
+    def __init__(self, hub: "TcpServerHub", sock: socket.socket) -> None:
+        self._hub = hub
+        self._inbox: Optional[Inbox] = None
+        self.connection = _Connection(
+            sock,
+            {
+                _TAG_CTRL: self._on_ctrl,
+                _TAG_PUBLISH: self._on_publish,
+                _TAG_PUSH: self._on_push,
+            },
+            on_close=self._on_close,
+        )
 
-    Exposes the same ``bind/connect/publish/push`` surface as
-    :class:`InProcHub`, routed straight through the broker's inner hub (no
-    loopback hop) with addresses canonicalised by :func:`channel_key` so the
-    producer's sockets and remote clients agree on channel names.
+    def _on_ctrl(self, body: bytearray) -> None:
+        frame = pickle.loads(body)
+        op = frame["op"]
+        if op in ("bind", "connect") and self._inbox is None:
+            try:
+                if op == "bind":
+                    inbox = self._hub.bind(frame["address"])
+                else:
+                    # Subscriptions go through connect() so the inbox is never
+                    # reachable in a catch-all (no-subscription) state.
+                    inbox = self._hub.connect(
+                        frame["address"], subscriptions=frame.get("subscriptions")
+                    )
+            except MessagingError as exc:
+                # A serving-side refusal (e.g. the address is already bound)
+                # travels back as an error reply; the client is waiting on one.
+                self.connection.send(_ctrl_frame({"ok": False, "error": str(exc)}))
+                return
+            self._inbox = inbox
+            # Reply first, sink second: a delivery must never overtake the
+            # registration acknowledgement.  Whatever is published in between
+            # waits in the inbox and is flushed through the sink, in order.
+            self.connection.send(_ctrl_frame({"ok": True}))
+            inbox.set_sink(self._deliver)
+        elif op == "open":
+            # A send-only channel (publish/push source, no inbox).
+            self.connection.send(_ctrl_frame({"ok": True}))
+        elif op == "subscribe" and self._inbox is not None:
+            self._inbox.subscribe(frame["prefix"])
+            token = frame.get("ack")
+            if token is not None:
+                # The confirmation rides the delivery stream, so once the
+                # client sees it the new prefix is live for every later
+                # publish — even one triggered through another connection,
+                # e.g. a REPLY raced by a control-plane HELLO.
+                self._inbox.deliver(
+                    Message(f"__suback__/{token}", MessageKind.REPLY, "broker")
+                )
+        elif op == "close":
+            self.connection.close()
+        else:
+            raise ProtocolError(f"unexpected control op {op!r}")
+
+    def _on_publish(self, body: bytearray) -> None:
+        self._hub.publish(*_split_routed(body))
+
+    def _on_push(self, body: bytearray) -> None:
+        address, message = _split_routed(body)
+        try:
+            self._hub.push(address, message)
+        except MessagingError:
+            # Nothing bound at the address (e.g. the producer is gone);
+            # pushes are fire-and-forget over TCP.
+            pass
+
+    def _deliver(self, message: Message) -> None:
+        """The inbox's sink: runs on whichever thread published."""
+        try:
+            self.connection.send(_frame(_TAG_DELIVER, message.to_bytes()))
+        except OSError:
+            pass  # the connection closed itself; _on_close releases the inbox
+
+    def _on_close(self) -> None:
+        self._hub._forget(self, self._inbox)
+
+
+class TcpServerHub(InProcHub):
+    """The serving process's hub: an :class:`InProcHub` that also listens.
+
+    Local sockets (the producer's PUB/PULL, the describe and metrics
+    responders) use it like any hub, with addresses canonicalised by
+    :func:`channel_key` so they agree with remote clients on channel names.
+    Remote processes dial ``host:port``; each connection registers with
+    ``{"op": "bind"|"connect"|"open", ...}`` and then exchanges PUBLISH/PUSH
+    frames one way and DELIVER frames the other, under the same routing rules.
+
+    The listening socket and every accepted socket live on the process's
+    reactor, so serving one client or a hundred costs the same threads: none
+    beyond the reactor's.
     """
 
-    def __init__(self, tcp_hub: TcpHub) -> None:
-        self.tcp_hub = tcp_hub
-        self._hub = tcp_hub.inner_hub
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        super().__init__()
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen(64)
+        except OSError:
+            self._listener.close()
+            raise
+        self._listener.setblocking(False)
+        self.host, self.port = self._listener.getsockname()
+        self._peers_lock = threading.Lock()
+        self._peers: Set[_RemotePeer] = set()  #: guarded by _peers_lock
+        self._reactor = get_reactor()
+        self._reactor.register_socket(self._listener, self._on_acceptable)
 
-    @property
-    def host(self) -> str:
-        return self.tcp_hub.host
+    @reactor_only
+    def _on_acceptable(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:
+            return  # the dialler gave up first
+        # The plane only sends small whole frames; Nagle buys nothing and
+        # costs a delayed-ACK stall (~40 ms) on about every fourth batch.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        peer = _RemotePeer(self, sock)
+        with self._peers_lock:
+            self._peers.add(peer)
+        peer.connection.start()
 
-    @property
-    def port(self) -> int:
-        return self.tcp_hub.port
+    def _forget(self, peer: _RemotePeer, inbox: Optional[Inbox]) -> None:
+        with self._peers_lock:
+            self._peers.discard(peer)
+        if inbox is not None:
+            self.disconnect(inbox)
 
-    def bind(self, address: str, name: Optional[str] = None) -> Endpoint:
-        return self._hub.bind(channel_key(address), name=name)
+    # -- the hub surface, keyed by channel ------------------------------------------------
+    def bind(self, address: str, name: Optional[str] = None) -> Inbox:
+        return super().bind(channel_key(address), name=name)
 
     def connect(
         self,
         address: str,
         name: Optional[str] = None,
         subscriptions: Optional[Iterable[str]] = None,
-    ) -> Endpoint:
-        return self._hub.connect(channel_key(address), name=name, subscriptions=subscriptions)
-
-    def disconnect(self, endpoint: Endpoint) -> None:
-        self._hub.disconnect(endpoint)
+    ) -> Inbox:
+        return super().connect(channel_key(address), name=name, subscriptions=subscriptions)
 
     def publish(self, address: str, message: Message) -> int:
-        return self._hub.publish(channel_key(address), message)
+        return super().publish(channel_key(address), message)
 
     def push(self, address: str, message: Message) -> None:
-        self._hub.push(channel_key(address), message)
+        super().push(channel_key(address), message)
 
     def has_bound(self, address: str) -> bool:
-        return self._hub.has_bound(channel_key(address))
+        return super().has_bound(channel_key(address))
 
     def connected_count(self, address: str) -> int:
-        return self._hub.connected_count(channel_key(address))
+        return super().connected_count(channel_key(address))
 
-    @property
-    def messages_published(self) -> int:
-        return self._hub.messages_published
+    # -- lifecycle ---------------------------------------------------------------------
+    def close(self, drain_timeout: float = 1.0) -> None:
+        """Stop serving: release the port, then close every client connection.
 
-    @property
-    def messages_pushed(self) -> int:
-        return self._hub.messages_pushed
+        Deliveries a full socket buffer left waiting (a final SHUTDOWN or
+        EPOCH_END broadcast, typically) get up to ``drain_timeout`` seconds
+        in total to reach the kernel before their connection is closed.  Not
+        to be called on the reactor thread, which is what releases the port.
+        """
+        released = threading.Event()
+
+        def release() -> None:
+            self._listener.close()
+            released.set()
+
+        self._reactor.unregister_socket(self._listener, after=release)
+        # Once the listener is gone no accept can add a peer behind our back.
+        released.wait(2.0)
+        with self._peers_lock:
+            peers = list(self._peers)
+        deadline = time.monotonic() + max(0.0, drain_timeout)
+        for peer in peers:
+            peer.connection.close(linger=deadline - time.monotonic())
 
     def __repr__(self) -> str:
         return f"TcpServerHub({self.host}:{self.port})"
 
 
-class TcpHubClient:
-    """Client-side hub adapter: :class:`InProcHub`'s surface over a TCP broker.
+class TcpClientEndpoint(Inbox):
+    """An :class:`Inbox` whose hub lives in another process.
 
-    ``PubSocket``/``SubSocket``/``PushSocket``/``PullSocket`` run unchanged
-    against this object from another OS process: ``connect``/``bind`` open one
-    broker connection per endpoint (a :class:`TcpClientEndpoint`, which offers
-    the same receive surface as :class:`Endpoint`), while ``publish``/``push``
-    go through a single send-only channel.
+    One connection to a :class:`TcpServerHub`, registered there as a bound
+    or connected inbox (or, with ``op="open"``, as a send-only channel).
+    DELIVER frames arriving on it land here exactly as local deliveries land
+    in an :class:`Inbox`, so the socket wrappers and the reactor do not care
+    whether their hub is in-process or remote.
     """
 
-    def __init__(self, host: str, port: int, *, reactor=None) -> None:
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        op: str,
+        address: str = "",
+        subscriptions: Optional[List[str]] = None,
+    ) -> None:
+        super().__init__(f"tcp-{uuid.uuid4().hex[:8]}", address)
+        self.subscriptions.update(subscriptions or ())
+        self._acks: Dict[str, threading.Event] = {}
+        sock = socket.create_connection((host, port))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._connection = _Connection(sock, {_TAG_DELIVER: self._on_deliver})
+        # The registration handshake is a plain blocking request/reply; the
+        # socket joins the reactor only once the server has acknowledged it.
+        try:
+            self._connection.request(
+                {"op": op, "address": address, "subscriptions": list(self.subscriptions)}
+            )
+        except MessagingError:
+            self._connection.close()
+            raise
+        self._connection.start()
+
+    def _on_deliver(self, body: bytearray) -> None:
+        # Through the class at call time (see _split_routed).
+        message = Message.from_bytes(body)
+        if message.topic.startswith("__suback__/"):
+            waiter = self._acks.pop(message.topic.split("/", 1)[1], None)
+            if waiter is not None:
+                waiter.set()
+            return
+        self.deliver(message)
+
+    # -- sending ----------------------------------------------------------------------
+    def _send(self, frame: bytes) -> None:
+        """Fire-and-forget; connection loss surfaces uniformly as
+        :class:`MessagingError` so protocol code can treat TCP like a hub."""
+        if self._closed:
+            raise EndpointClosedError(f"endpoint {self.name!r} is closed")
+        try:
+            self._connection.send(frame)
+        except OSError as exc:
+            raise MessagingError(f"broker connection lost: {exc}") from exc
+
+    def send_publish(self, address: str, message: Message) -> None:
+        self._send(_routed_frame(_TAG_PUBLISH, address, message))
+
+    def send_push(self, address: str, message: Message) -> None:
+        self._send(_routed_frame(_TAG_PUSH, address, message))
+
+    # -- receiving ---------------------------------------------------------------------
+    def subscribe(self, prefix: str = "") -> None:
+        """Add ``prefix`` and wait for the server to confirm it is live.
+
+        The subscribe op travels on this endpoint's socket but a dependent
+        send (e.g. the consumer's HELLO) may travel on another — without the
+        confirmation the server could admit the consumer and publish to the
+        new prefix before it ever processed the subscribe, silently dropping
+        the first messages (a rubberband catch-up replay, most visibly)."""
+        super().subscribe(prefix)
+        token = uuid.uuid4().hex
+        waiter = threading.Event()
+        self._acks[token] = waiter
+        try:
+            self._send(_ctrl_frame({"op": "subscribe", "prefix": prefix, "ack": token}))
+            # The reactor thread parses this socket's inbound frames; if it
+            # is the caller, blocking here would deadlock the confirmation.
+            if not get_reactor().on_reactor_thread():
+                waiter.wait(timeout=5.0)
+        finally:
+            self._acks.pop(token, None)
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        try:
+            self._send(_ctrl_frame({"op": "close"}))
+        except MessagingError:
+            pass  # the server learns about the close from the FIN instead
+        super().close()
+        self._connection.close(linger=1.0)
+
+
+class TcpHubClient:
+    """Attaching-side hub adapter: :class:`InProcHub`'s surface over TCP.
+
+    The socket wrappers and the reactor's shared subscriptions run unchanged
+    against this object from another OS process: ``connect``/``bind`` open one
+    connection per endpoint (a :class:`TcpClientEndpoint`), while
+    ``publish``/``push`` go through a single send-only channel.
+    """
+
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = int(port)
         self._lock = threading.Lock()
         self._endpoints: List[TcpClientEndpoint] = []  #: guarded by _lock
         self._closed = False
-        # With a reactor, every endpoint's socket lives on its selector
-        # instead of spawning a reader thread per connection.
-        self._reactor = reactor
         # Opened eagerly so connecting to a dead broker fails here, not on
         # the first send.
-        self._sender = TcpClientEndpoint(self.host, self.port, op="open", reactor=reactor)
+        self._sender = TcpClientEndpoint(self.host, self.port, op="open")
 
     # -- endpoint management -----------------------------------------------------------
     def bind(self, address: str, name: Optional[str] = None) -> TcpClientEndpoint:
         return self._track(
-            TcpClientEndpoint(
-                self.host,
-                self.port,
-                op="bind",
-                address=channel_key(address),
-                reactor=self._reactor,
-            )
+            TcpClientEndpoint(self.host, self.port, op="bind", address=channel_key(address))
         )
 
     def connect(
@@ -946,7 +804,6 @@ class TcpHubClient:
                 op="connect",
                 address=channel_key(address),
                 subscriptions=list(subscriptions or ()),
-                reactor=self._reactor,
             )
         )
 

@@ -19,7 +19,6 @@ process that can dial the address.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, Optional
 
 from repro.obs import trace as obs_trace
@@ -44,33 +43,14 @@ class MetricsService:
         registry: Optional[MetricsRegistry] = None,
         ring: Optional[obs_trace.SpanRing] = None,
     ) -> None:
-        from repro.messaging.sockets import RepSocket
+        from repro.messaging.sockets import Responder
 
-        self._rep = RepSocket(hub, f"{address}/metrics", identity=f"metrics-{address}")
         self._stats_fn = stats_fn
         self._registry = registry if registry is not None else REGISTRY
         self._ring = ring if ring is not None else obs_trace.RING
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._serve, daemon=True, name="repro-metrics-service"
+        self._responder = Responder(
+            hub, f"{address}/metrics", self._handle, "repro-metrics-service"
         )
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while not self._stop.is_set():
-            try:
-                request = self._rep.recv(timeout=0.2)
-            except Exception:
-                continue
-            try:
-                payload = (
-                    request.body.get("payload")
-                    if isinstance(request.body, dict)
-                    else None
-                )
-                self._rep.reply(request, self._handle(payload))
-            except Exception:
-                pass  # requester vanished; keep serving others
 
     def _handle(self, payload) -> Dict[str, object]:
         op = payload.get("op") if isinstance(payload, dict) else None
@@ -97,11 +77,7 @@ class MetricsService:
         return {"ok": False, "error": f"unknown op {op!r}"}
 
     def stop(self) -> None:
-        if self._stop.is_set():
-            return
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-        self._rep.close()
+        self._responder.stop()
 
 
 def fetch_metrics_from_hub(

@@ -15,7 +15,6 @@ from repro.messaging import (
     PushSocket,
     RepSocket,
     ReqSocket,
-    SubSocket,
     TimeoutError_,
 )
 
@@ -45,14 +44,14 @@ class TestInProcHub:
     def test_publish_reaches_all_matching_subscribers(self):
         hub = InProcHub()
         pub = PubSocket(hub, "data")
-        sub_all = SubSocket(hub, "data")
-        sub_personal = SubSocket(hub, "data", topics=("consumer/c1",))
+        sub_all = hub.connect("data", subscriptions=("",))
+        sub_personal = hub.connect("data", subscriptions=("consumer/c1",))
         delivered = pub.send(MessageKind.BATCH, body=1, topic="broadcast")
         assert delivered == 1
-        assert sub_all.recv(timeout=1).body == 1
-        assert sub_personal.try_recv() is None
+        assert sub_all.receive(timeout=1).body == 1
+        assert sub_personal.try_receive() is None
         pub.send(MessageKind.BATCH, body=2, topic="consumer/c1")
-        assert sub_personal.recv(timeout=1).body == 2
+        assert sub_personal.receive(timeout=1).body == 2
 
     def test_push_requires_bound_pull(self):
         hub = InProcHub()
@@ -72,15 +71,15 @@ class TestInProcHub:
     def test_disconnect_stops_delivery(self):
         hub = InProcHub()
         pub = PubSocket(hub, "data")
-        sub = SubSocket(hub, "data")
-        sub.close()
+        sub = hub.connect("data")
+        hub.disconnect(sub)
         assert pub.send(MessageKind.BATCH, body=1) == 0
 
     def test_recv_timeout_raises(self):
         hub = InProcHub()
-        sub = SubSocket(hub, "data")
+        sub = hub.connect("data")
         with pytest.raises(TimeoutError_):
-            sub.recv(timeout=0.01)
+            sub.receive(timeout=0.01)
 
     def test_pull_drain_returns_everything_pending(self):
         hub = InProcHub()
@@ -95,7 +94,7 @@ class TestInProcHub:
     def test_hub_counts_traffic(self):
         hub = InProcHub()
         pub = PubSocket(hub, "data")
-        SubSocket(hub, "data")
+        hub.connect("data")
         pull = PullSocket(hub, "ack")
         PushSocket(hub, "ack").send(MessageKind.ACK)
         pub.send(MessageKind.BATCH)
@@ -204,28 +203,19 @@ class TestHeartbeats:
 
 class TestTcpTransport:
     def test_tcp_pub_sub_and_push_pull_roundtrip(self):
-        from repro.messaging.transport import TcpHub
-        from repro.messaging.sockets import (
-            TcpPubSocket,
-            TcpPullSocket,
-            TcpPushSocket,
-            TcpSubSocket,
-        )
+        from repro.messaging.transport import TcpHubClient, TcpServerHub
 
-        hub = TcpHub()
+        hub = TcpServerHub()
+        client = TcpHubClient(hub.host, hub.port)
         try:
-            sub = TcpSubSocket(hub.host, hub.port, "data")
-            pull = TcpPullSocket(hub.host, hub.port, "control")
-            pub = TcpPubSocket(hub.host, hub.port, "data")
-            push = TcpPushSocket(hub.host, hub.port, "control")
-            import time
-
-            time.sleep(0.1)  # let the broker register the subscriber
-            pub.send(MessageKind.BATCH, body={"n": 1}, topic="broadcast")
-            push.send(MessageKind.ACK, body={"n": 2})
-            assert sub.recv(timeout=5).body == {"n": 1}
+            # Registration is acknowledged before connect()/bind() return, so
+            # the subscriber is live server-side without any settling sleep.
+            sub = client.connect("data", subscriptions=("",))
+            pull = PullSocket(client, "control")
+            PubSocket(client, "data").send(MessageKind.BATCH, body={"n": 1}, topic="broadcast")
+            PushSocket(client, "control").send(MessageKind.ACK, body={"n": 2})
+            assert sub.receive(timeout=5).body == {"n": 1}
             assert pull.recv(timeout=5).body == {"n": 2}
-            for sock in (sub, pull, pub, push):
-                sock.close()
         finally:
+            client.close()
             hub.close()

@@ -15,8 +15,8 @@ from repro.data.dataset import Dataset
 from repro.messaging import InProcHub
 from repro.messaging import endpoint as endpoints
 from repro.messaging.message import Message, MessageKind
-from repro.messaging.reactor import ConsumerReactor, get_reactor
-from repro.messaging.transport import TcpClientEndpoint, TcpHub
+from repro.messaging.reactor import Reactor, get_reactor
+from repro.messaging.transport import TcpClientEndpoint, TcpServerHub
 
 
 class IndexDataset(Dataset):
@@ -41,7 +41,7 @@ def index_loader(n=24, batch_size=4, **kwargs):
 
 class TestTimerWheel:
     def test_timer_fires_repeatedly_and_cancel_stops_it(self):
-        reactor = ConsumerReactor(name="repro-reactor-test-timer")
+        reactor = Reactor(name="repro-reactor-test-timer")
         fired = []
         try:
             handle = reactor.every(0.01, lambda: fired.append(time.monotonic()))
@@ -58,7 +58,7 @@ class TestTimerWheel:
             reactor.shutdown()
 
     def test_rejects_nonpositive_interval(self):
-        reactor = ConsumerReactor(name="repro-reactor-test-interval")
+        reactor = Reactor(name="repro-reactor-test-interval")
         try:
             with pytest.raises(ValueError):
                 reactor.every(0, lambda: None)
@@ -66,7 +66,7 @@ class TestTimerWheel:
             reactor.shutdown()
 
     def test_one_timer_exception_does_not_kill_the_wheel(self):
-        reactor = ConsumerReactor(name="repro-reactor-test-exc")
+        reactor = Reactor(name="repro-reactor-test-exc")
         fired = []
         try:
             def boom():
@@ -90,7 +90,7 @@ class TestTimerWheel:
 
 class TestSharedSubscriptions:
     def test_n_subscribers_share_one_physical_endpoint(self):
-        reactor = ConsumerReactor(name="repro-reactor-test-shared")
+        reactor = Reactor(name="repro-reactor-test-shared")
         hub = InProcHub()
         got_a, got_b = [], []
         try:
@@ -121,7 +121,7 @@ class TestSharedSubscriptions:
             reactor.shutdown()
 
     def test_subscriber_handler_exception_does_not_starve_peers(self):
-        reactor = ConsumerReactor(name="repro-reactor-test-handler-exc")
+        reactor = Reactor(name="repro-reactor-test-handler-exc")
         hub = InProcHub()
         got = []
         try:
@@ -295,26 +295,26 @@ class TestAckedSubscribe:
         socket, so without the confirmation the producer could admit it and
         publish to the new topic — a rubberband catch-up replay, most
         visibly — before the broker ever processed the subscribe."""
-        hub = TcpHub()
+        hub = TcpServerHub()
         try:
             endpoint = TcpClientEndpoint(
                 hub.host, hub.port, op="connect",
                 address="chan/data", subscriptions=["a"],
             )
             try:
-                # Stall the broker's serve thread: this big frame is queued
-                # ahead of the subscribe on the same connection, so the
-                # subscribe cannot have been processed when it returns —
-                # unless it genuinely waited for the confirmation.
+                # Stall the server's handling of this connection: this big
+                # frame is queued ahead of the subscribe on the same socket,
+                # so the subscribe cannot have been processed when it returns
+                # — unless it genuinely waited for the confirmation.
                 endpoint.send_publish(
                     "void/data",
-                    Message("x", MessageKind.HEARTBEAT, "test", body=b"\0" * (32 << 20)),
+                    Message("x", MessageKind.HEARTBEAT, "test", body=b"\0" * (8 << 20)),
                 )
                 endpoint.subscribe("b")
-                # Publish straight into the broker's routing hub: routing is
+                # Publish straight into the serving hub: routing is
                 # synchronous server-side, so this reaches us only if the
                 # prefix was applied before subscribe() returned.
-                hub.inner_hub.publish(
+                hub.publish(
                     "chan/data", Message("b", MessageKind.HEARTBEAT, "test")
                 )
                 assert endpoint.receive(timeout=5.0).topic == "b"

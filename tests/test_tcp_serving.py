@@ -1,0 +1,250 @@
+"""The serving side of ``tcp://`` on the reactor: a thread set that does not
+grow with clients, writes that never block a publisher, registration and
+shutdown ordering, and hostile frames that cost only their sender."""
+
+import pickle
+import socket
+import threading
+import time
+
+import pytest
+
+import repro
+from repro.data import DataLoader, SyntheticImageDataset
+from repro.messaging import Message, MessageKind
+from repro.messaging.reactor import get_reactor
+from repro.messaging.transport import (
+    _ADDR,
+    _HEADER,
+    _TAG_CTRL,
+    _TAG_PUBLISH,
+    MAX_FRAME_BYTES,
+    TcpClientEndpoint,
+    TcpServerHub,
+    _frame,
+)
+
+
+def batch(body, kind=MessageKind.BATCH):
+    return Message(topic="", kind=kind, sender="test", body=body)
+
+
+def recv_exactly(sock, count):
+    data = b""
+    while len(data) < count:
+        chunk = sock.recv(count - len(data))
+        if not chunk:
+            raise ConnectionError("peer closed the connection")
+        data += chunk
+    return data
+
+
+def raw_client(hub, request):
+    """A client that speaks the wire protocol by hand: registered, blocking,
+    and reading only when the test tells it to."""
+    sock = socket.create_connection((hub.host, hub.port))
+    sock.settimeout(5.0)
+    sock.sendall(_frame(_TAG_CTRL, pickle.dumps(request)))
+    (length,) = _HEADER.unpack(recv_exactly(sock, _HEADER.size))
+    reply = recv_exactly(sock, length)
+    assert reply[0] == _TAG_CTRL and pickle.loads(reply[1:]) == {"ok": True}
+    return sock
+
+
+def reactor_is_responsive():
+    ran = threading.Event()
+    get_reactor().submit(ran.set)
+    return ran.wait(5.0)
+
+
+@pytest.fixture
+def hub():
+    hub = TcpServerHub()
+    yield hub
+    hub.close(drain_timeout=0.2)
+
+
+class TestServingThreads:
+    def test_thread_set_is_the_same_with_1_and_with_8_client_connections(self):
+        """Mirror of the consumer-side check in test_reactor.py: the serving
+        process's repro- threads do not depend on how many remote connections
+        it holds (the old accept/serve/forward model added two per client)."""
+
+        def repro_threads():
+            return sorted(
+                t.name for t in threading.enumerate() if t.name.startswith("repro-")
+            )
+
+        dataset = SyntheticImageDataset(8, image_size=8, payload_bytes=16)
+        session = repro.serve(
+            DataLoader(dataset, batch_size=4), address="tcp://127.0.0.1:0", start=False
+        )
+        clients = []
+        try:
+            port = int(session.address.rsplit(":", 1)[1])
+
+            def dial():
+                clients.append(
+                    TcpClientEndpoint("127.0.0.1", port, op="connect", address="/fan")
+                )
+
+            dial()
+            with_one = repro_threads()
+            for _ in range(7):
+                dial()
+            # All eight are live server-side: one publish reaches each of them.
+            assert session.hub.publish("/fan", batch("ping")) == 8
+            for client in clients:
+                assert client.receive(timeout=5.0).body == "ping"
+            assert repro_threads() == with_one
+            assert "repro-reactor" in with_one
+            assert not [name for name in with_one if name.startswith("repro-tcp-")]
+        finally:
+            for client in clients:
+                client.close()
+            session.shutdown()
+
+
+class TestNeverBlocks:
+    def test_client_that_never_reads_blocks_nobody(self, hub):
+        stuck = socket.socket()
+        # A small receive window, so the server's kernel buffer fills early.
+        stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stuck.connect((hub.host, hub.port))
+        stuck.sendall(
+            _frame(_TAG_CTRL, pickle.dumps({"op": "connect", "address": "/data"}))
+        )
+        reader = TcpClientEndpoint(hub.host, hub.port, op="connect", address="/data")
+        try:
+            deadline = time.monotonic() + 5.0
+            while hub.connected_count("/data") < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert hub.connected_count("/data") == 2
+            count, body = 160, b"\0" * (64 << 10)  # 10 MiB toward a peer taking none
+
+            def publish_all():
+                for index in range(count):
+                    hub.publish("/data", batch((index, body)))
+
+            publisher = threading.Thread(target=publish_all, name="test-publisher")
+            publisher.start()
+            publisher.join(timeout=20.0)
+            assert not publisher.is_alive(), "a publisher blocked behind a stuck client"
+            # The stuck peer's share is parked in its own pending buffer ...
+            assert any(peer.connection._pending for peer in list(hub._peers))
+            # ... the loop every connection shares is still turning ...
+            assert reactor_is_responsive()
+            # ... and the second client got everything, in order.
+            received = [reader.receive(timeout=10.0).body[0] for _ in range(count)]
+            assert received == list(range(count))
+        finally:
+            reader.close()
+            stuck.close()
+
+
+class TestOrdering:
+    def test_publishes_between_connect_and_reply_arrive_after_the_reply(self, hub):
+        """The inbox is reachable from hub.connect() on, the acknowledgement
+        is written after that: whatever is published in between must follow
+        the reply on the wire, complete and in order (a delivery overtaking
+        the reply would fail the client's handshake outright)."""
+        real_connect = hub.connect
+
+        def connect_then_publish(address, **kwargs):
+            inbox = real_connect(address, **kwargs)
+            for index in range(5):
+                hub.publish(address, batch(index))
+            return inbox
+
+        hub.connect = connect_then_publish
+        client = TcpClientEndpoint(hub.host, hub.port, op="connect", address="/data")
+        try:
+            hub.publish("/data", batch(5))
+            assert [client.receive(timeout=5.0).body for _ in range(6)] == list(range(6))
+        finally:
+            client.close()
+
+    def test_shutdown_published_right_before_close_reaches_every_client(self):
+        hub = TcpServerHub()
+        clients = [
+            TcpClientEndpoint(hub.host, hub.port, op="connect", address="/data")
+            for _ in range(4)
+        ]
+        try:
+            # Enough backlog that some of it is still in user space when
+            # close() is called: close() has to flush it, not cut it off.
+            body = b"\0" * (64 << 10)
+            for index in range(64):
+                hub.publish("/data", batch((index, body)))
+            hub.publish("/data", batch(None, kind=MessageKind.SHUTDOWN))
+            hub.close()
+            for client in clients:
+                bodies = [client.receive(timeout=10.0) for _ in range(65)]
+                assert [m.body[0] for m in bodies[:-1]] == list(range(64))
+                assert bodies[-1].kind is MessageKind.SHUTDOWN
+        finally:
+            for client in clients:
+                client.close()
+            hub.close()
+
+
+def _routed(address: bytes, payload: bytes) -> bytes:
+    return _frame(_TAG_PUBLISH, _ADDR.pack(len(address)), address, payload)
+
+
+HOSTILE = {
+    "length-over-cap": _HEADER.pack(MAX_FRAME_BYTES + 1) + b"\x01",
+    "length-4GiB": b"\xff\xff\xff\xff",
+    "zero-length": _HEADER.pack(0),
+    "unknown-tag": _frame(9, b"payload"),
+    "deliver-tag-to-server": _frame(1, batch(0).to_bytes()),
+    "ctrl-not-a-pickle": _frame(_TAG_CTRL, b"definitely not a pickle"),
+    "ctrl-not-a-dict": _frame(_TAG_CTRL, pickle.dumps(42)),
+    "ctrl-without-op": _frame(_TAG_CTRL, pickle.dumps({"address": "/x"})),
+    "ctrl-unknown-op": _frame(_TAG_CTRL, pickle.dumps({"op": "format-disk"})),
+    "ctrl-second-bind": _frame(_TAG_CTRL, pickle.dumps({"op": "bind", "address": "/two"})),
+    "publish-truncated-preamble": _frame(_TAG_PUBLISH, b"\x00"),
+    "publish-address-not-utf8": _routed(b"\xff\xfe", batch(0).to_bytes()),
+    "publish-undecodable-message": _routed(b"/data", b"garbage"),
+    "publish-message-not-an-envelope": _routed(b"/data", pickle.dumps([1, 2, 3])),
+}
+
+
+class TestHostileFrames:
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_bad_frame_costs_the_sender_its_connection_and_nobody_else(self, hub, case):
+        bystander = TcpClientEndpoint(hub.host, hub.port, op="connect", address="/data")
+        hostile = raw_client(hub, {"op": "bind", "address": "/hostile"})
+        try:
+            assert hub.has_bound("/hostile")
+            hostile.sendall(HOSTILE[case])
+            # The server hangs up on the sender (FIN, or RST when it left
+            # bytes unread) ...
+            try:
+                assert hostile.recv(1) == b""
+            except ConnectionError:
+                pass
+            # ... releases what the connection held ...
+            assert not hub.has_bound("/hostile")
+            assert not hub.has_bound("/two")
+            assert len(hub._peers) == 1
+            # ... and everybody else is served as before.
+            assert reactor_is_responsive()
+            hub.publish("/data", batch("still here"))
+            assert bystander.receive(timeout=5.0).body == "still here"
+            fresh = TcpClientEndpoint(hub.host, hub.port, op="bind", address="/hostile")
+            fresh.close()
+        finally:
+            hostile.close()
+            bystander.close()
+
+    def test_a_frame_at_the_cap_is_still_served(self, hub):
+        reader = TcpClientEndpoint(hub.host, hub.port, op="connect", address="/data")
+        writer = TcpClientEndpoint(hub.host, hub.port, op="open")
+        try:
+            message = batch(b"\0" * (MAX_FRAME_BYTES - 4096))
+            writer.send_publish("/data", message)
+            assert len(reader.receive(timeout=20.0).body) == MAX_FRAME_BYTES - 4096
+        finally:
+            writer.close()
+            reader.close()

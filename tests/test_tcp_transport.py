@@ -25,8 +25,8 @@ from repro.messaging.errors import (
     AddressNotServedError,
     MessagingError,
 )
-from repro.messaging.sockets import PubSocket, PushSocket, SubSocket
-from repro.messaging.transport import TcpClientEndpoint, TcpHub, channel_key
+from repro.messaging.sockets import PubSocket, PushSocket
+from repro.messaging.transport import TcpClientEndpoint, TcpServerHub, channel_key
 
 
 def tiny_loader(size=24, batch_size=4):
@@ -119,7 +119,7 @@ class TestTcpRoundTrip:
 
 class TestBrokerRobustness:
     def test_duplicate_channel_bind_replies_error_instead_of_hanging(self):
-        hub = TcpHub()
+        hub = TcpServerHub()
         try:
             first = TcpClientEndpoint(hub.host, hub.port, op="bind", address="/control")
             started = time.monotonic()
@@ -132,7 +132,7 @@ class TestBrokerRobustness:
             hub.close()
 
     def test_rejected_bind_leaves_connection_usable(self):
-        hub = TcpHub()
+        hub = TcpServerHub()
         try:
             holder = TcpClientEndpoint(hub.host, hub.port, op="bind", address="/x")
             with pytest.raises(MessagingError):
@@ -146,7 +146,7 @@ class TestBrokerRobustness:
             hub.close()
 
     def test_push_to_unbound_address_does_not_kill_connection(self):
-        hub = TcpHub()
+        hub = TcpServerHub()
         try:
             sender = TcpClientEndpoint(hub.host, hub.port, op="open")
             message = Message(topic="", kind=MessageKind.ACK, sender="t", body=1)
@@ -193,7 +193,7 @@ class TestBrokerRobustness:
         rebound.shutdown()
 
     def test_dead_broker_send_raises_messaging_error(self):
-        hub = TcpHub()
+        hub = TcpServerHub()
         sender = TcpClientEndpoint(hub.host, hub.port, op="open")
         hub.close()
         time.sleep(0.1)
@@ -271,13 +271,13 @@ class TestHubEndpointPruning:
     def test_publish_purges_closed_endpoints(self):
         hub = InProcHub()
         pub = PubSocket(hub, "data")
-        keep = SubSocket(hub, "data")
+        keep = hub.connect("data")
         for _ in range(5):
             # close() without disconnect(), as a dying consumer would.
             hub.connect("data").close()
         assert pub.send(MessageKind.BATCH, body=1) == 1
         assert len(hub._connected["data"]) == 1  # the closed ones are gone
-        assert keep.recv(timeout=1).body == 1
+        assert keep.receive(timeout=1).body == 1
 
     def test_connect_purges_closed_endpoints(self):
         hub = InProcHub()
@@ -364,7 +364,7 @@ class TestFlexibleEpochDrift:
                                   producer_batch_size=8),
         )
         indices_by_epoch = {}
-        spy = SubSocket(hub, producer.config.data_address, topics=("",))
+        spy = hub.connect(producer.config.data_address, subscriptions=("",))
         consumer = TensorConsumer(
             hub=hub, pool=producer.pool,
             config=ConsumerConfig(consumer_id="c", batch_size=4, max_epochs=2),
@@ -375,7 +375,7 @@ class TestFlexibleEpochDrift:
         runner.join(timeout=30)
         assert batches == 8
         while True:
-            message = spy.try_recv()
+            message = spy.try_receive()
             if message is None:
                 break
             if message.kind is MessageKind.BATCH:
