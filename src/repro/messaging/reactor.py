@@ -335,8 +335,8 @@ class Reactor:
 
     def watch_writable(self, sock: socket.socket, enabled: bool) -> None:
         """Start or stop calling a registered socket's ``on_writable`` — on
-        while output waits for the kernel buffer to drain, off otherwise (a
-        socket is nearly always writable)."""
+        while output waits in user space for the loop to write it, off
+        otherwise (a socket is nearly always writable)."""
         events = selectors.EVENT_READ | (selectors.EVENT_WRITE if enabled else 0)
 
         @reactor_only

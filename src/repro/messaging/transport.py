@@ -313,10 +313,11 @@ class _Connection:
     frame, an unknown tag, an undecodable body — closes *this* connection
     and costs no other peer anything.
 
-    *Writes.*  :meth:`send` may be called from any thread and never blocks:
-    the frame goes straight to the kernel, and whatever a full socket buffer
-    does not take waits in ``_pending`` until the reactor sees the socket
-    writable again.  Frames leave in the order ``send`` was called.
+    *Writes.*  :meth:`send` and :meth:`queue` may be called from any thread
+    and never block.  ``send`` hands the frame straight to the kernel, and
+    whatever a full socket buffer does not take waits in ``_pending`` until
+    the reactor sees the socket writable again; ``queue`` leaves the whole
+    write to the reactor.  Frames leave in the order the two were called.
     """
 
     def __init__(
@@ -422,13 +423,24 @@ class _Connection:
                     except (BlockingIOError, InterruptedError):
                         pass
                 if sent < len(frame):
-                    if not self._pending:
-                        self._drained.clear()
-                        self._reactor.watch_writable(self._sock, True)
-                    self._pending += memoryview(frame)[sent:]
+                    self._spill_locked(memoryview(frame)[sent:])
         except OSError:
             self.close()
             raise
+
+    def queue(self, frame: bytes) -> None:
+        """Leave one whole frame for the reactor to write: the caller makes
+        no system call on the socket.  Raises :class:`OSError` once closed."""
+        with self._send_lock:
+            if self._closed:
+                raise ConnectionError("connection is closed")
+            self._spill_locked(frame)
+
+    def _spill_locked(self, data) -> None:
+        if not self._pending:
+            self._drained.clear()
+            self._reactor.watch_writable(self._sock, True)
+        self._pending += data
 
     @reactor_only
     def _on_writable(self) -> None:
@@ -552,9 +564,12 @@ class _RemotePeer:
             pass
 
     def _deliver(self, message: Message) -> None:
-        """The inbox's sink: runs on whichever thread published."""
+        """The inbox's sink: runs on whichever thread published, so it only
+        queues.  A producer fanning a batch out pays an append per remote
+        subscriber, and the loop is the one writer of deliveries that the
+        per-endpoint forwarder threads were before it."""
         try:
-            self.connection.send(_frame(_TAG_DELIVER, message.to_bytes()))
+            self.connection.queue(_frame(_TAG_DELIVER, message.to_bytes()))
         except OSError:
             pass  # the connection closed itself; _on_close releases the inbox
 
@@ -600,9 +615,6 @@ class TcpServerHub(InProcHub):
             sock, _ = self._listener.accept()
         except OSError:
             return  # the dialler gave up first
-        # The plane only sends small whole frames; Nagle buys nothing and
-        # costs a delayed-ACK stall (~40 ms) on about every fourth batch.
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         peer = _RemotePeer(self, sock)
         with self._peers_lock:
             self._peers.add(peer)
@@ -689,7 +701,6 @@ class TcpClientEndpoint(Inbox):
         self.subscriptions.update(subscriptions or ())
         self._acks: Dict[str, threading.Event] = {}
         sock = socket.create_connection((host, port))
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._connection = _Connection(sock, {_TAG_DELIVER: self._on_deliver})
         # The registration handshake is a plain blocking request/reply; the
         # socket joins the reactor only once the server has acknowledged it.

@@ -141,6 +141,28 @@ class TestNeverBlocks:
             reader.close()
             stuck.close()
 
+    def test_a_publisher_makes_no_socket_write_the_reactor_writes_deliveries(
+        self, hub, monkeypatch
+    ):
+        client = TcpClientEndpoint(hub.host, hub.port, op="connect", address="/data")
+        writers = []
+        real_send = socket.socket.send
+
+        def recording_send(sock, data, *flags):
+            if sock.family == socket.AF_INET:  # not the reactor's wake-up pipe
+                writers.append(threading.current_thread().name)
+            return real_send(sock, data, *flags)
+
+        # Installed after the handshake: only deliveries are written from here on.
+        monkeypatch.setattr(socket.socket, "send", recording_send)
+        try:
+            for index in range(3):
+                assert hub.publish("/data", batch(index)) == 1
+            assert [client.receive(timeout=5.0).body for _ in range(3)] == [0, 1, 2]
+            assert writers and set(writers) == {"repro-reactor"}
+        finally:
+            client.close()
+
 
 class TestOrdering:
     def test_publishes_between_connect_and_reply_arrive_after_the_reply(self, hub):
