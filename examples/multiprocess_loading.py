@@ -21,6 +21,7 @@ import time
 import repro
 from repro.data import DataLoader, SyntheticImageDataset
 from repro.data.transforms import Compose, DecodeJpeg, Normalize, ToTensor
+from repro.obs import fetch_metrics
 
 EPOCHS = 2
 TRAINERS = 2
@@ -33,11 +34,17 @@ def build_loader() -> DataLoader:
     return DataLoader(dataset, batch_size=32, transform=pipeline, num_workers=2)
 
 
-def train(address: str, name: str, results: "multiprocessing.Queue") -> None:
+def train(address: str, name: str, attached, results: "multiprocessing.Queue") -> None:
     """A training *process*: attach by address, iterate like a data loader."""
     consumer = repro.attach(
         address, consumer_id=name, max_epochs=EPOCHS, receive_timeout=60
     )
+    # attach() returns once the registration is written to the socket, not
+    # once the server has read it (Nagle can hold it back a delayed-ACK
+    # period).  A request on the same connection is only answered after it,
+    # so when the metrics reply is here the server holds this registration.
+    fetch_metrics(address)
+    attached.release()               # the session may start
     samples = 0
     checksum = 0.0
     zero_copy = True
@@ -62,14 +69,20 @@ def main() -> None:
     print(f"serving shared loader at {session.address}")
 
     results: "multiprocessing.Queue" = multiprocessing.Queue()
+    attached = multiprocessing.Semaphore(0)
     trainers = [
         multiprocessing.Process(
-            target=train, args=(session.address, f"trainer-{i}", results)
+            target=train, args=(session.address, f"trainer-{i}", attached, results)
         )
         for i in range(TRAINERS)
     ]
     for trainer in trainers:
         trainer.start()
+    # Start epoch 0 only once every trainer has attached: one that registers
+    # mid-epoch is deferred to the next epoch and sees different data.
+    for _ in trainers:
+        if not attached.acquire(timeout=60):
+            raise RuntimeError("a trainer process did not attach within 60 s")
     session.start()
 
     rows = sorted(results.get(timeout=120) for _ in trainers)

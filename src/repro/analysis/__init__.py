@@ -15,7 +15,8 @@ RL002     no blocking call (``time.sleep``, ``Thread.join``, blocking
           ``Queue.get/put``, socket I/O, ``Event.wait``) while a lock is held;
           a ``Condition`` waiting on its own lock is exempt
 RL003     the interprocedural lock-acquisition graph is cycle-free
-RL004     ``retain*``/``release*`` and ``attach``/``close`` holds released in
+RL004     ``retain*``/``release*``, ``attach``/``close`` and reserved-segment
+          (``_acquire_segment``/``_pool_segment_locked``) holds released in
           the same function are released on a ``finally`` path
 RL005     every ``threading.Thread(...)`` passes ``name="repro-..."`` and an
           explicit ``daemon=``

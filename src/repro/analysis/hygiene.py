@@ -1,9 +1,11 @@
 """RL004 hold-pairing, RL005 thread-hygiene, RL006 reactor-affinity.
 
 RL004 — refcounted holds (``retain``/``release``, ``retain_cached``/
-``release_cached``) and shm attachments (``attach``/``close``) that are
-*acquired and released in the same function* must release on a ``finally``
-path.  Two shapes are deliberately allowed:
+``release_cached``), shm attachments (``attach``/``close``) and the pool's
+reserved-but-uncommitted segments (``_acquire_segment``/
+``_pool_segment_locked``: reserve → fill → commit, or give the segment back)
+that are *acquired and released in the same function* must release on a
+``finally`` path.  Two shapes are deliberately allowed:
 
 * acquire-only functions — ownership transfers to another component (the
   producer retains, the ack path releases later);
@@ -46,6 +48,7 @@ _HOLD_PAIRS: Dict[str, Tuple[str, ...]] = {
     "retain": ("release", "release_if_present"),
     "retain_cached": ("release_cached",),
     "attach": ("close", "detach"),
+    "_acquire_segment": ("_pool_segment_locked",),
 }
 _ALL_RELEASES = {name for names in _HOLD_PAIRS.values() for name in names}
 

@@ -42,10 +42,13 @@ __all__ = ["CachedEpochSource"]
 class CachedEpochSource:
     """Plan one epoch against the cache; load only what the cache cannot serve."""
 
-    def __init__(self, cache: BatchCache, loader, *, epoch: int) -> None:
+    def __init__(self, cache: BatchCache, loader, *, epoch: int, collate: bool = True) -> None:
         self.cache = cache
         self.loader = loader
         self.epoch = epoch
+        #: False: misses come back as uncollated item lists (the runner
+        #: collates them into shared memory), like ``prefetch_iter(collate=False)``.
+        self.collate = collate
         try:
             self.total: Optional[int] = len(loader)
         except TypeError:
@@ -88,7 +91,8 @@ class CachedEpochSource:
 
     def load_batch(self, index: int):
         """Load one specific batch by epoch position (hit-eviction fallback)."""
-        return self.loader._load_batch(self._batch_indices(index))
+        load = self.loader._load_batch if self.collate else self.loader._load_items
+        return load(self._batch_indices(index))
 
     def open_misses(
         self,
@@ -109,7 +113,10 @@ class CachedEpochSource:
         batch_lists = [self._batch_indices(i) for i in misses]
         if hasattr(self.loader, "prefetch_iter"):
             iterator = self.loader.prefetch_iter(
-                max_in_flight=max_in_flight, num_workers=num_workers, batches=batch_lists
+                max_in_flight=max_in_flight,
+                num_workers=num_workers,
+                batches=batch_lists,
+                collate=self.collate,
             )
             return zip(misses, iterator), getattr(iterator, "close", None)
 

@@ -42,6 +42,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Protocol, Tuple
 from repro.cache import BatchCache, CachedEpochSource
 from repro.core.flexible_batch import FlexibleBatcher, recommend_producer_batch_size
 from repro.core.pipeline import StagedItem, StagePipeline
+from repro.data.collate import plan_collate
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import counter
 from repro.tensor.payload import BatchPayload
@@ -183,21 +184,27 @@ class EpochRunner:
             return False
 
     # ------------------------------------------------------------------ staging
-    def _stage_batch(self, batch: Mapping[str, Tensor]) -> Dict[str, Tensor]:
-        """Copy a loader batch into shared memory on the share device (step 2).
+    def _stage_batch(self, batch) -> Dict[str, Tensor]:
+        """Put a loader batch into shared memory on the share device (step 2).
+
+        One slab segment per batch — every tensor (data + labels) at an
+        aligned offset of a single allocation, so the batch publishes as one
+        handle — written by one copy per byte.  A list of uncollated items
+        (see :meth:`_takes_items`) is collated straight into the reserved
+        segment; an already-collated mapping (custom ``collate_fn``, flexible
+        batching) is copied into it.
 
         Runs on the stage worker when ``pipeline_depth > 1``; it only touches
         the pool (thread-safe) and the ``batches_loaded`` counter (written by
         exactly one staging thread).
         """
         started = time.monotonic()
-        converted = {
-            name: tensor.to(self.config.share_device) for name, tensor in batch.items()
-        }
-        # One slab segment per batch: every tensor (data + labels) lands at an
-        # aligned offset of a single allocation, so the batch publishes as one
-        # handle and consumers attach once instead of once per tensor.
-        staged = self.pool.share_batch(converted, initial_refcount=1)
+        device = self.config.share_device
+        if isinstance(batch, Mapping):
+            staged = self.pool.share_batch(batch, device=device)
+        else:
+            layout, fill = plan_collate(batch)
+            staged = self.pool.fill_batch(layout, fill, device=device)
         self.batches_loaded += 1
         _BATCHES_LOADED.inc()
         _STAGE_SECONDS.inc(time.monotonic() - started)
@@ -209,7 +216,9 @@ class EpochRunner:
         Yields ``(index, (batch, t_sampled, t_loaded))``: the monotonic
         stamps bracketing the loader's work become the ``sampled``/``loaded``
         stages of the batch's lifecycle trace, and the delta accumulates into
-        the load component of the producer's stall attribution.  (At
+        the load component of the producer's stall attribution.  When the
+        loader hands over uncollated items, collating them is staging work:
+        it lands after ``loaded``, in the stage component.  (At
         ``pipeline_depth > 1`` this runs on the stage worker, so load seconds
         measure loader occupancy, which overlaps the publish loop.)
         """
@@ -246,7 +255,17 @@ class EpochRunner:
             return None  # the loader already has its own workers; keep them
         return min(4, self.config.pipeline_depth)
 
-    def _open_loader_iter(self):
+    def _takes_items(self) -> bool:
+        """Whether the default-mode epoch takes *uncollated* items off the loader.
+
+        True when the loader assembles batches with ``default_collate``: the
+        runner then asks for each batch's item list and collates it into the
+        slab itself (:meth:`_stage_batch`), so a payload byte is copied once.
+        Any other ``collate_fn`` runs in the loader and its result is copied.
+        """
+        return bool(getattr(self.loader, "uses_default_collate", False))
+
+    def _open_loader_iter(self, *, collate: bool = True):
         """Start one epoch's iteration over the nested loader.
 
         With an overlapped pipeline the loader is asked for a prefetching
@@ -256,9 +275,11 @@ class EpochRunner:
         depth = self.config.pipeline_depth
         if depth > 1 and hasattr(self.loader, "prefetch_iter"):
             return self.loader.prefetch_iter(
-                max_in_flight=depth, num_workers=self._pipeline_loader_workers()
+                max_in_flight=depth,
+                num_workers=self._pipeline_loader_workers(),
+                collate=collate,
             )
-        return iter(self.loader)
+        return iter(self.loader) if collate else self.loader.prefetch_iter(collate=False)
 
     def _make_pipeline(self, source, stage_fn, source_close=None) -> StagePipeline:
         return StagePipeline(
@@ -301,8 +322,9 @@ class EpochRunner:
         total = len(self.loader) if self.loader_sized() else None
         epoch = self.epoch
         overlapped = self.config.pipeline_depth > 1
+        collate = not self._takes_items()
         source = (
-            CachedEpochSource(self.cache, self.loader, epoch=epoch)
+            CachedEpochSource(self.cache, self.loader, epoch=epoch, collate=collate)
             if self.cache is not None
             else None
         )
@@ -326,9 +348,10 @@ class EpochRunner:
             index, loaded = indexed
             if not overlapped:
                 # Depth 1 keeps the classic order — load, wait for capacity,
-                # *then* stage: the batch passes through raw and is staged at
-                # publish time, so no shared memory is held during waits and
-                # skipped batches never touch the pool.
+                # *then* reserve and fill: the loaded batch (its items, on
+                # the heap) passes through raw and is staged at publish time,
+                # so no shared memory is held during waits and skipped
+                # batches never touch the pool.
                 return StagedItem(index=index, value=loaded)
             payload = pack_payload(index, loaded)
             return StagedItem(index=index, value=payload, segment_names=payload.segment_names)
@@ -337,7 +360,7 @@ class EpochRunner:
             # No cache, or nothing cached yet (epoch 0): the classic path —
             # the full loader, with its own prefetch workers, feeds the
             # pipeline directly.
-            loader_iter = self._open_loader_iter()
+            loader_iter = self._open_loader_iter(collate=collate)
             if source is not None and total is not None:
                 # Pin this sampler draw as THE composition future cached
                 # epochs serve — hits and reloaded misses alike — so a
@@ -420,8 +443,9 @@ class EpochRunner:
         """Interleave cache hits with pipeline-staged misses in index order.
 
         A hit that was evicted between planning and use falls back to a
-        synchronous load (raw item, staged at publish time like a depth-1
-        miss) so the epoch never loses a batch.
+        synchronous load (passed on raw and staged at publish time like a
+        depth-1 miss; uncollated when the misses are) so the epoch never
+        loses a batch.
         """
         for index in range(source.total):
             if index in source.plan:

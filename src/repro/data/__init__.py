@@ -27,7 +27,7 @@ from repro.data.samplers import (
     ShardSampler,
     SubsetSampler,
 )
-from repro.data.collate import default_collate
+from repro.data.collate import default_collate, plan_collate
 from repro.data.dataloader import DataLoader, LoaderIterator
 from repro.data.synthetic import (
     SyntheticAudioDataset,
@@ -60,6 +60,7 @@ __all__ = [
     "ShardSampler",
     "SubsetSampler",
     "default_collate",
+    "plan_collate",
     "DataLoader",
     "LoaderIterator",
     "SyntheticImageDataset",

@@ -3,15 +3,28 @@
 The producer's nested loader collates items exactly like PyTorch's default
 collate function: numpy arrays and tensors stack along a new leading
 dimension, numbers become 1-D tensors, and dictionaries collate key-wise.
+
+:func:`default_collate` builds the batch in fresh heap arrays.
+:func:`plan_collate` describes the same batch before it exists — the
+``(shape, dtype)`` of every key, plus a fill that stacks the items into
+arrays someone else allocated — which is how the producer collates straight
+into a shared-memory slab instead of collating and then copying.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.tensor.tensor import Tensor, from_numpy, stack
+
+#: ``{key: (shape, numpy dtype)}`` of a collated batch.
+Layout = Dict[str, Tuple[Tuple[int, ...], np.dtype]]
+Fill = Callable[[Mapping[str, np.ndarray]], None]
+
+_INT = np.dtype(np.int64)
+_FLOAT = np.dtype(np.float32)
 
 
 def default_collate(items: Sequence) -> Dict[str, Tensor]:
@@ -22,17 +35,66 @@ def default_collate(items: Sequence) -> Dict[str, Tensor]:
     * mapping of str → (Tensor | numpy array | int | float) — collated per key,
     * tuple ``(sample, label)`` — collated into ``{"inputs", "targets"}``.
     """
+    return {key: _collate_values(values) for key, values in _columns(items).items()}
+
+
+def plan_collate(items: Sequence) -> Tuple[Layout, Fill]:
+    """``(layout, fill)``: what ``default_collate(items)`` returns, unbuilt.
+
+    ``layout`` maps each key to the ``(shape, dtype)`` of its batched tensor
+    and ``fill(arrays)`` writes the batch into caller-allocated arrays of
+    that layout, stacking each item into place — the bytes, shapes and
+    dtypes equal ``default_collate(items)``'s.
+
+    The layout is read off the first item, so it holds only when every item
+    agrees with the first in kind, shape and dtype.  When one does not, what
+    numpy makes of the mix (a promoted dtype, or an error) is
+    ``default_collate``'s to decide: it runs here, raising what it raises,
+    and the plan then copies its result.
+    """
+    columns = _columns(items)
+    layout: Layout = {}
+    for key, values in columns.items():
+        spec = _value_spec(values[0])
+        if spec is None or any(_value_spec(value) != spec for value in values[1:]):
+            return _copy_plan({k: _collate_values(column) for k, column in columns.items()})
+        layout[key] = ((len(values),) + spec[1], spec[2])
+
+    def fill(out: Mapping[str, np.ndarray]) -> None:
+        for key, values in columns.items():
+            first = values[0]
+            if isinstance(first, Tensor):
+                np.stack([tensor.numpy() for tensor in values], out=out[key])
+            elif isinstance(first, np.ndarray):
+                np.stack(values, out=out[key])
+            else:
+                out[key][...] = values
+
+    return layout, fill
+
+
+def _copy_plan(collated: Dict[str, Tensor]) -> Tuple[Layout, Fill]:
+    def fill(out: Mapping[str, np.ndarray]) -> None:
+        for key, tensor in collated.items():
+            np.copyto(out[key], tensor.numpy())
+
+    return {key: (t.shape, t.numpy().dtype) for key, t in collated.items()}, fill
+
+
+def _columns(items: Sequence) -> Dict[str, List]:
+    """The items' values regrouped per output key."""
     items = list(items)
     if not items:
         raise ValueError("cannot collate an empty batch")
 
     first = items[0]
     if isinstance(first, Mapping):
-        return {key: _collate_values([item[key] for item in items]) for key in first}
+        return {key: [item[key] for item in items] for key in first}
     if isinstance(first, (tuple, list)) and len(first) == 2:
-        inputs = _collate_values([item[0] for item in items])
-        targets = _collate_values([item[1] for item in items])
-        return {"inputs": inputs, "targets": targets}
+        return {
+            "inputs": [item[0] for item in items],
+            "targets": [item[1] for item in items],
+        }
     raise TypeError(f"cannot collate items of type {type(first)!r}")
 
 
@@ -43,7 +105,22 @@ def _collate_values(values: List) -> Tensor:
     if isinstance(first, np.ndarray):
         return from_numpy(np.stack(values))
     if isinstance(first, (int, np.integer)):
-        return from_numpy(np.asarray(values, dtype=np.int64))
+        return from_numpy(np.asarray(values, dtype=_INT))
     if isinstance(first, (float, np.floating)):
-        return from_numpy(np.asarray(values, dtype=np.float32))
+        return from_numpy(np.asarray(values, dtype=_FLOAT))
     raise TypeError(f"cannot collate values of type {type(first)!r}")
+
+
+def _value_spec(value) -> Optional[Tuple[object, Tuple[int, ...], np.dtype]]:
+    """``(kind, shape, dtype)`` one value contributes to its column, by the
+    dispatch of :func:`_collate_values`; ``None`` for a type it rejects."""
+    if isinstance(value, Tensor):
+        array = value.numpy()
+        return (value.device, array.shape, array.dtype)
+    if isinstance(value, np.ndarray):
+        return (np.ndarray, value.shape, value.dtype)
+    if isinstance(value, (int, np.integer)):
+        return (int, (), _INT)
+    if isinstance(value, (float, np.floating)):
+        return (float, (), _FLOAT)
+    return None

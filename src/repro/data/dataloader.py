@@ -193,6 +193,7 @@ class DataLoader:
         max_in_flight: Optional[int] = None,
         num_workers: Optional[int] = None,
         batches: Optional[Sequence[Sequence[int]]] = None,
+        collate: bool = True,
     ) -> "LoaderIterator":
         """An epoch iterator with explicit prefetch control.
 
@@ -210,13 +211,32 @@ class DataLoader:
         * ``batches`` replaces the sampler's batch list with an explicit one
           (a sequence of per-batch index lists) — the epoch cache uses this
           to load *only the cache misses* of a partially cached epoch through
-          the same worker machinery, in the caller's order.
+          the same worker machinery, in the caller's order;
+        * ``collate=False`` yields each batch as its list of loaded
+          (transformed) items and leaves assembling them to the caller — the
+          producer stacks them straight into shared memory (see
+          :attr:`uses_default_collate`).
 
         All default to the loader's configured values.
         """
         return LoaderIterator(
-            self, num_workers=num_workers, max_in_flight=max_in_flight, batches=batches
+            self,
+            num_workers=num_workers,
+            max_in_flight=max_in_flight,
+            batches=batches,
+            collate=collate,
         )
+
+    @property
+    def uses_default_collate(self) -> bool:
+        """Whether batches are assembled by :func:`default_collate`.
+
+        That is the one collate whose result :func:`~repro.data.collate.plan_collate`
+        can describe before building it, so only then may a caller take
+        uncollated items (``prefetch_iter(collate=False)``) and collate them
+        into memory of its own.
+        """
+        return self.collate_fn is default_collate
 
     def _load_item(self, index: int):
         item = self.dataset[index]
@@ -224,8 +244,11 @@ class DataLoader:
             item = self.transform(item)
         return item
 
+    def _load_items(self, indices: Sequence[int]) -> List:
+        return [self._load_item(i) for i in indices]
+
     def _load_batch(self, indices: Sequence[int]) -> Dict[str, Tensor]:
-        return self.collate_fn([self._load_item(i) for i in indices])
+        return self.collate_fn(self._load_items(indices))
 
 
 class LoaderIterator:
@@ -240,8 +263,10 @@ class LoaderIterator:
         num_workers: Optional[int] = None,
         max_in_flight: Optional[int] = None,
         batches: Optional[Sequence[Sequence[int]]] = None,
+        collate: bool = True,
     ) -> None:
         self._loader = loader
+        self._load = loader._load_batch if collate else loader._load_items
         self._batches = list(loader.batch_sampler) if batches is None else list(batches)
         self._next_to_yield = 0
         self.batches_loaded = 0
@@ -300,7 +325,7 @@ class LoaderIterator:
                 return
             position, indices = task
             try:
-                batch = self._loader._load_batch(indices)
+                batch = self._load(indices)
             except Exception as exc:  # surface worker failures to the consumer
                 batch = exc
             with self._results_lock:
@@ -326,7 +351,7 @@ class LoaderIterator:
             self.close()
             raise StopIteration
         if self._mode == "sync":
-            batch = self._loader._load_batch(self._batches[self._next_to_yield])
+            batch = self._load(self._batches[self._next_to_yield])
         else:
             with self._results_lock:
                 while self._next_to_yield not in self._results:

@@ -29,9 +29,13 @@ and are recycled under the *same name* on the next allocation of a matching
 size.  After a warm-up epoch the steady-state hot path therefore performs
 zero ``shm_open``/``mmap`` on either side: the producer pops a warm segment
 off the free list and the consumer's attach-by-name cache hits on the
-recycled name.  :meth:`SharedMemoryPool.share_batch` additionally packs every
-tensor of one batch into a *single* segment at 64-byte-aligned offsets, so
-the per-batch handle count (and cross-process attach count) drops to one.
+recycled name.  Every tensor of one batch is packed into a *single* segment
+at 64-byte-aligned offsets, so the per-batch handle count (and cross-process
+attach count) is one.  One routine lays a batch out and commits it, and a
+batch's bytes are written exactly once, by one of two fills:
+:meth:`SharedMemoryPool.fill_batch` hands the reserved arrays to the caller
+(the producer collates loader items straight into them), and
+:meth:`SharedMemoryPool.share_batch` copies already-collated tensors in.
 
 Because names now repeat, every segment starts with a 64-byte slab header
 holding a **generation** counter that the pool bumps on every recycle.
@@ -52,7 +56,7 @@ import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -538,6 +542,61 @@ class SharedMemoryPool:
             self._note_peak_locked()
 
     # -- allocation -------------------------------------------------------------
+    def _stage(
+        self,
+        specs: Sequence[Tuple[str, Tuple[int, ...], DTypeLike, DeviceLike]],
+        fill: Optional[Callable[[Dict[str, np.ndarray]], None]],
+        initial_refcount: int,
+        tenant: Optional[str],
+    ) -> Dict[str, Tensor]:
+        """Lay ``(key, shape, dtype, device)`` specs out in one segment and fill it.
+
+        The one allocation routine: the slab header, then each tensor at the
+        next 64-byte-aligned offset of a single (possibly recycled) segment.
+        ``fill`` receives the tensors' writable arrays, keyed like the specs,
+        and is the only thing that writes payload bytes; ``None`` leaves them
+        uninitialized.  The segment becomes a live record only after the fill
+        returned — if it raises, the segment goes straight back to the free
+        list and the books never see it.  A tenant's quota is checked
+        *before* a segment is acquired, so a rejected allocation never
+        touches ``/dev/shm``.
+        """
+        if not specs:
+            raise SharedMemoryError("cannot share an empty batch")
+        placed = []
+        cursor = _SLAB_HEADER_SIZE
+        logical = 0
+        for key, shape, dtype, device in specs:
+            dt = as_dtype(dtype)
+            shape = tuple(shape)
+            cursor = _align_up(cursor, _SLAB_ALIGN)
+            placed.append((key, shape, dt, device, cursor))
+            nbytes = max((int(np.prod(shape)) if shape else 1) * dt.itemsize, 1)
+            cursor += nbytes
+            logical += nbytes
+        if tenant is not None:
+            with self._lock:
+                self._check_quota_locked(tenant, logical)
+        segment, generation, _reused = self._acquire_segment(cursor - _SLAB_HEADER_SIZE)
+        try:
+            shared = {
+                key: Tensor(
+                    segment.ndarray(shape, dt, offset=offset),
+                    device,
+                    segment=segment,
+                    segment_offset=offset,
+                )
+                for key, shape, dt, device, offset in placed
+            }
+            if fill is not None:
+                fill({key: tensor.numpy() for key, tensor in shared.items()})
+        except BaseException:
+            with self._lock:
+                self._pool_segment_locked(segment)
+            raise
+        self._commit_segment(segment, generation, logical, initial_refcount, tenant)
+        return shared
+
     def allocate_tensor(
         self,
         shape: Tuple[int, ...],
@@ -552,19 +611,9 @@ class SharedMemoryPool:
         The tensor's data starts right after the slab header
         (``segment_offset == 64``).  ``tenant`` charges the tensor's logical
         bytes to a named tenant's account (see :meth:`set_tenant_quota` /
-        :class:`TenantPool`); the quota check runs *before* a segment is
-        acquired, so a rejected allocation never touches ``/dev/shm``.
+        :class:`TenantPool`).
         """
-        dt = as_dtype(dtype)
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = max(count * dt.itemsize, 1)
-        if tenant is not None:
-            with self._lock:
-                self._check_quota_locked(tenant, nbytes)
-        segment, generation, _reused = self._acquire_segment(nbytes)
-        array = segment.ndarray(tuple(shape), dt, offset=_SLAB_HEADER_SIZE)
-        self._commit_segment(segment, generation, nbytes, initial_refcount, tenant)
-        return Tensor(array, device, segment=segment, segment_offset=_SLAB_HEADER_SIZE)
+        return self._stage([("", shape, dtype, device)], None, initial_refcount, tenant)[""]
 
     def _note_peak_locked(self) -> None:
         """Peak tracks *total* live bytes — in-flight plus cache-pinned — so
@@ -576,60 +625,62 @@ class SharedMemoryPool:
         self, tensor: Tensor, *, initial_refcount: int = 1, tenant: Optional[str] = None
     ) -> Tensor:
         """Copy an ordinary tensor into the pool so it can be handed off zero-copy."""
-        shared = self.allocate_tensor(
-            tensor.shape,
-            tensor.dtype,
-            tensor.device,
-            initial_refcount=initial_refcount,
-            tenant=tenant,
-        )
-        shared.numpy()[...] = tensor.numpy()
-        return shared
+        return self.share_batch({"": tensor}, initial_refcount=initial_refcount, tenant=tenant)[""]
 
     def share_batch(
         self,
         batch: Mapping[str, Tensor],
         *,
+        device: Optional[DeviceLike] = None,
         initial_refcount: int = 1,
         tenant: Optional[str] = None,
     ) -> Dict[str, Tensor]:
         """Copy every tensor of one batch into a *single* shared segment.
 
-        Layout: the slab header, then each tensor at the next 64-byte-aligned
-        offset.  The returned tensors are views into the one segment, so
-        packing them (``BatchPayload.pack``) yields exactly one segment name
-        per batch — one producer hold, one retain per consumer, and one
+        The returned tensors are views into the one segment (layout: see
+        :meth:`fill_batch`, of which this is the "copy these tensors" fill),
+        so packing them (``BatchPayload.pack``) yields exactly one segment
+        name per batch — one producer hold, one retain per consumer, and one
         cross-process attach per delivery instead of one per tensor.
-
-        Accounting charges the batch's logical tensor bytes (the refcounted
-        record and any tenant quota); the slab's size-class rounding only
-        shows up in ``free_bytes`` once the segment is recycled.
+        ``device`` tags the shared tensors with a device of the caller's
+        choosing (one copy, not ``tensor.to(device)`` and then a second);
+        by default each keeps its source's device.
         """
-        if not batch:
-            raise SharedMemoryError("cannot share an empty batch")
-        items = list(batch.items())
-        offsets: Dict[str, int] = {}
-        cursor = _SLAB_HEADER_SIZE
-        logical = 0
-        for key, tensor in items:
-            cursor = _align_up(cursor, _SLAB_ALIGN)
-            offsets[key] = cursor
-            nbytes = max(int(tensor.nbytes), 1)
-            cursor += nbytes
-            logical += nbytes
-        if tenant is not None:
-            with self._lock:
-                self._check_quota_locked(tenant, logical)
-        segment, generation, _reused = self._acquire_segment(cursor - _SLAB_HEADER_SIZE)
-        shared: Dict[str, Tensor] = {}
-        for key, tensor in items:
-            array = segment.ndarray(tensor.shape, tensor.dtype, offset=offsets[key])
-            array[...] = tensor.numpy()
-            shared[key] = Tensor(
-                array, tensor.device, segment=segment, segment_offset=offsets[key]
-            )
-        self._commit_segment(segment, generation, logical, initial_refcount, tenant)
-        return shared
+
+        def copy(out: Dict[str, np.ndarray]) -> None:
+            for key, tensor in batch.items():
+                np.copyto(out[key], tensor.numpy())
+
+        specs = [
+            (key, tensor.shape, tensor.dtype, tensor.device if device is None else device)
+            for key, tensor in batch.items()
+        ]
+        return self._stage(specs, copy, initial_refcount, tenant)
+
+    def fill_batch(
+        self,
+        layout: Mapping[str, Tuple[Tuple[int, ...], DTypeLike]],
+        fill: Callable[[Dict[str, np.ndarray]], None],
+        *,
+        device: DeviceLike = "cpu",
+        initial_refcount: int = 1,
+        tenant: Optional[str] = None,
+    ) -> Dict[str, Tensor]:
+        """Reserve one segment for a batch of known layout and let ``fill`` write it.
+
+        ``layout`` maps each key to the ``(shape, dtype)`` of its tensor;
+        ``fill`` is handed the reserved arrays under the same keys and writes
+        the batch straight into shared memory — the producer collates loader
+        items here, so a payload byte is copied once between ``__getitem__``
+        and the trainer.  Layout: the slab header, then each tensor at the
+        next 64-byte-aligned offset.  Accounting charges the batch's logical
+        tensor bytes (the refcounted record and any tenant quota); the slab's
+        size-class rounding only shows up in ``free_bytes`` once the segment
+        is recycled.  If ``fill`` raises, the reserved segment returns to the
+        free list uncharged and the exception propagates.
+        """
+        specs = [(key, shape, dtype, device) for key, (shape, dtype) in layout.items()]
+        return self._stage(specs, fill, initial_refcount, tenant)
 
     # -- refcounting -------------------------------------------------------------
     def _record_for_locked(self, name: str) -> _SegmentRecord:
@@ -1126,10 +1177,26 @@ class TenantPool:
         )
 
     def share_batch(
-        self, batch: Mapping[str, Tensor], *, initial_refcount: int = 1
+        self,
+        batch: Mapping[str, Tensor],
+        *,
+        device: Optional[DeviceLike] = None,
+        initial_refcount: int = 1,
     ) -> Dict[str, Tensor]:
         return self._pool.share_batch(
-            batch, initial_refcount=initial_refcount, tenant=self.tenant
+            batch, device=device, initial_refcount=initial_refcount, tenant=self.tenant
+        )
+
+    def fill_batch(
+        self,
+        layout: Mapping[str, Tuple[Tuple[int, ...], DTypeLike]],
+        fill: Callable[[Dict[str, np.ndarray]], None],
+        *,
+        device: DeviceLike = "cpu",
+        initial_refcount: int = 1,
+    ) -> Dict[str, Tensor]:
+        return self._pool.fill_batch(
+            layout, fill, device=device, initial_refcount=initial_refcount, tenant=self.tenant
         )
 
     @property

@@ -455,6 +455,32 @@ class TestHoldPairing:
         assert findings == []
 
 
+    def test_reserved_segment_must_be_returned_when_the_fill_fails(self):
+        # reserve -> fill -> commit: a segment handed back only on the
+        # straight-line path leaks when the fill raises.
+        leaky = """
+            class Pool:
+                def stage(self, nbytes, fill):
+                    segment = self._acquire_segment(nbytes)
+                    if not fill(segment):
+                        self._pool_segment_locked(segment)
+                    return segment
+            """
+        assert rules_of(findings_for(leaky, "RL004")) == ["RL004"]
+        compensated = """
+            class Pool:
+                def stage(self, nbytes, fill):
+                    segment = self._acquire_segment(nbytes)
+                    try:
+                        fill(segment)
+                    except BaseException:
+                        self._pool_segment_locked(segment)
+                        raise
+                    self._commit_segment(segment)
+            """
+        assert findings_for(compensated, "RL004") == []
+
+
 # ---------------------------------------------------------------------------
 # RL005 — thread hygiene
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.core import AckLedger, BatchBuffer, plan_slices
 from repro.core.flexible_batch import recommend_producer_batch_size
 from repro.core.rubberband import JoinDecision, RubberbandPolicy
 from repro.data import BatchSampler, RandomSampler, SyntheticImageDataset
+from repro.data import default_collate, plan_collate
 from repro.data.samplers import SequentialSampler
 from repro.simulation import Simulator, Store
 from repro.tensor import BatchPayload, SharedMemoryPool, TensorPayload, from_numpy
@@ -248,6 +249,88 @@ def test_pool_refcounting_exactness(extra_holds):
         assert pool.bytes_in_flight == 0
     finally:
         pool.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Collate into place: stacking the items into a reserved slab is the batch
+# default_collate + share_batch would have built, without the second copy.
+# ---------------------------------------------------------------------------
+
+_item_dtypes = st.sampled_from(["float32", "float64", "float16", "int64", "int32", "uint8"])
+
+#: One column of the items: how its values are produced from (rng, row number).
+_columns = st.one_of(
+    st.tuples(
+        st.sampled_from(["tensor", "ndarray", "strided"]),
+        st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=3),  # () is 0-d
+        _item_dtypes,
+    ),
+    st.tuples(st.sampled_from(["int", "float", "np_int", "np_float"]), st.just([]), st.none()),
+)
+
+
+def _make_value(kind, shape, dtype, rng, row):
+    if kind == "int":
+        return int(rng.integers(-(2**40), 2**40))
+    if kind == "float":
+        return float(rng.normal()) * 1e3
+    if kind == "np_int":
+        return np.int32(rng.integers(-1000, 1000))
+    if kind == "np_float":
+        return np.float64(rng.normal())
+    array = np.asarray(rng.random(shape) * 100 + row).astype(dtype)
+    if kind == "tensor":
+        return from_numpy(array, "cuda:0" if dtype == "uint8" else "cpu")
+    if kind == "strided" and array.ndim:
+        # A non-contiguous view: every second element of a doubled last axis.
+        array = np.repeat(array, 2, axis=-1)[..., ::2]
+    return array
+
+
+@given(
+    columns=st.lists(_columns, min_size=1, max_size=3),
+    pairs=st.booleans(),
+    length=st.integers(min_value=1, max_value=11),
+    batch_size=st.integers(min_value=1, max_value=6),
+    device=st.sampled_from(["cpu", "cuda:0"]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=150, deadline=None)
+def test_collating_into_a_reserved_slab_equals_collate_then_share(
+    columns, pairs, length, batch_size, device, seed
+):
+    rng = np.random.default_rng(seed)
+    if pairs:  # (sample, label) items collate to {"inputs", "targets"}
+        columns = (columns * 2)[:2]
+    items = []
+    for row in range(length):
+        values = [_make_value(kind, shape, dtype, rng, row) for kind, shape, dtype in columns]
+        items.append(tuple(values) if pairs else {f"k{i}": v for i, v in enumerate(values)})
+
+    in_place, copied = SharedMemoryPool(), SharedMemoryPool()
+    try:
+        # The loader's chunks: full batches, then a short last one.
+        for start in range(0, length, batch_size):
+            chunk = items[start : start + batch_size]
+            layout, fill = plan_collate(chunk)
+            got = in_place.fill_batch(layout, fill, device=device)
+            want = copied.share_batch(
+                {key: tensor.to(device) for key, tensor in default_collate(chunk).items()}
+            )
+            assert list(got) == list(want)
+            for key in want:
+                assert got[key].shape == want[key].shape
+                assert got[key].dtype == want[key].dtype
+                assert got[key].device == want[key].device
+                assert got[key].numpy().tobytes() == want[key].numpy().tobytes()
+                assert got[key].segment_offset == want[key].segment_offset
+                assert got[key].segment_offset % 64 == 0
+            assert len({t.segment.name for t in got.values()}) == 1
+        assert in_place.live_segments == copied.live_segments
+        assert in_place.bytes_in_flight == copied.bytes_in_flight
+    finally:
+        in_place.shutdown()
+        copied.shutdown()
 
 
 # ---------------------------------------------------------------------------
