@@ -296,10 +296,6 @@ class EpochRunner:
         for name in item.segment_names:
             self.pool.release_if_present(name)
 
-    def _release_producer_hold(self, payload: BatchPayload) -> None:
-        for name in payload.segment_names:
-            self.pool.release_if_present(name)
-
     # ------------------------------------------------------------------ default-mode epoch
     def _run_epoch_default(self) -> Iterator[int]:
         """Publish one epoch from a stream of already-staged payloads.
@@ -424,7 +420,7 @@ class EpochRunner:
                     # publish holds still pin its segments.
                     source.record(item.index, payload)
                 if not host.retain_for_window(payload, item.index):
-                    self._release_producer_hold(payload)
+                    self.release_staged(item)
                 self.batches_published_this_epoch = item.index + 1
                 yield item.index + 1
         finally:

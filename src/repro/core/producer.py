@@ -437,12 +437,13 @@ class TensorProducer:
         self, payload: BatchPayload, consumers: List[str], *, topic: str = "broadcast"
     ) -> None:
         started = time.monotonic()
-        for name in payload.segment_names:
+        segment_names = payload.segment_names
+        for name in segment_names:
             self.pool.retain(name, count=len(consumers))
         self.ledger.publish(
             payload.key(),
             consumers,
-            segment_names=payload.segment_names,
+            segment_names=segment_names,
             nbytes=payload.tensor_nbytes,
             published_at=started,
         )

@@ -55,10 +55,10 @@ def plan_collate(items: Sequence) -> Tuple[Layout, Fill]:
     columns = _columns(items)
     layout: Layout = {}
     for key, values in columns.items():
-        spec = _value_spec(values[0])
-        if spec is None or any(_value_spec(value) != spec for value in values[1:]):
+        spec = _column_spec(values)
+        if spec is None:
             return _copy_plan({k: _collate_values(column) for k, column in columns.items()})
-        layout[key] = ((len(values),) + spec[1], spec[2])
+        layout[key] = ((len(values),) + spec[0], spec[1])
 
     def fill(out: Mapping[str, np.ndarray]) -> None:
         for key, values in columns.items():
@@ -111,16 +111,31 @@ def _collate_values(values: List) -> Tensor:
     raise TypeError(f"cannot collate values of type {type(first)!r}")
 
 
-def _value_spec(value) -> Optional[Tuple[object, Tuple[int, ...], np.dtype]]:
-    """``(kind, shape, dtype)`` one value contributes to its column, by the
-    dispatch of :func:`_collate_values`; ``None`` for a type it rejects."""
-    if isinstance(value, Tensor):
-        array = value.numpy()
-        return (value.device, array.shape, array.dtype)
-    if isinstance(value, np.ndarray):
-        return (np.ndarray, value.shape, value.dtype)
-    if isinstance(value, (int, np.integer)):
-        return (int, (), _INT)
-    if isinstance(value, (float, np.floating)):
-        return (float, (), _FLOAT)
-    return None
+#: The value kinds of :func:`_collate_values`, in its dispatch order.
+_INTS, _FLOATS = (int, np.integer), (float, np.floating)
+_KINDS = (Tensor, np.ndarray, _INTS, _FLOATS)
+
+
+def _kind(tp: type):
+    return next((kind for kind in _KINDS if issubclass(tp, kind)), None)
+
+
+def _column_spec(values: List) -> Optional[Tuple[Tuple[int, ...], np.dtype]]:
+    """The ``(shape, dtype)`` each value adds to its column, when every value
+    agrees with the first in kind (by the dispatch of :func:`_collate_values`),
+    device, shape and dtype; ``None`` when one does not, or for a type that
+    dispatch rejects.  One pass per property over the column, not one
+    description per value."""
+    kinds = {_kind(tp) for tp in set(map(type, values))}
+    if len(kinds) != 1 or None in kinds:
+        return None
+    (kind,) = kinds
+    if kind is Tensor:
+        if len({tensor.device for tensor in values}) != 1:
+            return None
+        values = [tensor.numpy() for tensor in values]
+    elif kind is not np.ndarray:
+        return (), (_INT if kind is _INTS else _FLOAT)
+    if len({array.shape for array in values}) != 1 or len({array.dtype for array in values}) != 1:
+        return None
+    return values[0].shape, values[0].dtype

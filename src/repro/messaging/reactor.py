@@ -66,6 +66,7 @@ __all__ = [
 _DISPATCHES = counter("repro.reactor.dispatches")
 _TIMER_FIRES = counter("repro.reactor.timer_fires")
 _SUBMITS = counter("repro.reactor.submits")
+_HANDLER_ERRORS = counter("repro.reactor.handler_errors")
 
 #: Selector event masks in the order ``register_socket`` stores its callbacks.
 _EVENTS = (selectors.EVENT_READ, selectors.EVENT_WRITE)
@@ -145,9 +146,8 @@ class _Channel:
                 try:
                     subscriber.handler(message)
                 except Exception:
-                    # One consumer's handler bug must not starve its channel
-                    # peers (or kill the loop every other consumer rides on).
-                    pass
+                    # A handler bug must not starve its channel peers or kill the loop.
+                    _HANDLER_ERRORS.inc()
 
 
 class _SharedTcpClient:

@@ -60,12 +60,13 @@ class Inbox:
         self._sink_lock = threading.Lock()
         self._sink = None  #: guarded by _sink_lock
 
-    # -- subscription management ---------------------------------------------------
+    # -- subscription management (the set is replaced, never mutated: a publisher on
+    # another thread may be iterating the old one in accepts()) ---------------------
     def subscribe(self, prefix: str = "") -> None:
-        self.subscriptions.add(prefix)
+        self.subscriptions = self.subscriptions | {prefix}
 
     def unsubscribe(self, prefix: str) -> None:
-        self.subscriptions.discard(prefix)
+        self.subscriptions = self.subscriptions - {prefix}
 
     def accepts(self, message: Message) -> bool:
         if not self.subscriptions:

@@ -8,7 +8,7 @@ compute byte volumes without importing numpy in every module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Union
 
 import numpy as np
@@ -21,10 +21,10 @@ class DType:
     name: str
     itemsize: int
     is_floating_point: bool
+    numpy_dtype: np.dtype = field(init=False, repr=False, compare=False)
 
-    @property
-    def numpy_dtype(self) -> np.dtype:
-        return np.dtype(self.name)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "numpy_dtype", np.dtype(self.name))
 
     def __str__(self) -> str:
         return self.name
@@ -48,6 +48,14 @@ _BY_NAME: Dict[str, DType] = {
     for dt in (float64, float32, float16, int64, int32, int16, int8, uint8, bool_)
 }
 
+#: The spellings the hot paths use — the catalogue name, the native numpy
+#: dtype, its scalar type — resolved by one hash lookup.
+_BY_SPELLING: Dict[object, DType] = {
+    spelling: dt
+    for dt in _BY_NAME.values()
+    for spelling in (dt.name, dt.numpy_dtype, dt.numpy_dtype.type)
+}
+
 DTypeLike = Union[DType, str, np.dtype, type]
 
 
@@ -55,7 +63,10 @@ def as_dtype(value: DTypeLike) -> DType:
     """Coerce a name, numpy dtype or :class:`DType` into a :class:`DType`."""
     if isinstance(value, DType):
         return value
-    name = np.dtype(value).name
+    try:
+        return _BY_SPELLING[value]
+    except (KeyError, TypeError):  # another spelling numpy knows, or an unhashable one
+        name = np.dtype(value).name
     try:
         return _BY_NAME[name]
     except KeyError as exc:

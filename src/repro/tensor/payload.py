@@ -22,6 +22,7 @@ producer-batch id and slice bounds under flexible batching.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -131,10 +132,7 @@ class TensorPayload:
     @property
     def tensor_nbytes(self) -> int:
         """Size of the tensor the payload describes."""
-        count = 1
-        for dim in self.shape:
-            count *= dim
-        return count * as_dtype(self.dtype).itemsize
+        return math.prod(self.shape) * as_dtype(self.dtype).itemsize
 
     @property
     def payload_nbytes(self) -> int:

@@ -50,6 +50,7 @@ tenant (quotas charge *live* logical bytes only) and surface through the
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 import time
@@ -231,7 +232,7 @@ class SharedSegment:
     def ndarray(self, shape: Tuple[int, ...], dtype: DTypeLike, offset: int = 0) -> np.ndarray:
         """A numpy view of part of the segment (no copy)."""
         dt = as_dtype(dtype)
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: a hostile shape must not wrap to a small count
         nbytes = count * dt.itemsize
         if offset < 0 or offset + nbytes > self.size:
             raise SharedMemoryError(
@@ -571,7 +572,7 @@ class SharedMemoryPool:
             shape = tuple(shape)
             cursor = _align_up(cursor, _SLAB_ALIGN)
             placed.append((key, shape, dt, device, cursor))
-            nbytes = max((int(np.prod(shape)) if shape else 1) * dt.itemsize, 1)
+            nbytes = max(math.prod(shape) * dt.itemsize, 1)
             cursor += nbytes
             logical += nbytes
         if tenant is not None:

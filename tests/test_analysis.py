@@ -728,6 +728,52 @@ class TestReactorAffinity:
         )
         assert findings == []
 
+    # The two halves of a delivery: ``deliver`` runs on the publisher's
+    # thread inside the inbox's sink lock, the handler on the loop.  A blocking
+    # put in the first parks a producer mid-publish and every deliverer queued
+    # behind it; in the second it parks every socket and timer in the process.
+    DELIVERY_PATH = """
+        import queue
+        import threading
+
+        from repro.messaging.reactor import reactor_only
+
+        class Inbox:
+            def __init__(self, sink):
+                self._sink_lock = threading.Lock()
+                self._backlog = queue.Queue()
+                self._sink = sink
+
+            def deliver(self, message):
+                with self._sink_lock:
+                    if self._sink is not None:
+                        self._sink(message)
+                        return
+                    self._backlog.{put}
+
+        class Consumer:
+            def __init__(self):
+                self._mailbox = queue.Queue(maxsize=4096)
+
+            @reactor_only
+            def _on_message(self, message):
+                self._mailbox.{put}
+        """
+
+    def test_flags_a_blocking_put_on_the_delivery_path(self):
+        findings = findings_for(
+            self.DELIVERY_PATH.format(put="put(message)"), "RL002", "RL006"
+        )
+        assert rules_of(findings) == ["RL002", "RL006"]
+        assert {f.qualname for f in findings} == {"Inbox.deliver", "Consumer._on_message"}
+        assert all("Queue.put()" in f.message for f in findings)
+
+    def test_nonblocking_put_on_the_delivery_path_is_clean(self):
+        findings = findings_for(
+            self.DELIVERY_PATH.format(put="put(message, block=False)"), "RL002", "RL006"
+        )
+        assert findings == []
+
 
 # ---------------------------------------------------------------------------
 # RL007 — check-then-act

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -9,10 +10,11 @@ from repro.core.flexible_batch import recommend_producer_batch_size
 from repro.core.rubberband import JoinDecision, RubberbandPolicy
 from repro.data import BatchSampler, RandomSampler, SyntheticImageDataset
 from repro.data import default_collate, plan_collate
+from repro.data.collate import _FLOAT, _INT, _column_spec
 from repro.data.samplers import SequentialSampler
 from repro.simulation import Simulator, Store
-from repro.tensor import BatchPayload, SharedMemoryPool, TensorPayload, from_numpy
-from repro.tensor.dtype import all_dtypes
+from repro.tensor import BatchPayload, SharedMemoryPool, Tensor, TensorPayload, from_numpy
+from repro.tensor.dtype import DType, all_dtypes, as_dtype
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +333,146 @@ def test_collating_into_a_reserved_slab_equals_collate_then_share(
     finally:
         in_place.shutdown()
         copied.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# The column agreement check: one pass per property over a column decides
+# plan-vs-fallback exactly as describing every value and comparing did.
+# ---------------------------------------------------------------------------
+
+
+def _value_spec(value):
+    """The per-value description ``plan_collate`` used to compare (kept here
+    as the reference): ``(kind, shape, dtype)`` by ``_collate_values``'s
+    dispatch, ``None`` for a type it rejects."""
+    if isinstance(value, Tensor):
+        array = value.numpy()
+        return (value.device, array.shape, array.dtype)
+    if isinstance(value, np.ndarray):
+        return (np.ndarray, value.shape, value.dtype)
+    if isinstance(value, (int, np.integer)):
+        return (int, (), _INT)
+    if isinstance(value, (float, np.floating)):
+        return (float, (), _FLOAT)
+    return None
+
+
+def _reference_column_spec(values):
+    spec = _value_spec(values[0])
+    if spec is None or any(_value_spec(value) != spec for value in values[1:]):
+        return None
+    return spec[1], spec[2]
+
+
+class _Subclassed(np.ndarray):
+    pass
+
+
+#: name -> value factory.  The first four are the honest column kinds; the
+#: rest are what can turn up among them.
+_MIXED_VALUES = {
+    "int": lambda: 7,
+    "float": lambda: 0.5,
+    "ndarray": lambda: np.full((2, 3), 2, dtype=np.float32),
+    "tensor": lambda: from_numpy(np.full((2, 3), 2, dtype=np.float32)),
+    "bool": lambda: True,
+    "np_bool": lambda: np.bool_(True),
+    "np_int32": lambda: np.int32(3),
+    "np_float64": lambda: np.float64(1.5),
+    "huge_int": lambda: 2**70,
+    "ndarray_subclass": lambda: np.full((2, 3), 4, dtype=np.float32).view(_Subclassed),
+    "ndarray_float64": lambda: np.full((2, 3), 5, dtype=np.float64),
+    "ndarray_big_endian": lambda: np.full((2, 3), 6, dtype=">f4"),
+    "ndarray_ragged": lambda: np.full((2, 4), 7, dtype=np.float32),
+    "scalar_array_float32": lambda: np.array(1.0, dtype=np.float32),
+    "scalar_array_float64": lambda: np.array(1.0, dtype=np.float64),
+    "tensor_other_device": lambda: from_numpy(np.full((2, 3), 2, dtype=np.float32), "cuda:0"),
+    "tensor_ragged": lambda: from_numpy(np.full((3, 3), 2, dtype=np.float32)),
+    "tensor_int64": lambda: from_numpy(np.full((2, 3), 2, dtype=np.int64)),
+    "none": lambda: None,
+    "text": lambda: "seven",
+}
+
+
+@given(
+    base=st.sampled_from(sorted(_MIXED_VALUES)),
+    intruders=st.lists(
+        st.tuples(st.sampled_from(sorted(_MIXED_VALUES)), st.integers(min_value=0, max_value=8)),
+        max_size=2,
+    ),
+    length=st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=400, deadline=None)
+def test_column_agreement_check_decides_as_the_per_value_comparison_did(base, intruders, length):
+    values = [_MIXED_VALUES[base]() for _ in range(length)]
+    for name, position in intruders:
+        values.insert(min(position, len(values)), _MIXED_VALUES[name]())
+
+    # Same decision, and the same layout entry when the decision is "plan".
+    assert _column_spec(values) == _reference_column_spec(values)
+
+    # Whichever way it went: default_collate's bytes, or its exception type.
+    items = [{"k": value} for value in values]
+    pool = SharedMemoryPool()
+    try:
+        try:
+            want = default_collate(items)["k"].numpy()
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                pool.fill_batch(*plan_collate(items))
+        else:
+            got = pool.fill_batch(*plan_collate(items))["k"].numpy()
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+    finally:
+        pool.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# as_dtype: the spelling table answers what parsing the name answered.
+# ---------------------------------------------------------------------------
+
+
+def _reference_as_dtype(value):
+    if isinstance(value, DType):
+        return value
+    by_name = {dt.name: dt for dt in all_dtypes()}
+    try:
+        return by_name[np.dtype(value).name]
+    except KeyError as exc:
+        raise TypeError(f"unsupported tensor dtype {value!r}") from exc
+
+
+def _spellings(dt):
+    native = np.dtype(dt.name)
+    yield from (dt, dt.name, native, native.type, native.str, native.char)
+    yield from (native.newbyteorder("<"), native.newbyteorder(">"), native.newbyteorder("="))
+
+
+@pytest.mark.parametrize("dt", all_dtypes(), ids=str)
+def test_as_dtype_maps_every_accepted_spelling_as_before(dt):
+    for spelling in _spellings(dt):
+        assert as_dtype(spelling) is _reference_as_dtype(spelling) is dt, spelling
+    assert dt.numpy_dtype == np.dtype(dt.name) and dt.numpy_dtype.isnative
+
+
+@pytest.mark.parametrize("spelling", [float, int, bool, None, "f4", "<i8", "=u1"])
+def test_as_dtype_keeps_the_spellings_only_numpy_resolves(spelling):
+    assert as_dtype(spelling) is _reference_as_dtype(spelling)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["complex64", np.complex128, np.dtype("U4"), object, "no-such-dtype", 3.5,
+     [("a", "f4")], {"names": ["a"], "formats": ["f4"]}, ["float32"]],
+    ids=repr,
+)
+def test_as_dtype_rejects_unsupported_and_unhashable_input_as_before(bad):
+    with pytest.raises(TypeError) as reference:
+        _reference_as_dtype(bad)
+    with pytest.raises(TypeError) as got:
+        as_dtype(bad)
+    assert str(got.value) == str(reference.value)
 
 
 # ---------------------------------------------------------------------------

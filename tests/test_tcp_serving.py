@@ -2,17 +2,21 @@
 grow with clients, writes that never block a publisher, registration and
 shutdown ordering, and hostile frames that cost only their sender."""
 
+import dataclasses
 import pickle
 import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import repro
 from repro.data import DataLoader, SyntheticImageDataset
 from repro.messaging import Message, MessageKind
 from repro.messaging.reactor import get_reactor
+from repro.tensor import BatchPayload, SharedMemoryPool, from_numpy
+from repro.tensor.errors import PayloadError, SharedMemoryError
 from repro.messaging.transport import (
     _ADDR,
     _HEADER,
@@ -270,3 +274,45 @@ class TestHostileFrames:
         finally:
             writer.close()
             reader.close()
+
+
+class TestHostileHandles:
+    """A well-formed envelope can still carry a handle that lies about its
+    tensor.  ``int(np.prod(shape))`` wrapped at 2**63: a ``(2**32, 2**32)``
+    shape counted 0 bytes, passed the segment bounds check and died in
+    ``reshape`` with a bare ``ValueError``."""
+
+    HUGE = (2**32, 2**32)
+
+    @pytest.mark.parametrize("backend", ["inproc", "posix"])
+    def test_a_shape_that_overflows_a_machine_word_fails_the_bounds_check(self, backend):
+        pool = SharedMemoryPool(backend=backend)
+        readers = [pool]
+        if backend == "posix":  # what a trainer in another process unpacks with
+            readers.append(SharedMemoryPool(backend="posix", attach_by_name=True))
+        try:
+            values = np.arange(16, dtype=np.float32)
+            honest = BatchPayload.pack(
+                pool.share_batch({"x": from_numpy(values)}), batch_index=0, epoch=0
+            )
+            handle = honest.tensors["x"]
+            hostile = dataclasses.replace(
+                honest, tensors={"x": dataclasses.replace(handle, shape=self.HUGE)}
+            )
+            for reader in readers:
+                with pytest.raises(SharedMemoryError, match="exceeds segment size"):
+                    reader.attach(
+                        handle.segment_name,
+                        self.HUGE,
+                        handle.dtype,
+                        offset=handle.segment_offset,
+                        generation=handle.generation,
+                    )
+                with pytest.raises(PayloadError):
+                    hostile.unpack(reader)
+                # The segment is unharmed: the honest handle still reads it.
+                np.testing.assert_array_equal(honest.unpack(reader)["x"].numpy(), values)
+        finally:
+            for reader in readers[1:]:
+                reader.close_attached()
+            pool.shutdown()
