@@ -29,7 +29,7 @@ import enum
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.obs.metrics import counter
 from repro.tensor.payload import BatchPayload
@@ -154,7 +154,7 @@ class BatchCache:
         # from this same composition: mixing cached epoch-0 batches with a
         # fresh shuffle's batches would duplicate some samples and drop
         # others within one epoch.
-        self._epoch_composition: Optional[list] = None  #: guarded by _lock
+        self._epoch_composition: Optional[Sequence[Sequence[int]]] = None  #: guarded by _lock
         self.hits = 0
         self.misses = 0
         self.insertions = 0
@@ -189,24 +189,26 @@ class BatchCache:
         with self._lock:
             return frozenset(i for i in self._entries if i < total)
 
-    def remember_composition(self, batches) -> None:
+    def remember_composition(self, batches: Sequence[Sequence[int]]) -> None:
         """Record the filling epoch's sampler draw (per-batch index lists).
 
         Pinned while entries from that draw remain, so every later epoch —
         hits *and* reloaded misses — serves exactly this composition.  An
         *empty* cache re-pins (the previous draw's entries are all gone, so
         the new filling epoch defines the composition from scratch).
+
+        The sequence is kept as handed over, not copied (a loader's
+        ``sampled_batches`` is one order array however long the epoch): it
+        must not be written afterwards, here or by the caller.
         """
         with self._lock:
             if self._epoch_composition is None or not self._entries:
-                self._epoch_composition = [list(batch) for batch in batches]
+                self._epoch_composition = batches
 
     @property
-    def epoch_composition(self) -> Optional[list]:
+    def epoch_composition(self) -> Optional[Sequence[Sequence[int]]]:
         with self._lock:
-            if self._epoch_composition is None:
-                return None
-            return [list(batch) for batch in self._epoch_composition]
+            return self._epoch_composition
 
     def begin_epoch(self, plan) -> None:
         """Protect this epoch's planned hits from eviction until served.

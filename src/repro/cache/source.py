@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.cache.batch_cache import BatchCache
+from repro.data.samplers import epoch_batches
 from repro.tensor.payload import BatchPayload
 
 __all__ = ["CachedEpochSource"]
@@ -84,8 +85,8 @@ class CachedEpochSource:
             # The composition of the epoch that filled the cache; falling
             # back to a fresh sampler draw only when none was recorded (a
             # non-reshuffling sampler produces the same list anyway).
-            self._sampled_batches = (
-                self.cache.epoch_composition or list(self.loader.batch_sampler)
+            self._sampled_batches = self.cache.epoch_composition or epoch_batches(
+                self.loader.batch_sampler
             )
         return self._sampled_batches[index]
 

@@ -53,6 +53,7 @@ _ACKS = counter("repro.producer.acks")
 _CAPACITY_WAIT_SECONDS = counter("repro.producer.stall.capacity_wait_seconds")
 _PUBLISH_SECONDS = counter("repro.producer.stall.publish_seconds")
 _EPOCH_SECONDS = histogram("repro.producer.epoch_seconds")
+_EPOCH_TURNAROUND_SECONDS = histogram("repro.producer.epoch_turnaround_seconds")
 _SPAN_SECONDS = histogram("repro.producer.batch_span_seconds")
 _CONSUMER_DROPS = counter("repro.producer.consumer_drops")
 
@@ -151,6 +152,8 @@ class TensorProducer:
         self.on_epoch_end = None
         self.payloads_published = 0
         self.epochs_completed = 0
+        #: ``(epoch, when its send returned)`` of the latest publish.
+        self._last_publish: Optional[Tuple[int, float]] = None
 
     # ------------------------------------------------------------------ registration
     @property
@@ -437,6 +440,10 @@ class TensorProducer:
         self, payload: BatchPayload, consumers: List[str], *, topic: str = "broadcast"
     ) -> None:
         started = time.monotonic()
+        if self._last_publish is not None and self._last_publish[0] != payload.epoch:
+            # The epoch boundary as every trainer feels it: nothing was on
+            # its way to them from the last publish of one epoch to here.
+            _EPOCH_TURNAROUND_SECONDS.observe(started - self._last_publish[1])
         segment_names = payload.segment_names
         for name in segment_names:
             self.pool.retain(name, count=len(consumers))
@@ -460,7 +467,9 @@ class TensorProducer:
                 state.batches_sent += 1
         self.payloads_published += 1
         _PUBLISHES.inc()
-        _PUBLISH_SECONDS.inc(time.monotonic() - started)
+        finished = time.monotonic()
+        self._last_publish = (payload.epoch, finished)
+        _PUBLISH_SECONDS.inc(finished - started)
 
     def retain_for_window(self, payload: BatchPayload, batch_index: int) -> bool:
         """Keep the first few batches of an epoch alive for rubberband joiners.

@@ -6,9 +6,10 @@ dimension, numbers become 1-D tensors, and dictionaries collate key-wise.
 
 :func:`default_collate` builds the batch in fresh heap arrays.
 :func:`plan_collate` describes the same batch before it exists — the
-``(shape, dtype)`` of every key, plus a fill that stacks the items into
-arrays someone else allocated — which is how the producer collates straight
-into a shared-memory slab instead of collating and then copying.
+``(shape, dtype)`` of every key, plus a fill that writes the items into
+arrays someone else allocated, one copy call per column — which is how the
+producer collates straight into a shared-memory slab instead of collating
+and then copying.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ def plan_collate(items: Sequence) -> Tuple[Layout, Fill]:
     """``(layout, fill)``: what ``default_collate(items)`` returns, unbuilt.
 
     ``layout`` maps each key to the ``(shape, dtype)`` of its batched tensor
-    and ``fill(arrays)`` writes the batch into caller-allocated arrays of
-    that layout, stacking each item into place — the bytes, shapes and
-    dtypes equal ``default_collate(items)``'s.
+    and ``fill(arrays)`` writes the batch into caller-allocated, C-contiguous
+    arrays of that layout — the bytes, shapes and dtypes equal
+    ``default_collate(items)``'s.
 
     The layout is read off the first item, so it holds only when every item
     agrees with the first in kind, shape and dtype.  When one does not, what
@@ -62,15 +63,27 @@ def plan_collate(items: Sequence) -> Tuple[Layout, Fill]:
 
     def fill(out: Mapping[str, np.ndarray]) -> None:
         for key, values in columns.items():
-            first = values[0]
-            if isinstance(first, Tensor):
-                np.stack([tensor.numpy() for tensor in values], out=out[key])
-            elif isinstance(first, np.ndarray):
-                np.stack(values, out=out[key])
+            target = out[key]
+            if isinstance(values[0], Tensor):
+                values = [tensor.numpy() for tensor in values]
+            if not isinstance(values[0], np.ndarray):
+                target[...] = values
+            elif target.ndim == 1:  # 0-d rows have no axis to be joined along
+                np.stack(values, out=target)
             else:
-                out[key][...] = values
+                # _column_spec found the rows alike in shape and dtype, so the
+                # column is one copy call: laid end to end along their first
+                # axis, the rows fill exactly the bytes stacking them would.
+                np.concatenate(values, axis=0, out=_batch_axis_folded(target))
 
     return layout, fill
+
+
+def _batch_axis_folded(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` with its first two axes folded into one."""
+    if not array.flags.c_contiguous:  # reshape would hand back a copy
+        raise ValueError("collating into place needs C-contiguous arrays")
+    return array.reshape((array.shape[0] * array.shape[1],) + array.shape[2:])
 
 
 def _copy_plan(collated: Dict[str, Tensor]) -> Tuple[Layout, Fill]:

@@ -32,6 +32,7 @@ from repro.data.samplers import (
     Sampler,
     SequentialSampler,
     ShardSampler,
+    epoch_batches,
 )
 from repro.tensor.tensor import Tensor
 
@@ -102,7 +103,8 @@ class DataLoader:
         self._custom_batch_sampler = batch_sampler is not None
         if batch_sampler is not None:
             self.batch_sampler = batch_sampler
-            self.sampler = batch_sampler.sampler
+            # Any iterable of index lists will do; only a BatchSampler has one.
+            self.sampler = getattr(batch_sampler, "sampler", None)
         else:
             if sampler is None:
                 sampler = (
@@ -238,14 +240,12 @@ class DataLoader:
         """
         return self.collate_fn is default_collate
 
-    def _load_item(self, index: int):
-        item = self.dataset[index]
-        if self.transform is not None:
-            item = self.transform(item)
-        return item
-
     def _load_items(self, indices: Sequence[int]) -> List:
-        return [self._load_item(i) for i in indices]
+        # Bound once per batch; the per-item loop runs inside map().
+        items = map(self.dataset.__getitem__, indices)
+        if self.transform is not None:
+            items = map(self.transform, items)
+        return list(items)
 
     def _load_batch(self, indices: Sequence[int]) -> Dict[str, Tensor]:
         return self.collate_fn(self._load_items(indices))
@@ -267,7 +267,13 @@ class LoaderIterator:
     ) -> None:
         self._loader = loader
         self._load = loader._load_batch if collate else loader._load_items
-        self._batches = list(loader.batch_sampler) if batches is None else list(batches)
+        #: The epoch's batches, in order: the sampler's draw (an
+        #: :class:`~repro.data.samplers.EpochBatches`, which cuts batch ``k``
+        #: out of the epoch's order array when ``k`` is asked for) or the
+        #: caller's explicit list.
+        self._batches: Sequence[Sequence[int]] = (
+            epoch_batches(loader.batch_sampler) if batches is None else list(batches)
+        )
         self._next_to_yield = 0
         self.batches_loaded = 0
         workers = loader.num_workers if num_workers is None else int(num_workers)
@@ -334,14 +340,15 @@ class LoaderIterator:
 
     # -- consumer side ---------------------------------------------------------------
     @property
-    def sampled_batches(self) -> List[Sequence[int]]:
+    def sampled_batches(self) -> Sequence[Sequence[int]]:
         """The per-batch index lists this iteration serves, in order.
 
-        One epoch's sampler draw, frozen at construction; the epoch cache
-        records it so later partially-cached epochs reload misses from the
-        *same* composition the cached batches came from.
+        One epoch's sampler draw, frozen at construction and not to be
+        written; the epoch cache keeps it so later partially-cached epochs
+        reload misses from the *same* composition the cached batches came
+        from.
         """
-        return list(self._batches)
+        return self._batches
 
     def __iter__(self) -> "LoaderIterator":
         return self

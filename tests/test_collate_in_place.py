@@ -377,6 +377,30 @@ class TestOneCopy:
         assert next(iter(loader))["image"].shape == (4,) + ITEM_SHAPE
         assert calls == [4]
 
+    def test_np_stack_is_not_called_on_the_served_path(self, monkeypatch):
+        # A column of arrays is one np.concatenate into the slab; np.stack
+        # would re-check, re-wrap and re-view every row plan_collate had
+        # already found alike.
+        stack = np.stack
+        callers = []
+
+        def spy(*args, **kwargs):
+            callers.append(threading.current_thread().name)
+            return stack(*args, **kwargs)
+
+        loader = image_loader(shuffle=True, seed=2)
+        monkeypatch.setattr(np, "stack", spy)
+        session = repro.serve(loader, address="inproc://in-place-no-stack", epochs=2, start=False)
+        results = run_session(session, max_epochs=2)  # (the trainer checks rows with np.stack)
+        assert_drained(session.pool)
+        session.shutdown()
+        assert [sorted(results["c0"][epoch]) for epoch in (0, 1)] == [list(range(24))] * 2
+        assert "repro-producer" not in callers and "MainThread" not in callers
+        # iter(loader) is default_collate, which builds its batch with it.
+        del callers[:]
+        assert next(iter(loader))["image"].shape == (4,) + ITEM_SHAPE
+        assert callers == ["MainThread"]
+
     def test_a_custom_collate_fn_runs_in_the_loader_and_is_copied(self, fills):
         calls = []
 

@@ -1,19 +1,22 @@
 """The delivery path: every handler — ``inproc://`` or ``tcp://``, whichever
 thread published — runs on the reactor thread, and per-channel arrival stays
-one total order under concurrency and churn.  Also the guard that the
+one total order under concurrency and churn.  Also the guards that the
 per-batch descriptor tax (``np.dtype(...).name``, ``np.prod``) stays out of
-the steady state.  Everything here is bounded by a deadline; nothing compares
+the steady state and that starting an epoch costs the same however many
+indices it has.  Everything here is bounded by a deadline; nothing compares
 wall-clock times."""
 
+import collections
 import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 
 import repro
-from repro.core import ConsumerConfig
+from repro.core import ConsumerConfig, EpochRunner, TensorProducer
 from repro.data import DataLoader
 from repro.data.dataset import Dataset
 from repro.messaging import InProcHub
@@ -414,3 +417,104 @@ class TestSteadyStateBatchCost:
         assert calls.get("repro-producer", 0) > 0, sorted(calls)
         # ... and saw none of the descriptor re-derivation.
         assert taxed == []
+
+
+# ---------------------------------------------------------------------------
+# an epoch starts in a fixed number of steps, whatever the size of the dataset
+# ---------------------------------------------------------------------------
+
+
+class TestEpochStartCost:
+    BATCH = 64
+
+    def _calls_before_the_first_publish(self, items):
+        """The Python-level calls the producer thread makes from
+        ``begin_epoch(1)`` to the first publish of epoch 1, by function.
+
+        ``buffer_size=1`` makes the stretch repeatable: the producer stages a
+        batch only once the previous one is acknowledged, so the pool and the
+        ledger look the same every time it gets there.  How long it waited
+        for that (and how many control messages the wait handled) is the
+        trainer's timing, so the capacity wait itself is left out.
+        """
+        address = f"inproc://delivery-epoch-start-{items}"
+        begin = EpochRunner.begin_epoch.__code__
+        wait = TensorProducer.wait_for_capacity.__code__
+        publish = TensorProducer.publish.__code__
+        calls = collections.Counter()
+        state = {"armed": False, "waiting": False, "windows": 0}
+
+        def profile(frame, event, arg):
+            if threading.current_thread().name != "repro-producer":
+                return
+            code = frame.f_code
+            if event == "call":
+                if code is begin:
+                    state["armed"] = frame.f_locals["epoch"] == 1
+                elif state["armed"]:
+                    if code is publish:
+                        state["armed"] = False
+                        state["windows"] += 1
+                    elif code is wait:
+                        state["waiting"] = True
+                    elif not state["waiting"]:
+                        calls[(os.path.basename(code.co_filename), code.co_name)] += 1
+            elif event == "return" and code is wait:
+                state["waiting"] = False
+
+        session = repro.serve(
+            DataLoader(IndexDataset(items), batch_size=self.BATCH, shuffle=True, seed=7),
+            address=address,
+            epochs=2,
+            buffer_size=1,
+            start=False,
+        )
+        consumer = repro.attach(address, max_epochs=2)
+        taken = []
+
+        def train():
+            for payload, _batch in consumer.iter_batches():
+                taken.append(payload.key())
+                if payload.epoch == 1:
+                    break  # its first batch is all the measurement needs
+
+        trainer = threading.Thread(target=train, name="test-epoch-start-trainer")
+        trainer.start()
+        threading.setprofile(profile)  # inherited by the producer thread
+        try:
+            session.start()
+        finally:
+            threading.setprofile(None)
+        try:
+            join_all([trainer], timeout=120.0)
+            session.raise_producer_error()
+        finally:
+            consumer.close()
+            session.shutdown()
+        assert taken == [(0, k) for k in range(items // self.BATCH)] + [(1, 0)]
+        assert state["windows"] == 1
+        return calls
+
+    def test_the_calls_before_the_first_publish_do_not_grow_with_the_dataset(self):
+        small = self._calls_before_the_first_publish(4096)
+        large = self._calls_before_the_first_publish(65536)
+        # It did watch the sample path: the draw, the cut, one batch of items.
+        assert small[("samplers.py", "order")] == 1
+        assert small[("samplers.py", "__getitem__")] == 1
+        assert small[("test_delivery.py", "__getitem__")] == self.BATCH
+        assert small == large
+
+    def test_a_million_indices_are_drawn_without_an_int_object_each(self):
+        loader = DataLoader(IndexDataset(1_000_000), batch_size=self.BATCH, shuffle=True, seed=1)
+        np.random.default_rng(0)  # numpy.random's own lazy import is not the sampler's
+        tracemalloc.start()
+        try:
+            iterator = loader.prefetch_iter(collate=False)
+            items = next(iterator)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(items) == self.BATCH and len(iterator.sampled_batches) == 15625
+        # The order array (8 MB) and whatever the permutation needed beside
+        # it; a list of a million ints alone is 36 MB.
+        assert peak < 20e6, f"{peak / 1e6:.1f} MB"

@@ -23,7 +23,7 @@ import threading
 import pytest
 
 import repro
-from repro.core import ConsumerConfig
+from repro.core import ConsumerConfig, TensorProducer
 from repro.data import DataLoader, SyntheticImageDataset
 from repro.data.transforms import Compose, DecodeJpeg, Normalize, ToTensor
 from repro.obs import RING, STAGES, SpanRing, record_span, span_complete
@@ -288,6 +288,63 @@ class TestEndToEndTracing:
             # acceptance criterion on a quiet run; 80% here because tiny CI
             # epochs have proportionally fat constant overheads).
             assert row["coverage"] >= 0.8, stall
+
+
+class TestEpochTurnaround:
+    """``repro.producer.epoch_turnaround_seconds``: last publish of one epoch
+    to first publish of the next — the stretch in which every trainer waits
+    on the producer at once."""
+
+    def _publishes(self, monkeypatch, epochs):
+        """Serve ``epochs`` epochs to one trainer; per publish, in order:
+        ``(epoch, batch_index, what was observed during it)``."""
+        turnaround = REGISTRY.get("repro.producer.epoch_turnaround_seconds")
+        assert isinstance(turnaround, Histogram)
+        observed = []
+        observe = turnaround.observe
+        monkeypatch.setattr(
+            turnaround,
+            "observe",
+            lambda value: (observed.append((threading.current_thread().name, value)), observe(value)),
+        )
+        publishes = []
+        publish = TensorProducer.publish
+
+        def watched(self, payload, consumers, **kwargs):
+            before = len(observed)
+            publish(self, payload, consumers, **kwargs)
+            publishes.append((payload.epoch, payload.batch_index, observed[before:]))
+
+        monkeypatch.setattr(TensorProducer, "publish", watched)
+        count_before = turnaround.count()
+        session = repro.serve(
+            tiny_loader(), address=f"inproc://obs-turnaround-{epochs}", epochs=epochs, start=False
+        )
+        try:
+            consumer = session.consumer(ConsumerConfig(max_epochs=epochs, receive_timeout=20))
+            try:
+                session.start()
+                assert sum(1 for _ in consumer) == 6 * epochs
+            finally:
+                consumer.close()
+        finally:
+            session.shutdown()
+        assert turnaround.count() - count_before == len(observed)
+        return publishes
+
+    def test_observed_once_per_boundary_and_never_on_epoch_zero(self, monkeypatch):
+        publishes = self._publishes(monkeypatch, epochs=3)
+        assert [(e, k) for e, k, _seen in publishes] == [(e, k) for e in range(3) for k in range(6)]
+        for epoch, batch_index, seen in publishes:
+            if epoch >= 1 and batch_index == 0:
+                ((thread, seconds),) = seen
+                assert thread == "repro-producer"
+                assert 0 < seconds < 20
+            else:
+                assert seen == []
+
+    def test_a_single_epoch_has_no_boundary(self, monkeypatch):
+        assert all(seen == [] for _e, _k, seen in self._publishes(monkeypatch, epochs=1))
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,61 @@ def test_collating_into_a_reserved_slab_equals_collate_then_share(
 
 
 # ---------------------------------------------------------------------------
+# One copy call per column: joining the rows end to end in a view of the slab
+# array with the batch axis folded in writes what np.stack(rows, out=) wrote.
+# ---------------------------------------------------------------------------
+
+
+def _make_row(form, shape, dtype, rng, row):
+    array = np.asarray(rng.random(shape) * 100 + row).astype(dtype)
+    if form == "fortran" and array.ndim > 1:  # (asfortranarray makes a 0-d array 1-d)
+        array = np.asfortranarray(array)
+    elif form == "strided" and array.ndim:
+        array = np.repeat(array, 2, axis=-1)[..., ::2]
+    elif form == "read_only":
+        array.flags.writeable = False
+    elif form == "tensor":
+        return from_numpy(array)
+    return array
+
+
+@given(
+    form=st.sampled_from(["c", "fortran", "strided", "read_only", "tensor"]),
+    shape=st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=4),  # [] is 0-d
+    dtype=_item_dtypes,
+    length=st.integers(min_value=1, max_value=9),
+    batch_size=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_one_call_fill_writes_the_bytes_np_stack_wrote(
+    form, shape, dtype, length, batch_size, seed
+):
+    rng = np.random.default_rng(seed)
+    rows = [_make_row(form, shape, dtype, rng, row) for row in range(length)]
+    # The loader's chunks: full batches, then a short last one.
+    for start in range(0, length, batch_size):
+        chunk = rows[start : start + batch_size]
+        layout, fill = plan_collate([{"x": row, "n": start} for row in chunk])
+        assert layout["x"] == ((len(chunk), *shape), np.dtype(dtype))
+        got = {key: np.full(shape_, 77, dtype_) for key, (shape_, dtype_) in layout.items()}
+        fill(got)
+        want = np.full((len(chunk), *shape), 55, dtype)
+        np.stack([r.numpy() if isinstance(r, Tensor) else r for r in chunk], out=want)
+        assert got["x"].tobytes() == want.tobytes()
+        assert got["n"].tolist() == [start] * len(chunk)
+
+
+def test_the_fill_refuses_an_array_it_could_only_fold_by_copying():
+    layout, fill = plan_collate([{"x": np.ones((2, 3), np.float32)}] * 4)
+    assert layout == {"x": ((4, 2, 3), np.dtype(np.float32))}
+    strided = np.zeros((4, 2, 6), np.float32)[..., ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        fill({"x": strided})
+    assert not strided.any()  # nothing was written anywhere
+
+
+# ---------------------------------------------------------------------------
 # The column agreement check: one pass per property over a column decides
 # plan-vs-fallback exactly as describing every value and comparing did.
 # ---------------------------------------------------------------------------
