@@ -84,8 +84,7 @@ def run_fanout(n_consumers, *, check_threads=False):
                     for t in threading.enumerate()
                     if t not in before
                     and not t.name.startswith("bench-trainer-")
-                    and t.name
-                    not in ("repro-reactor", "repro-producer", "repro-session-describe")
+                    and t.name not in ("repro-reactor", "repro-producer")
                     and not t.name.endswith("-stage")
                     and not t.name.startswith("repro-loader-worker-")
                 }

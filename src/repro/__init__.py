@@ -59,7 +59,6 @@ from repro.core import (
     EpochRunner,
     GroupConsumer,
     ProducerConfig,
-    ShardedLoaderSession,
     SharedLoaderSession,
     TensorConsumer,
     TensorProducer,
@@ -81,7 +80,6 @@ __all__ = [
     "ProducerConfig",
     "ConsumerConfig",
     "SharedLoaderSession",
-    "ShardedLoaderSession",
     "GroupConsumer",
     "EpochRunner",
     "DataLoader",

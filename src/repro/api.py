@@ -14,10 +14,11 @@ becomes a consumer of a shared loader served at an address::
 
 Addresses are URIs resolved through the pluggable transport registry in
 :mod:`repro.messaging.endpoint`.  ``inproc://`` serves threads of this
-process; ``tcp://`` serves **other OS processes** — serving starts a broker
-thread plus a posix shared-memory pool (``tcp://host:0`` auto-assigns a port,
-surfaced via ``session.address``), and attaching dials the broker while
-tensors stay zero-copy in shared memory.  New schemes register the same way.
+process; ``tcp://`` serves **other OS processes** — serving opens a listening
+hub on the process's reactor plus a posix shared-memory pool (``tcp://host:0``
+auto-assigns a port, surfaced via ``session.address``), and attaching dials
+the hub while tensors stay zero-copy in shared memory.  New schemes register
+the same way.
 Nobody passes hub or pool objects around: ``serve`` binds the address,
 ``attach`` resolves it — from the live-session directory when the producer
 runs in this process, falling back to a transport connect otherwise.
@@ -29,7 +30,7 @@ import os
 from typing import Optional
 
 from repro.core.config import ConsumerConfig, ProducerConfig
-from repro.core.group import ShardedLoaderSession, attach_address
+from repro.core.group import attach_address
 from repro.core.session import SharedLoaderSession, live_sessions
 from repro.messaging.endpoint import is_uri, parse_address
 
@@ -89,14 +90,13 @@ def serve(
     sugar for ``cache_policy=`` and the session's cache counters are at
     ``session.stats()["producer"]["cache"]``.
 
-    ``shards=N`` (N > 1) serves the loader from a **sharded producer group**
-    (:class:`~repro.core.group.ShardedLoaderSession`): N member producers,
-    each loading a disjoint shard of the sample space, behind this one
-    address — ``repro.attach`` then returns a merged stream covering the
-    whole dataset.  ``shard_mode`` picks the partitioning (``"strided"`` or
-    ``"contiguous"``); ``cache`` composes — each member caches only its
-    shard, and a ``cache_bytes`` budget is the group total (split evenly
-    across members).
+    ``shards=N`` (N > 1) serves the loader from a **sharded producer group**:
+    the session runs N member producers, each loading a disjoint shard of
+    the sample space, behind this one address — ``repro.attach`` then
+    returns a merged stream covering the whole dataset.  ``shard_mode`` picks
+    the partitioning (``"strided"`` or ``"contiguous"``); ``cache`` composes
+    — each member caches only its shard, and a ``cache_bytes`` budget is the
+    group total (split evenly across members).
 
     For ``tcp://host:0`` addresses the OS assigns the port at bind time; read
     the resolved address back from ``session.address`` and hand it to the
@@ -106,23 +106,16 @@ def serve(
         if "cache_policy" in config_kwargs:
             raise TypeError("pass either cache= or cache_policy=, not both")
         config_kwargs["cache_policy"] = cache
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
     address, producer_config = _resolve_address_and_config(
         address, producer_config, "producer_config", ProducerConfig, config_kwargs
     )
-    if shards > 1:
-        session = ShardedLoaderSession(
-            data_loader,
-            address=address,
-            shards=shards,
-            producer_config=producer_config,
-            shard_mode=shard_mode,
-        )
-    else:
-        session = SharedLoaderSession(
-            data_loader, address=address, producer_config=producer_config
-        )
+    session = SharedLoaderSession(
+        data_loader,
+        address=address,
+        shards=shards,
+        shard_mode=shard_mode,
+        producer_config=producer_config,
+    )
     if start:
         session.start()
     return session

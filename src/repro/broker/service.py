@@ -20,8 +20,8 @@ datasets behind it::
         ...
 
 Every mount is an ordinary :class:`~repro.core.session.SharedLoaderSession`
-(or :class:`~repro.core.group.ShardedLoaderSession`) *embedded* into the
-broker's transport: its channels hang off the mount path
+(of one member, or one per shard) *embedded* into the broker's transport:
+its channels hang off the mount path
 (``{address}/{name}/data``...), and its producers allocate from a
 quota-scoped :class:`~repro.tensor.shared_memory.TenantPool` view of the
 broker's one shared-memory pool, so a hungry tenant is rejected at its quota
@@ -44,7 +44,6 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from repro.core.config import ConsumerConfig, ProducerConfig
-from repro.core.group import ShardedLoaderSession
 from repro.core.manifest import SessionManifest
 from repro.core.session import (
     SharedLoaderSession,
@@ -53,7 +52,9 @@ from repro.core.session import (
 )
 from repro.messaging import endpoint as endpoints
 from repro.messaging.errors import AddressError, AddressNotServedError
+from repro.messaging.sockets import Responder
 from repro.obs.metrics import counter
+from repro.obs.service import MetricsService
 
 #: Where ``repro.broker()`` puts the plane when the caller does not name one.
 DEFAULT_BROKER_ADDRESS = "inproc://dataset-broker"
@@ -107,7 +108,7 @@ class _Mount:
         self.shards = shards
         self.shard_mode = shard_mode
         self.quota_bytes = quota_bytes
-        self.session = None  # SharedLoaderSession | ShardedLoaderSession | None
+        self.session: Optional[SharedLoaderSession] = None
         self.state = "registered"  # registered -> mounted -> registered (evicted)
         self.last_active = time.monotonic()
         self.evictions = 0
@@ -136,11 +137,9 @@ class CatalogService:
     """
 
     def __init__(self, broker: "DatasetBroker") -> None:
-        from repro.messaging.sockets import Responder
-
         self._broker = broker
         self._responder = Responder(
-            broker.hub, f"{broker.address}/catalog", self._handle, "repro-broker-catalog"
+            broker.hub, f"{broker.address}/catalog", self._handle, "repro-catalog"
         )
 
     def _handle(self, payload) -> Dict[str, object]:
@@ -230,14 +229,9 @@ class DatasetBroker:
             self._catalog = CatalogService(self)
             # The plane-wide observability channel on {address}/metrics (see
             # repro.obs.service): one snapshot covers every mounted dataset.
-            try:
-                from repro.obs.service import MetricsService
-
-                self._metrics_service = MetricsService(
-                    self.hub, self.address, stats_fn=self.stats
-                )
-            except Exception:
-                self._metrics_service = None
+            self._metrics_service = MetricsService(
+                self.hub, self.address, stats_fn=self.stats
+            )
             if idle_ttl is not None:
                 self._janitor = threading.Thread(
                     target=self._sweep_idle, daemon=True, name="repro-broker-janitor"
@@ -326,29 +320,17 @@ class DatasetBroker:
             # Re-invoked per mount so an evicted dataset comes back fresh
             # (the factory may rebuild samplers, reopen files, ...).
             loader = mount.loader_factory()
-        tenant_pool = self.pool.tenant_view(mount.name, mount.quota_bytes)
-        if mount.shards > 1:
-            session = ShardedLoaderSession(
-                loader,
-                address=mount.address,
-                shards=mount.shards,
-                producer_config=mount.config,
-                shard_mode=mount.shard_mode,
-                hub=self.hub,
-                pool=tenant_pool,
-                embedded=True,
-                dataset=mount.name,
-            )
-        else:
-            session = SharedLoaderSession(
-                loader,
-                address=mount.address,
-                producer_config=mount.config,
-                hub=self.hub,
-                pool=tenant_pool,
-                embedded=True,
-                dataset=mount.name,
-            )
+        session = SharedLoaderSession(
+            loader,
+            address=mount.address,
+            shards=mount.shards,
+            shard_mode=mount.shard_mode,
+            producer_config=mount.config,
+            hub=self.hub,
+            pool=self.pool.tenant_view(mount.name, mount.quota_bytes),
+            embedded=True,
+            dataset=mount.name,
+        )
         session.start()
         mount.session = session
         mount.state = "mounted"
@@ -391,11 +373,10 @@ class DatasetBroker:
             if mount.mounted:
                 manifest = mount.session.manifest()
             else:
-                manifest = SessionManifest(
-                    address=mount.address,
-                    kind="dataset",
+                manifest = SessionManifest.of(
+                    mount.address,
                     shards=mount.shards,
-                    shard_mode=mount.shard_mode if mount.shards > 1 else None,
+                    shard_mode=mount.shard_mode,
                     dataset=mount.name,
                 )
             return dataclasses.replace(manifest, state=mount.state)
@@ -454,9 +435,8 @@ class DatasetBroker:
             raise error
 
     # ------------------------------------------------------------------ lifecycle
-    def _consumer_count(self, session) -> int:
-        producers = getattr(session, "members", None) or [session.producer]
-        return sum(len(producer.active_consumer_ids()) for producer in producers)
+    def _consumer_count(self, session: SharedLoaderSession) -> int:
+        return sum(len(member.active_consumer_ids()) for member in session.members)
 
     def _sweep_idle(self) -> None:
         while not self._janitor_stop.wait(self.sweep_interval):

@@ -20,8 +20,9 @@ experiments and the baselines reuse them:
   :class:`~repro.core.consumer.TensorConsumer` — the runnable, threaded /
   multi-process implementation used by the examples and integration tests.
 * :class:`~repro.core.session.SharedLoaderSession` — the addressable
-  long-lived server: hosts a producer thread at a URI address and hands out
-  connected consumers (directly or via :func:`repro.attach`).
+  long-lived server: hosts one producer thread per member (one, or one per
+  shard) at a URI address and hands out connected consumers (directly or via
+  :func:`repro.attach`).
 
 Producers, consumers and sessions are constructed either from an ``address``
 URI alone (resolved through :mod:`repro.messaging.endpoint`) or from explicit
@@ -34,7 +35,7 @@ from repro.core.config import ConsumerConfig, ProducerConfig
 from repro.core.consumer import TensorConsumer
 from repro.core.epoch_runner import EpochRunner, SkipEpoch
 from repro.core.flexible_batch import ConsumerSlicePlan, FlexibleBatcher, SliceSpec, plan_slices
-from repro.core.group import GroupConsumer, ShardedLoaderSession
+from repro.core.group import GroupConsumer
 from repro.core.manifest import MANIFEST_SCHEMA_VERSION, SessionManifest
 from repro.core.pipeline import StagedItem, StagePipeline
 from repro.core.producer import TensorProducer
@@ -60,7 +61,6 @@ __all__ = [
     "TensorProducer",
     "TensorConsumer",
     "SharedLoaderSession",
-    "ShardedLoaderSession",
     "GroupConsumer",
     "SessionManifest",
     "MANIFEST_SCHEMA_VERSION",

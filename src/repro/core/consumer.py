@@ -671,6 +671,10 @@ class TensorConsumer:
         return naming.to_legacy(self.metrics(), naming.CONSUMER_KEYS, role="consumer")
 
     # ------------------------------------------------------------------ shutdown
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
     def close(self) -> None:
         """Deregister from the producer and close the sockets."""
         if self._closed:

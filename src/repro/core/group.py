@@ -1,28 +1,13 @@
-"""Sharded producer groups: one dataset served by N cooperating producers.
+"""Sharded producer groups, the attaching side: N member streams, one consumer.
 
 A single :class:`~repro.core.producer.TensorProducer` tops out at one
-process's load/stage bandwidth.  This module scales past that the way
-CoorDL's partitioned cache and DGL's ``DistDataLoader`` do: partition the
-sample space across members, keep a single logical stream at the consumer.
+process's load/stage bandwidth.  ``repro.serve(loader, address, shards=N)``
+scales past that the way CoorDL's partitioned cache and DGL's
+``DistDataLoader`` do: partition the sample space across N member producers
+(:class:`~repro.core.session.SharedLoaderSession` runs them, on channels
+``{address}/shard{k}``), keep a single logical stream at the consumer.
 
-Serving side — :class:`ShardedLoaderSession` (``repro.serve(loader, address,
-shards=N)``):
-
-* binds the *logical* address once through the transport registry (one hub,
-  one shared-memory pool for the whole group);
-* splits the loader into N disjoint shard loaders
-  (:meth:`~repro.data.dataloader.DataLoader.shard`, backed by
-  :class:`~repro.data.samplers.ShardSampler`) — every epoch each member pins
-  its equal-seeded sampler to the same epoch, so the shards cover the
-  dataset exactly once per epoch;
-* runs one member producer per shard (each with its own
-  :class:`~repro.core.epoch_runner.EpochRunner`, ack ledger and optional
-  epoch cache over *its shard only*) on channels derived from the logical
-  address (``{address}/shard{k}``);
-* answers ``{address}/group`` describe requests so consumers in other OS
-  processes discover the membership with nothing but the address string.
-
-Attaching side — :class:`GroupConsumer` (what ``repro.attach(address)``
+:class:`GroupConsumer` is that stream (what ``repro.attach(address)``
 returns for a sharded address): one
 :class:`~repro.core.consumer.TensorConsumer` per member, merged into a
 single batch stream.  ``interleave="index"`` (default) delivers globally
@@ -31,31 +16,34 @@ arrival order.  Both modes enforce an **epoch barrier**: no batch of epoch
 ``e+1`` is delivered until every member finished delivering epoch ``e``, and
 flow control (per-member acks against per-member ledgers) naturally bounds
 how far fast members can run ahead.
+
+:func:`attach_address` is the remote path of ``repro.attach``: it asks the
+serving side's ``{address}/group`` describe channel (or a broker's
+``{base}/catalog``) how the address is shaped and builds the matching
+consumer with :func:`build_consumer`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 import time
 import uuid
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.config import ConsumerConfig, ProducerConfig
+from repro.core.config import ConsumerConfig
 from repro.core.consumer import _DONE, _WAIT, TensorConsumer
 from repro.core.manifest import SessionManifest
-from repro.core.producer import TensorProducer
-from repro.core.session import DescribeService, register_session, unregister_session
 from repro.messaging import endpoint as endpoints
 from repro.messaging.errors import MessagingError, TimeoutError_
+from repro.messaging.sockets import request_once
 from repro.obs import naming
 from repro.tensor.tensor import Tensor
 
 __all__ = [
     "GroupConsumer",
-    "ShardedLoaderSession",
     "attach_address",
+    "build_consumer",
     "catalog_resolve",
     "describe_address",
     "member_address",
@@ -72,23 +60,26 @@ def member_address(address: str, shard_index: int) -> str:
     return f"{address}/shard{shard_index}"
 
 
-def _build_member_consumers(
-    *, shards: int, config: ConsumerConfig, hub, pool, address: str
-) -> List[TensorConsumer]:
-    """One consumer per member, all under one consumer id; unwind on failure.
+def build_consumer(
+    hub, pool, address: str, shards: int, config: ConsumerConfig, *, endpoint=None
+):
+    """The consumer for a session of ``shards`` members served at ``address``.
 
-    Shared by in-process attach (:meth:`ShardedLoaderSession.consumer`) and
-    cross-process attach (:func:`attach_address`) so the two paths cannot
-    drift in how member configs are derived or partially-built consumers are
-    cleaned up.
+    A :class:`~repro.core.consumer.TensorConsumer` for one member, a
+    :class:`GroupConsumer` (one member consumer per shard, all under one
+    consumer id) for more — the one place that looks at the count.  Shared
+    by in-process attach (:meth:`SharedLoaderSession.consumer
+    <repro.core.session.SharedLoaderSession.consumer>`) and cross-process
+    attach (:func:`attach_address`) so the two paths cannot drift in how
+    member configs are derived or partially-built consumers are cleaned up.
+    ``endpoint`` is the attaching side's live connection: the consumer
+    adopts it and releases it in ``close()``.
     """
     consumer_id = config.consumer_id or f"consumer-{uuid.uuid4().hex[:8]}"
     members: List[TensorConsumer] = []
     try:
-        for rank in range(shards):
-            member_config = dataclasses.replace(
-                config, address=member_address(address, rank), consumer_id=consumer_id
-            )
+        for member in SessionManifest(address=address, shards=shards).members():
+            member_config = dataclasses.replace(config, address=member, consumer_id=consumer_id)
             members.append(TensorConsumer(hub=hub, pool=pool, config=member_config))
     except BaseException:
         for member in members:
@@ -97,30 +88,31 @@ def _build_member_consumers(
             except Exception:
                 pass
         raise
-    return members
+    if len(members) == 1:
+        members[0]._endpoint = endpoint
+        return members[0]
+    return GroupConsumer(members, interleave=config.interleave, address=address, endpoint=endpoint)
+
+
+def _ask(hub, address: str, body, timeout: float):
+    """One request on a service channel; ``None`` when nothing answers.
+
+    On ``inproc://`` an unserved channel fails fast (the push raises); over
+    a TCP broker it costs the full ``timeout``.
+    """
+    try:
+        return request_once(hub, address, body, timeout=timeout)
+    except (MessagingError, OSError):
+        return None
 
 
 def describe_address(hub, address: str, timeout: float = GROUP_DISCOVERY_TIMEOUT):
     """Ask the serving side how ``address`` is shaped (shards, members).
 
     Returns the manifest dict, or ``None`` when nothing answers — a plain
-    producer without a session, or a pre-describe server.  On ``inproc://``
-    an unserved describe channel fails fast (the push raises); over a TCP
-    broker it costs the full ``timeout``.
+    producer without a session, or a pre-describe server.
     """
-    from repro.messaging.sockets import ReqSocket
-
-    try:
-        req = ReqSocket(hub, f"{address}/group")
-    except Exception:
-        return None
-    try:
-        manifest = req.request({"op": "describe"}, timeout=timeout)
-        return manifest if isinstance(manifest, dict) else None
-    except MessagingError:
-        return None
-    finally:
-        req.close()
+    return _ask(hub, f"{address}/group", {"op": "describe"}, timeout)
 
 
 def catalog_resolve(
@@ -138,24 +130,13 @@ def catalog_resolve(
     returns the manifest dict, or ``None`` when no catalog answers (the
     address is not served by a :class:`~repro.broker.DatasetBroker`).
     """
-    from repro.messaging.sockets import ReqSocket
-
-    try:
-        req = ReqSocket(hub, f"{base_address}/catalog")
-    except Exception:
-        return None
-    try:
-        reply = req.request(
-            {"op": "subscribe", "dataset": dataset, "consumer_id": consumer_id},
-            timeout=timeout,
-        )
-    except MessagingError:
-        return None
-    finally:
-        req.close()
-    if not isinstance(reply, dict) or not reply.get("ok"):
-        return None
-    manifest = reply.get("manifest")
+    reply = _ask(
+        hub,
+        f"{base_address}/catalog",
+        {"op": "subscribe", "dataset": dataset, "consumer_id": consumer_id},
+        timeout,
+    )
+    manifest = reply.get("manifest") if reply and reply.get("ok") else None
     return manifest if isinstance(manifest, dict) else None
 
 
@@ -401,6 +382,10 @@ class GroupConsumer:
         return legacy
 
     # ------------------------------------------------------------------ shutdown
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
     def close(self) -> None:
         """Close every member consumer and release the attach endpoint."""
         if self._closed:
@@ -427,368 +412,6 @@ class GroupConsumer:
         )
 
 
-class ShardedLoaderSession:
-    """Serve one dataset from N member producers behind a single address.
-
-    The session binds the logical address once (one hub + one shared-memory
-    pool for the whole group), builds one shard loader and one member
-    producer per shard, and runs each member's producer loop on its own
-    thread.  Members publish on channels derived from the logical address
-    (``{address}/shard{k}``), so on ``tcp://`` a single broker carries the
-    whole group and remote consumers attach to all members over one
-    connection set.
-
-    Directory- and describe-registered exactly like a
-    :class:`~repro.core.session.SharedLoaderSession`, so ``repro.attach``
-    transparently returns a :class:`GroupConsumer` for sharded addresses.
-    """
-
-    def __init__(
-        self,
-        data_loader,
-        *,
-        address: str,
-        shards: int,
-        producer_config: Optional[ProducerConfig] = None,
-        shard_mode: str = "strided",
-        hub=None,
-        pool=None,
-        embedded: bool = False,
-        dataset: Optional[str] = None,
-    ) -> None:
-        if shards < 2:
-            raise ValueError(
-                "a sharded session needs shards >= 2; use SharedLoaderSession "
-                "(repro.serve without shards=) for a single producer"
-            )
-        if not hasattr(data_loader, "shard"):
-            raise TypeError(
-                f"{type(data_loader).__name__} cannot be sharded: it has no .shard() "
-                f"(wrap the dataset in repro.data.DataLoader to serve it sharded)"
-            )
-        if embedded and (hub is None or pool is None):
-            raise ValueError(
-                "an embedded sharded session rides a shared transport: pass "
-                "both hub= and pool= (the broker owns the bind)"
-            )
-        config = producer_config or ProducerConfig()
-        self.shards = int(shards)
-        self.shard_mode = shard_mode
-        self.dataset = dataset
-        self._embedded = embedded
-        if embedded:
-            # The broker bound the base address; member channels hang off the
-            # mount path, so no further endpoint registration is needed.
-            self._endpoint = None
-            self.address = address
-            self.hub = hub
-            self.pool = pool
-        else:
-            self._endpoint = endpoints.bind(address)
-            self.address = self._endpoint.address
-            self.hub = self._endpoint.hub
-            self.pool = self._endpoint.pool
-        self.members: List[TensorProducer] = []
-        self._describe: Optional[DescribeService] = None
-        self._metrics_service = None
-        try:
-            for rank in range(self.shards):
-                shard_loader = data_loader.shard(rank, self.shards, mode=shard_mode)
-                try:
-                    shard_batches = len(shard_loader)
-                except TypeError:
-                    shard_batches = None  # unsized loaders cannot be validated
-                if shard_batches == 0:
-                    # An empty shard's member would burn through its epoch
-                    # budget instantly and vanish, wedging later attaches on
-                    # a member that never admits them.
-                    raise ValueError(
-                        f"shard {rank} of {self.shards} is empty "
-                        f"(mode={shard_mode!r}); serve with fewer shards"
-                        + (" or shard_mode='strided'" if shard_mode != "strided" else "")
-                    )
-                member_overrides = {"address": member_address(self.address, rank)}
-                if config.cache_bytes is not None:
-                    # The configured budget is the GROUP total: each member
-                    # caches only its shard, so it gets an equal slice —
-                    # otherwise a sharded session would silently pin up to
-                    # shards x cache_bytes of shared memory.
-                    member_overrides["cache_bytes"] = max(
-                        1, config.cache_bytes // self.shards
-                    )
-                member_config = dataclasses.replace(config, **member_overrides)
-                self.members.append(
-                    TensorProducer(
-                        shard_loader, hub=self.hub, pool=self.pool, config=member_config
-                    )
-                )
-            self._describe = DescribeService(
-                self.hub, self.address, self.manifest().to_dict()
-            )
-            # The observability channel for the whole group on
-            # {address}/metrics (see repro.obs.service).
-            try:
-                from repro.obs.service import MetricsService
-
-                self._metrics_service = MetricsService(
-                    self.hub, self.address, stats_fn=self.stats
-                )
-            except Exception:
-                self._metrics_service = None
-        except BaseException:
-            for member in self.members:
-                try:
-                    member.join(timeout=0.1)
-                except Exception:
-                    pass
-            if self._endpoint is not None:
-                self._endpoint.release()
-            raise
-        # Soft epoch tracking: members report boundary crossings (each on
-        # its own producer thread); surfaced in stats() so drift between
-        # shards is observable.
-        self._progress_lock = threading.Lock()
-        self._epoch_progress: Dict[int, int] = {}  #: guarded by _progress_lock
-        for rank, member in enumerate(self.members):
-            member.on_epoch_end = self._note_epoch_end(rank)
-        self._threads: List[threading.Thread] = []
-        self._consumers: List[GroupConsumer] = []
-        self._member_errors: List[BaseException] = []
-        self._shutdown = False
-        # Read by SharedLoaderSession.at(): a fork()ed child must not reuse
-        # this process's member threads through the inherited directory.
-        self._owner_pid = os.getpid()
-        register_session(self.address, self)
-
-    def _note_epoch_end(self, rank: int):
-        def note(epoch: int) -> None:
-            with self._progress_lock:
-                self._epoch_progress[rank] = epoch
-
-        return note
-
-    def epoch_progress(self) -> Dict[int, int]:
-        """Per-rank last-completed-epoch snapshot."""
-        with self._progress_lock:
-            return dict(self._epoch_progress)
-
-    def manifest(self) -> SessionManifest:
-        """What remote attachers need to construct a :class:`GroupConsumer`."""
-        return SessionManifest(
-            address=self.address,
-            kind="dataset" if self.dataset is not None else "group",
-            shards=self.shards,
-            shard_mode=self.shard_mode,
-            member_addresses=tuple(
-                member_address(self.address, rank) for rank in range(self.shards)
-            ),
-            dataset=self.dataset,
-        )
-
-    # ------------------------------------------------------------------ lifecycle
-    def start(self) -> "ShardedLoaderSession":
-        """Start every member's producer loop on its own daemon thread."""
-        if self._shutdown:
-            raise RuntimeError(
-                f"session at {self.address!r} has been shut down; "
-                f"create a new session to serve again"
-            )
-        if self._threads:
-            raise RuntimeError("session already started")
-        self._threads = [
-            threading.Thread(
-                target=self._run_member,
-                args=(member,),
-                daemon=True,
-                name=f"repro-producer-shard{rank}",
-            )
-            for rank, member in enumerate(self.members)
-        ]
-        for thread in self._threads:
-            thread.start()
-        return self
-
-    def _run_member(self, member: TensorProducer) -> None:
-        try:
-            for _ in member:
-                pass
-            member.join()
-        except BaseException as exc:  # surfaced via raise_producer_error
-            self._member_errors.append(exc)
-
-    def consumer(self, config: Optional[ConsumerConfig] = None) -> GroupConsumer:
-        """A :class:`GroupConsumer` attached to every member of this session."""
-        if self._shutdown:
-            raise RuntimeError(
-                f"session at {self.address!r} has been shut down; its producers are "
-                f"stopped and cannot serve new consumers"
-            )
-        config = config or ConsumerConfig()
-        members = _build_member_consumers(
-            shards=self.shards,
-            config=config,
-            hub=self.hub,
-            pool=self.pool,
-            address=self.address,
-        )
-        group = GroupConsumer(members, interleave=config.interleave, address=self.address)
-        self._consumers.append(group)
-        return group
-
-    # Alias matching the module-level repro.attach() vocabulary.
-    attach = consumer
-
-    # ------------------------------------------------------------------ introspection
-    def metrics(self) -> Dict[str, object]:
-        """Group aggregate under the canonical ``repro.*`` namespace.
-
-        Counter fields are summed across members; the pool buckets
-        (``repro.pool.*``) are read once from the shared pool — members share
-        it, so summing would double-count.
-        """
-        member_rows = [member.metrics() for member in self.members]
-        cache_totals: Dict[str, int] = {}
-        for row in member_rows:
-            for key, value in row["repro.cache"].items():
-                if isinstance(value, (int, float)):
-                    cache_totals[key] = cache_totals.get(key, 0) + value
-        return {
-            "repro.group.shards": self.shards,
-            "repro.producer.epoch": min(
-                (row["repro.producer.epoch"] for row in member_rows), default=0
-            ),
-            "repro.producer.epochs_completed": min(
-                (row["repro.producer.epochs_completed"] for row in member_rows),
-                default=0,
-            ),
-            "repro.producer.batches_loaded": sum(
-                row["repro.producer.batches_loaded"] for row in member_rows
-            ),
-            "repro.producer.publishes": sum(
-                row["repro.producer.publishes"] for row in member_rows
-            ),
-            "repro.producer.pending_batches": sum(
-                row["repro.producer.pending_batches"] for row in member_rows
-            ),
-            "repro.producer.consumers": max(
-                (row["repro.producer.consumers"] for row in member_rows), default=0
-            ),
-            "repro.pool.bytes_in_flight": self.pool.bytes_in_flight,
-            "repro.pool.cached_bytes": self.pool.cached_bytes,
-            "repro.pool.peak_bytes": self.pool.peak_bytes,
-            "repro.pool.free_bytes": self.pool.free_bytes,
-            "repro.pool.segment_reuse_hits": self.pool.segment_reuse_hits,
-            "repro.pool.segment_reuse_misses": self.pool.segment_reuse_misses,
-            "repro.pool.mmap_total": self.pool.mmap_total,
-            "repro.cache": cache_totals,
-        }
-
-    def stats(self) -> Dict[str, object]:
-        """One snapshot of the group: aggregate + one row per member shard.
-
-        Deprecated view: the aggregate row is a projection of :meth:`metrics`
-        onto the historical key names.
-        """
-        member_rows = []
-        for rank, member in enumerate(self.members):
-            row = member.stats()
-            row["shard"] = rank
-            row["address"] = member.address
-            member_rows.append(row)
-        aggregate = naming.to_legacy(
-            self.metrics(), naming.PRODUCER_KEYS, role="producer-group"
-        )
-        aggregate["shards"] = self.shards
-        aggregate["epoch_progress"] = self.epoch_progress()
-        return {
-            "address": self.address,
-            "running": self.is_running,
-            "shards": self.shards,
-            "producer": aggregate,
-            "members": member_rows,
-            "consumers": [consumer.stats() for consumer in self._consumers],
-        }
-
-    @property
-    def producer(self) -> TensorProducer:
-        """The first member (compatibility handle for single-producer code).
-
-        Prefer :attr:`members` / :meth:`stats` for group-aware callers.
-        """
-        return self.members[0]
-
-    def raise_producer_error(self) -> None:
-        """Re-raise the first exception any member's producer thread died with."""
-        if self._member_errors:
-            raise self._member_errors[0]
-
-    @property
-    def is_running(self) -> bool:
-        return any(thread.is_alive() for thread in self._threads)
-
-    # ------------------------------------------------------------------ shutdown
-    def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop every member, close consumers and release shared memory.
-
-        Exception-safe like the single-producer session: every teardown step
-        runs, the first consumer-close error (and any member-thread error) is
-        re-raised at the end.
-        """
-        if self._shutdown:
-            return
-        self._shutdown = True
-        close_error: Optional[BaseException] = None
-        try:
-            for member in self.members:
-                member.stop()
-            for consumer in self._consumers:
-                try:
-                    consumer.close()
-                except BaseException as exc:
-                    if close_error is None:
-                        close_error = exc
-            for thread in self._threads:
-                thread.join(timeout=timeout)
-            if not self._threads:
-                # Never started: run each member's drain path directly so
-                # window/cache holds are returned before the pool goes away.
-                for member in self.members:
-                    try:
-                        member.join(timeout=1.0)
-                    except Exception:
-                        pass
-        finally:
-            unregister_session(self.address, self)
-            if self._describe is not None:
-                self._describe.stop()
-            if self._metrics_service is not None:
-                self._metrics_service.stop()
-            try:
-                if not self._embedded:
-                    # Embedded groups share the broker's pool: their bytes
-                    # drained through the member joins above.
-                    self.pool.shutdown()
-            finally:
-                if self._endpoint is not None:
-                    self._endpoint.release()
-        self.raise_producer_error()
-        if close_error is not None:
-            raise close_error
-
-    def __enter__(self) -> "ShardedLoaderSession":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-    def __repr__(self) -> str:
-        state = "shutdown" if self._shutdown else ("running" if self.is_running else "idle")
-        return (
-            f"ShardedLoaderSession(address={self.address!r}, shards={self.shards}, "
-            f"state={state}, consumers={len(self._consumers)})"
-        )
-
-
 def attach_address(address: str, config: ConsumerConfig):
     """Attach to ``address`` without an in-process session (the remote path).
 
@@ -800,55 +423,30 @@ def attach_address(address: str, config: ConsumerConfig):
     (``tcp://host:port/imagenet``) is resolved through the broker's catalog
     channel first — which also lazily mounts registered-but-unmounted
     datasets — falling back to the mount's own describe responder.
+
+    The consumer reuses the live connection instead of tearing it down and
+    redialling (for ``tcp://`` that would be a second broker handshake plus
+    a second attach-by-name pool).
     """
     endpoint = endpoints.connect(address)
-    base, dataset = endpoints.split_dataset_address(address)
-    manifest = None
-    if dataset is not None:
-        try:
+    try:
+        base, dataset = endpoints.split_dataset_address(address)
+        manifest = None
+        if dataset is not None:
             manifest = catalog_resolve(
                 endpoint.hub, base, dataset, consumer_id=config.consumer_id
             )
-        except Exception:
-            manifest = None
-    if manifest is None:
-        try:
+        if manifest is None:
             manifest = describe_address(endpoint.hub, address)
-        except Exception:
-            manifest = None
-    if manifest is not None:
-        try:
-            manifest = SessionManifest.from_dict(manifest)
-        except ValueError:
-            manifest = None
-    shards = manifest.shards if manifest else 1
-    if shards <= 1:
-        # Reuse the live connection instead of tearing it down and letting
-        # the consumer redial (for tcp:// that is a second broker handshake
-        # plus a second attach-by-name pool).  The consumer adopts the
-        # endpoint and releases it in close().
-        try:
-            consumer = TensorConsumer(
-                hub=endpoint.hub,
-                pool=endpoint.pool,
-                config=dataclasses.replace(config, address=address),
-            )
-        except BaseException:
-            endpoint.release()
-            raise
-        consumer._endpoint = endpoint
-        return consumer
-    try:
-        members = _build_member_consumers(
-            shards=shards,
-            config=config,
-            hub=endpoint.hub,
-            pool=endpoint.pool,
-            address=address,
+        shards = 1
+        if manifest is not None:
+            try:
+                shards = SessionManifest.from_dict(manifest).shards
+            except ValueError:
+                pass  # a manifest this client cannot read: attach as to a bare producer
+        return build_consumer(
+            endpoint.hub, endpoint.pool, address, shards, config, endpoint=endpoint
         )
     except BaseException:
         endpoint.release()
         raise
-    return GroupConsumer(
-        members, interleave=config.interleave, address=address, endpoint=endpoint
-    )

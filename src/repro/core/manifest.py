@@ -1,11 +1,9 @@
 """The one manifest schema every describe/catalog channel speaks.
 
-Before the broker existed, :class:`~repro.core.session.SharedLoaderSession`
-and :class:`~repro.core.group.ShardedLoaderSession` each hand-built the dict
-their describe responder returned, and ``attach_address`` poked at raw keys.
-With a third party (the broker's catalog channel) producing and consuming the
-same shape, the schema becomes a real contract: one versioned dataclass,
-built by every serving side and parsed by every attaching side.
+Sessions answer ``{address}/group`` with it, the broker's catalog channel
+answers with it for mounted and unmounted datasets alike, and
+``attach_address`` parses it: one versioned dataclass, built by every serving
+side (:meth:`SessionManifest.of`) and parsed by every attaching side.
 
 ``schema_version`` lets a newer attacher reject a manifest it cannot
 interpret instead of silently mis-building a consumer; unknown keys from a
@@ -49,9 +47,32 @@ class SessionManifest:
         if self.kind not in ("session", "group", "dataset"):
             raise ValueError(f"unknown manifest kind {self.kind!r}")
 
-    @property
-    def sharded(self) -> bool:
-        return self.shards > 1
+    @classmethod
+    def of(
+        cls,
+        address: str,
+        *,
+        shards: int = 1,
+        shard_mode: Optional[str] = None,
+        dataset: Optional[str] = None,
+    ) -> "SessionManifest":
+        """The manifest of a session of ``shards`` members served at ``address``.
+
+        One member is a plain ``"session"`` (no shard mode, its one member is
+        the address itself); more are a ``"group"`` with its members listed.
+        A ``dataset`` name makes either a broker ``"dataset"``.
+        """
+        sharded = shards > 1
+        manifest = cls(
+            address=address,
+            kind="dataset" if dataset is not None else "group" if sharded else "session",
+            shards=shards,
+            shard_mode=shard_mode if sharded else None,
+            dataset=dataset,
+        )
+        if sharded:
+            manifest = dataclasses.replace(manifest, member_addresses=manifest.members())
+        return manifest
 
     def members(self) -> Tuple[str, ...]:
         """Member channel prefixes; derived from the address when not listed."""

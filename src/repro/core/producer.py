@@ -16,7 +16,7 @@ It is exposed as an iterator over the nested loader, exactly like the paper's
         pass
     producer.join()         # drain acks, announce shutdown
 
-Sharded producer groups (:mod:`repro.core.group`) instantiate several
+A sharded session (:mod:`repro.core.session`) instantiates several
 producers — each with its own runner over one shard of the dataset — behind a
 single logical address; nothing in this class is shard-aware.
 """
@@ -148,8 +148,6 @@ class TensorProducer:
             identity=self.identity,
         )
 
-        #: Called with each completed epoch number (group progress tracking).
-        self.on_epoch_end = None
         self.payloads_published = 0
         self.epochs_completed = 0
         #: ``(epoch, when its send returned)`` of the latest publish.
@@ -160,11 +158,6 @@ class TensorProducer:
     def address(self) -> str:
         """The address this producer serves (a URI when endpoint-resolved)."""
         return self.config.address
-
-    @property
-    def owns_address(self) -> bool:
-        """Whether this producer bound its address in the transport registry."""
-        return self._endpoint is not None and not self._endpoint.released
 
     @property
     def consumers(self) -> Dict[str, ConsumerState]:
@@ -534,11 +527,6 @@ class TensorProducer:
         for state in self._consumers.values():
             if not state.active and state.admitted_epoch <= self.epoch:
                 state.active = True
-        # Notify listeners which epoch just completed (sharded group sessions
-        # record per-member progress; delivery-side epoch alignment lives in
-        # the GroupConsumer merge, not here).
-        if self.on_epoch_end is not None:
-            self.on_epoch_end(finished_epoch)
 
     # ------------------------------------------------------------------ shutdown
     def stop(self) -> None:

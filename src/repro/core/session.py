@@ -1,11 +1,11 @@
-"""Run a producer as an addressable, long-lived service inside this process.
+"""Run a shared loader as an addressable, long-lived service inside this process.
 
 The paper deploys the producer as a long-lived server that trainers reach by
 address (Section 3.3.1).  :class:`SharedLoaderSession` is that server: it
 binds the session's URI address through the transport registry
-(:mod:`repro.messaging.endpoint`), runs the producer loop on a background
-thread, and registers itself in a process-wide directory so that consumers in
-*other* threads can attach with nothing but the address string::
+(:mod:`repro.messaging.endpoint`), runs one producer loop per member on a
+background thread, and registers itself in a process-wide directory so that
+consumers in *other* threads can attach with nothing but the address string::
 
     session = repro.serve(loader, address="inproc://cifar")   # producer side
 
@@ -13,14 +13,28 @@ thread, and registers itself in a process-wide directory so that consumers in
     for batch in consumer:
         ...
 
+A session has N >= 1 **members**.  One member (the default) is the paper's
+single producer, serving on the session address itself.  ``shards=N`` splits
+the loader into N disjoint shard loaders
+(:meth:`~repro.data.dataloader.DataLoader.shard`) and runs one member per
+shard — each with its own :class:`~repro.core.epoch_runner.EpochRunner`, ack
+ledger and optional epoch cache over *its shard only* — on channels derived
+from the session address (``{address}/shard{k}``); every epoch each member
+pins its equal-seeded sampler to the same epoch, so the shards cover the
+dataset exactly once per epoch.  Either way there is one hub and one
+shared-memory pool, and attachers get one stream (:mod:`repro.core.group`).
+
 Serving a ``tcp://`` address makes the same session reachable from other OS
 processes: the transport listens behind the address (on the process's
-reactor, no thread of its own) and stages batches in posix shared memory, so ``repro.attach(session.address)`` works
-from a ``multiprocessing.Process`` (or any separate script) unchanged.
+reactor, no thread of its own) and stages batches in posix shared memory, so
+``repro.attach(session.address)`` works from a ``multiprocessing.Process``
+(or any separate script) unchanged.  Attachers that cannot see the directory
+ask ``{address}/group`` how the address is shaped and ``{address}/metrics``
+how it is doing; both are answered on the process's one service thread.
 
-Explicit ``hub=`` / ``pool=`` arguments (and non-URI addresses) keep working
-as before for callers that prefer to wire objects together by hand; in that
-mode the session is simply not discoverable by address.
+An explicit ``hub=`` (and non-URI addresses) keep working for callers that
+prefer to wire objects together by hand; in that mode the session binds
+nothing and is simply not discoverable by address.
 """
 
 from __future__ import annotations
@@ -31,22 +45,26 @@ import threading
 from typing import Dict, List, Optional
 
 from repro.core.config import ConsumerConfig, ProducerConfig
-from repro.core.consumer import TensorConsumer
+from repro.core.group import build_consumer
 from repro.core.manifest import SessionManifest
 from repro.core.producer import TensorProducer
+from repro.messaging import endpoint as endpoints
+from repro.messaging.sockets import Responder
 from repro.messaging.transport import InProcHub
+from repro.obs import naming
+from repro.obs.service import MetricsService
 from repro.tensor.shared_memory import SharedMemoryPool
 
 # Directory of live sessions keyed by URI address, so repro.attach() can hand
-# out consumers without the caller holding the session object.  Sharded
-# sessions (repro.core.group.ShardedLoaderSession) register here too; every
-# entry answers .consumer(config) / .shutdown() / .stats().
+# out consumers without the caller holding the session object.  Brokers
+# register here too; every entry answers .consumer(config) / .shutdown() /
+# .stats().
 _SESSIONS_LOCK = threading.Lock()
 _SESSIONS: Dict[str, object] = {}  #: guarded by _SESSIONS_LOCK
 
 
 def register_session(address: str, session) -> None:
-    """Put a live session in the process-wide directory (group sessions too)."""
+    """Put a live session (or broker) in the process-wide directory."""
     with _SESSIONS_LOCK:
         _SESSIONS[address] = session
 
@@ -64,101 +82,136 @@ def live_sessions() -> Dict[str, object]:
         return dict(_SESSIONS)
 
 
-class DescribeService:
-    """Answer ``{address}/group`` describe requests with a session manifest.
-
-    Cross-process consumers cannot reach the in-process session directory, so
-    every serving session (plain and sharded) binds a tiny REQ/REP responder
-    next to its data channels.  ``repro.attach`` asks it how the address is
-    shaped — ``{"shards": 1}`` for a plain session, the member manifest for a
-    sharded one — and builds the matching consumer.
-    """
-
-    def __init__(self, hub, address: str, manifest: Dict[str, object]) -> None:
-        from repro.messaging.sockets import Responder
-
-        manifest = dict(manifest)
-        self._responder = Responder(
-            hub, f"{address}/group", lambda _payload: dict(manifest), "repro-session-describe"
+def _member_loaders(data_loader, shards: int, shard_mode: str) -> list:
+    """The loader of each member: the loader itself, or its N disjoint shards."""
+    if shards < 1:
+        raise ValueError("shards must be at least 1")
+    if shards == 1:
+        return [data_loader]
+    if not hasattr(data_loader, "shard"):
+        raise TypeError(
+            f"{type(data_loader).__name__} cannot be sharded: it has no .shard() "
+            f"(wrap the dataset in repro.data.DataLoader to serve it sharded)"
         )
-
-    def stop(self) -> None:
-        self._responder.stop()
+    loaders = [data_loader.shard(rank, shards, mode=shard_mode) for rank in range(shards)]
+    for rank, shard_loader in enumerate(loaders):
+        try:
+            empty = len(shard_loader) == 0
+        except TypeError:
+            empty = False  # unsized loaders cannot be validated
+        if empty:
+            # An empty shard's member would burn through its epoch budget
+            # instantly and vanish, wedging later attaches on a member that
+            # never admits them.
+            raise ValueError(
+                f"shard {rank} of {shards} is empty (mode={shard_mode!r}); "
+                f"serve with fewer shards"
+                + (" or shard_mode='strided'" if shard_mode != "strided" else "")
+            )
+    return loaders
 
 
 class SharedLoaderSession:
-    """Run a :class:`TensorProducer` on a background thread and create consumers."""
+    """Serve one loader from N >= 1 member producers behind a single address.
+
+    The session makes the one bind-or-adopt decision — ``hub=`` given: adopt
+    it (a broker embeds its mounts into its own transport this way);
+    otherwise bind the URI address, or wire a private hub for a non-URI one
+    — and every member producer rides that hub and pool.  A session that
+    bound its address, or is ``embedded`` into a broker that did, is
+    discoverable: it sits in the process-wide directory and answers
+    ``{address}/group`` and ``{address}/metrics``.
+    """
 
     def __init__(
         self,
         data_loader,
         *,
         address: Optional[str] = None,
+        shards: int = 1,
+        shard_mode: str = "strided",
         producer_config: Optional[ProducerConfig] = None,
         hub: Optional[InProcHub] = None,
         pool: Optional[SharedMemoryPool] = None,
         embedded: bool = False,
         dataset: Optional[str] = None,
     ) -> None:
-        if embedded and (hub is None or address is None):
+        if embedded and (hub is None or pool is None or address is None):
             raise ValueError(
-                "an embedded session rides a shared transport: pass both hub= "
+                "an embedded session rides a shared transport: pass hub=, pool= "
                 "and address= (the broker owns the bind)"
             )
-        self.producer = TensorProducer(
-            data_loader,
-            address=address,
-            hub=hub,
-            config=producer_config or ProducerConfig(),
-            pool=pool,
-        )
-        self.hub = self.producer.hub
-        self.pool = self.producer.pool
-        self.address = self.producer.address
-        self.dataset = dataset
+        config = producer_config or ProducerConfig()
+        loaders = _member_loaders(data_loader, shards, shard_mode)
+        if config.cache_bytes is not None:
+            # The configured budget is the session total: each member caches
+            # only its shard, so it gets an equal slice — otherwise a sharded
+            # session would silently pin up to shards x cache_bytes.
+            config = dataclasses.replace(config, cache_bytes=max(1, config.cache_bytes // shards))
+        address = address or config.address
+        self._endpoint: Optional[endpoints.Endpoint] = None
+        if hub is None and endpoints.is_uri(address):
+            self._endpoint = endpoints.bind(address)
+            # The transport may have resolved the address (tcp://host:0
+            # picked a real port); consumers attach to the resolved one.
+            address, hub = self._endpoint.address, self._endpoint.hub
+            pool = pool or self._endpoint.pool
+        self.address = address
+        self.hub = hub if hub is not None else InProcHub()
+        self.pool = pool if pool is not None else SharedMemoryPool()
+        self.shards = shards
         self._embedded = embedded
-        self._thread: Optional[threading.Thread] = None
-        self._consumers: List[TensorConsumer] = []
-        self._producer_error: Optional[BaseException] = None
+        self._manifest = SessionManifest.of(
+            address, shards=shards, shard_mode=shard_mode, dataset=dataset
+        )
+        self.members: List[TensorProducer] = []
+        self._services: list = []
+        self._threads: List[threading.Thread] = []
+        self._lock = threading.Lock()
+        self._consumers: list = []  #: guarded by _lock
+        self._member_errors: List[BaseException] = []
         self._shutdown = False
+        # Read by at(): a fork()ed child must not reuse this process's member
+        # threads through the inherited directory.
         self._owner_pid = os.getpid()
-        self._describe: Optional[DescribeService] = None
-        self._metrics_service = None
-        if self.producer.owns_address or embedded:
-            # The producer's endpoint bind guarantees the address was free, so
-            # this cannot clobber another live session.  Sessions wired from
-            # an explicit hub= never bound the address and stay out of the
-            # directory even when their config names a URI — unless they are
-            # embedded into a broker's transport, whose mount path guarantees
-            # uniqueness under the broker's base address instead.
-            register_session(self.address, self)
-            # Remote attachers (who cannot see the directory) ask this
-            # responder how the address is shaped; one shard = plain consumer.
-            try:
-                self._describe = DescribeService(
-                    self.hub, self.address, self.manifest().to_dict()
+        try:
+            for loader, member_address in zip(loaders, self._manifest.members()):
+                self.members.append(
+                    TensorProducer(
+                        loader, address=member_address, hub=self.hub, pool=self.pool, config=config
+                    )
                 )
-            except Exception:
-                self._describe = None  # a hub without bind support; discovery off
-            # The observability channel: snapshot/prometheus on
-            # {address}/metrics (see repro.obs.service).
-            try:
-                from repro.obs.service import MetricsService
-
-                self._metrics_service = MetricsService(
-                    self.hub, self.address, stats_fn=self.stats
+            if self._endpoint is not None or embedded:
+                # The bind (or the broker's mount path) guarantees the address
+                # was free, so this cannot clobber another live session.  A
+                # session wired from an explicit hub= never bound the address
+                # and stays out of the directory even when it names a URI.
+                register_session(address, self)
+                # Remote attachers (who cannot see the directory) ask these:
+                # how the address is shaped, and how it is doing (see
+                # repro.obs.service).  A channel that cannot bind is an error.
+                manifest = self._manifest.to_dict()
+                describe = Responder(
+                    self.hub, f"{address}/group", lambda _: dict(manifest), "repro-describe"
                 )
-            except Exception:
-                self._metrics_service = None
+                self._services.append(describe)
+                self._services.append(MetricsService(self.hub, address, stats_fn=self.stats))
+        except BaseException:
+            self._join_idle_members(timeout=0.1)
+            self._release()
+            raise
 
     def manifest(self) -> SessionManifest:
         """This session's shape in the unified describe/catalog schema."""
-        return SessionManifest(
-            address=self.address,
-            kind="dataset" if self.dataset is not None else "session",
-            shards=1,
-            dataset=self.dataset,
-        )
+        return self._manifest
+
+    @property
+    def producer(self) -> TensorProducer:
+        """The first member — *the* producer of an unsharded session.
+
+        Prefer :attr:`members` / :meth:`stats` for group-aware callers.
+        """
+        return self.members[0]
 
     # -- discovery ---------------------------------------------------------------------
     @classmethod
@@ -168,7 +221,7 @@ class SharedLoaderSession:
             session = _SESSIONS.get(address)
         if session is not None and session._owner_pid != os.getpid():
             # A fork()ed child inherits the parent's directory, but not its
-            # producer thread: the entry is stale here.  Attaching must fall
+            # producer threads: the entry is stale here.  Attaching must fall
             # through to a real transport connect (e.g. tcp:// back to the
             # parent's broker) instead of a dead in-process hub.
             return None
@@ -176,113 +229,205 @@ class SharedLoaderSession:
 
     # -- lifecycle ---------------------------------------------------------------------
     def start(self) -> "SharedLoaderSession":
-        """Start the producer loop on a daemon thread."""
+        """Start every member's producer loop on its own daemon thread."""
         if self._shutdown:
             raise RuntimeError(
                 f"session at {self.address!r} has been shut down; "
                 f"create a new session to serve again"
             )
-        if self._thread is not None:
+        if self._threads:
             raise RuntimeError("session already started")
-        self._thread = threading.Thread(
-            target=self._run_producer, daemon=True, name="repro-producer"
-        )
-        self._thread.start()
+        self._threads = [
+            threading.Thread(
+                target=self._run_member,
+                args=(member,),
+                daemon=True,
+                # "repro-producer", or "repro-producer-shard{k}" for a group member.
+                name=f"repro-producer{member.address[len(self.address):].replace('/', '-')}",
+            )
+            for member in self.members
+        ]
+        for thread in self._threads:
+            thread.start()
         return self
 
-    def _run_producer(self) -> None:
+    def _run_member(self, member: TensorProducer) -> None:
         try:
-            for _ in self.producer:
+            for _ in member:
                 pass
-            self.producer.join()
-        except BaseException as exc:  # pragma: no cover - surfaced via raise_producer_error
-            self._producer_error = exc
+            member.join()
+        except BaseException as exc:  # surfaced via raise_producer_error
+            self._member_errors.append(exc)
 
-    def consumer(self, config: Optional[ConsumerConfig] = None) -> TensorConsumer:
-        """Create a consumer connected to this session's producer."""
+    def consumer(self, config: Optional[ConsumerConfig] = None):
+        """A consumer attached to every member of this session: a
+        :class:`~repro.core.consumer.TensorConsumer`, or a
+        :class:`~repro.core.group.GroupConsumer` when there are several.
+
+        Consumers created through the session always speak to this session's
+        channels, whatever their config's address said, and are closed with it.
+        """
         if self._shutdown:
             raise RuntimeError(
-                f"session at {self.address!r} has been shut down; its producer is "
+                f"session at {self.address!r} has been shut down; its producers are "
                 f"stopped and cannot serve new consumers"
             )
-        config = config or ConsumerConfig()
-        if config.address != self.address:
-            # Consumers created through the session always speak to this
-            # session's channels, whatever their config said.
-            config = dataclasses.replace(config, address=self.address)
-        consumer = TensorConsumer(hub=self.hub, pool=self.pool, config=config)
-        self._consumers.append(consumer)
+        consumer = build_consumer(
+            self.hub, self.pool, self.address, self.shards, config or ConsumerConfig()
+        )
+        with self._lock:
+            # A long-lived session (a broker mount serves epochs=None) hands
+            # out consumers for the life of the server: the ones closed since
+            # the last attach are forgotten here, not kept until shutdown.
+            self._consumers = [held for held in self._consumers if not held.closed]
+            self._consumers.append(consumer)
         return consumer
 
-    # Alias matching the module-level repro.attach() vocabulary.
-    attach = consumer
+    # -- introspection -----------------------------------------------------------------
+    def metrics(self) -> Dict[str, object]:
+        """Session aggregate under the canonical ``repro.*`` namespace.
+
+        Counter fields are summed across members; the pool buckets
+        (``repro.pool.*``) are read once, from the first member — members
+        share the pool, so summing would double-count.
+        """
+        rows = [member.metrics() for member in self.members]
+        cache_totals: Dict[str, int] = {}
+        for row in rows:
+            for key, value in row["repro.cache"].items():
+                if isinstance(value, (int, float)):
+                    cache_totals[key] = cache_totals.get(key, 0) + value
+
+        def over(combine, key: str):
+            return combine(row[f"repro.producer.{key}"] for row in rows)
+
+        return {
+            **rows[0],  # for its repro.pool.* rows; the rest is replaced below
+            "repro.group.shards": self.shards,
+            "repro.producer.epoch": over(min, "epoch"),
+            "repro.producer.epochs_completed": over(min, "epochs_completed"),
+            "repro.producer.batches_loaded": over(sum, "batches_loaded"),
+            "repro.producer.publishes": over(sum, "publishes"),
+            "repro.producer.pending_batches": over(sum, "pending_batches"),
+            "repro.producer.consumers": over(max, "consumers"),
+            "repro.cache": cache_totals,
+        }
 
     def stats(self) -> Dict[str, object]:
-        """One snapshot of the whole session: producer, cache, consumers.
+        """One snapshot of the whole session: aggregate, members, consumers.
 
-        The producer entry carries the epoch-cache counters
+        The ``producer`` row carries the epoch-cache counters
         (``stats()["producer"]["cache"]`` — hits, misses, evictions,
-        cached_bytes) alongside the pool's two memory buckets, so a
-        monitoring loop needs exactly one call.
+        cached_bytes) alongside the pool's memory buckets, so a monitoring
+        loop needs exactly one call; ``members`` has one row per member.
+
+        Deprecated view: the aggregate row is a projection of :meth:`metrics`
+        onto the historical key names.
         """
+        member_rows = [
+            {**member.stats(), "shard": rank, "address": member.address}
+            for rank, member in enumerate(self.members)
+        ]
+        aggregate = naming.to_legacy(
+            self.metrics(),
+            naming.PRODUCER_KEYS,
+            role="producer" if self.shards == 1 else "producer-group",
+        )
+        aggregate["shards"] = self.shards
+        # Last completed epoch per member, so drift between shards shows.
+        aggregate["epoch_progress"] = {
+            rank: member.epochs_completed - 1
+            for rank, member in enumerate(self.members)
+            if member.epochs_completed
+        }
+        with self._lock:
+            consumers = list(self._consumers)
         return {
             "address": self.address,
             "running": self.is_running,
-            "producer": self.producer.stats(),
-            "consumers": [consumer.stats() for consumer in self._consumers],
+            "shards": self.shards,
+            "producer": aggregate,
+            "members": member_rows,
+            "consumers": [consumer.stats() for consumer in consumers],
         }
 
-    @property
-    def cache_stats(self) -> Dict[str, object]:
-        """Shortcut to the producer's epoch-cache counters."""
-        return self.producer.stats()["cache"]
-
     def raise_producer_error(self) -> None:
-        """Re-raise any exception the producer thread died with."""
-        if self._producer_error is not None:
-            raise self._producer_error
+        """Re-raise the first exception any member's producer thread died with."""
+        if self._member_errors:
+            raise self._member_errors[0]
 
+    @property
+    def is_running(self) -> bool:
+        return any(thread.is_alive() for thread in self._threads)
+
+    # -- shutdown ----------------------------------------------------------------------
     def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop the producer, close consumers and release shared memory.
+        """Stop every member, close consumers and release shared memory.
 
         Exception-safe: every teardown step runs even if an earlier one
         raises (a consumer ``close()`` failing must not leak the pool or the
         address registration).  The first consumer-close error — and any error
-        the producer thread died with — is re-raised at the end.
+        a member's thread died with — is re-raised at the end.
         """
         if self._shutdown:
             return
         self._shutdown = True
         close_error: Optional[BaseException] = None
         try:
-            self.producer.stop()
-            for consumer in self._consumers:
+            for member in self.members:
+                member.stop()
+            with self._lock:
+                consumers = list(self._consumers)
+            for consumer in consumers:
                 try:
                     consumer.close()
                 except BaseException as exc:
                     if close_error is None:
                         close_error = exc
-            if self._thread is not None:
-                self._thread.join(timeout=timeout)
+            for thread in self._threads:
+                thread.join(timeout=timeout)
+            self._join_idle_members(timeout=1.0)
         finally:
-            unregister_session(self.address, self)
-            if self._describe is not None:
-                self._describe.stop()
-            if self._metrics_service is not None:
-                self._metrics_service.stop()
-            try:
-                if not self._embedded:
-                    # An embedded session's pool is the broker's shared pool
-                    # (scoped to this tenant): its bytes drain through normal
-                    # releases above, and other tenants' segments live on.
-                    self.pool.shutdown()
-            finally:
-                # Normally released by the producer thread's join(); covers
-                # producers that errored out before reaching it.
-                self.producer.close_endpoint()
+            self._release()
         self.raise_producer_error()
         if close_error is not None:
             raise close_error
+
+    def _join_idle_members(self, timeout: float) -> None:
+        """Run the drain of every member whose own thread is not running it.
+
+        A member's loop ends in ``join()``: acks drained, SHUTDOWN announced,
+        window and cache holds returned, channels unbound.  A member that
+        was never started, or whose loop died, has not been through it — its
+        attached trainers would wait out their whole receive timeout, and on
+        an adopted hub ``{member}/control`` would stay bound after the
+        session is gone.  ``join()`` is idempotent, so members that finished
+        cleanly pass through again at no cost.
+        """
+        running = [thread.is_alive() for thread in self._threads]
+        for member, busy in zip(self.members, running or [False] * len(self.members)):
+            if busy:
+                continue  # wedged past the join timeout: its state is not ours to touch
+            try:
+                member.join(timeout=timeout)
+            except Exception:
+                pass
+
+    def _release(self) -> None:
+        """Give back what the constructor took: directory entry, service
+        channels, pool, address."""
+        unregister_session(self.address, self)
+        for service in self._services:
+            service.stop()
+        try:
+            if not self._embedded:
+                # An embedded session's pool is the broker's shared pool
+                # (scoped to this tenant): its bytes drain through the member
+                # joins, and other tenants' segments live on.
+                self.pool.shutdown()
+        finally:
+            if self._endpoint is not None:
+                self._endpoint.release()
 
     def __enter__(self) -> "SharedLoaderSession":
         return self.start()
@@ -290,13 +435,11 @@ class SharedLoaderSession:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-    @property
-    def is_running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
     def __repr__(self) -> str:
         state = "shutdown" if self._shutdown else ("running" if self.is_running else "idle")
+        with self._lock:
+            consumers = len(self._consumers)
         return (
-            f"SharedLoaderSession(address={self.address!r}, state={state}, "
-            f"consumers={len(self._consumers)})"
+            f"SharedLoaderSession(address={self.address!r}, shards={self.shards}, "
+            f"state={state}, consumers={consumers})"
         )

@@ -20,7 +20,7 @@ the same patterns:
   every ``tcp://`` socket, shared subscription and timer rides on.
 * :mod:`~repro.messaging.sockets` — ``PubSocket``, ``PushSocket`` /
   ``PullSocket`` and ``ReqSocket`` / ``RepSocket`` pattern wrappers, plus
-  the ``Responder`` service thread.
+  ``Responder`` / ``request_once``, the two ends of a service channel.
 * :class:`~repro.messaging.heartbeat.HeartbeatMonitor` — per-peer liveness
   tracking with the detach-after-timeout behaviour the producer relies on.
 * :mod:`~repro.messaging.endpoint` — URI-addressed endpoints: a process-wide
@@ -69,6 +69,7 @@ from repro.messaging.sockets import (
     RepSocket,
     ReqSocket,
     Responder,
+    request_once,
 )
 from repro.messaging.heartbeat import HeartbeatMonitor, HeartbeatSender
 
@@ -86,6 +87,7 @@ __all__ = [
     "ReqSocket",
     "RepSocket",
     "Responder",
+    "request_once",
     "HeartbeatMonitor",
     "HeartbeatSender",
     "MessagingError",

@@ -114,10 +114,6 @@ class Endpoint:
         self._closer = closer
         self._released = False
 
-    @property
-    def released(self) -> bool:
-        return self._released
-
     def release(self) -> None:
         """Unregister a bind-side endpoint from its transport (idempotent).
 

@@ -11,7 +11,8 @@ Three patterns are provided, matching the channels TensorSocket uses:
   push ``ACK`` / ``HELLO`` / ``BYE`` messages toward the producer's single
   :class:`PullSocket`.
 * **REQ/REP** — a small synchronous control channel (describe, metrics and
-  catalog queries); :class:`Responder` is the serving end with its thread.
+  catalog queries); :class:`Responder` is the serving end, answered on the
+  process's one service thread, and :func:`request_once` the asking end.
 
 All sockets work over anything with the hub surface
 (``bind/connect/publish/push``): an
@@ -22,9 +23,11 @@ All sockets work over anything with the hub surface
 
 from __future__ import annotations
 
+import os
+import queue
 import threading
 import uuid
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.messaging.errors import MessagingError
 from repro.messaging.message import Message, MessageKind
@@ -136,11 +139,6 @@ class ReqSocket(_HubSocket):
             raise MessagingError(f"expected a REPLY, got {reply.kind}")
         return reply.body
 
-    def close(self) -> None:
-        if self._endpoint is not None:
-            self._hub.disconnect(self._endpoint)
-            self._endpoint = None
-
 
 class RepSocket(_HubSocket):
     """Reply socket: receive requests and route replies back to the requester."""
@@ -175,43 +173,98 @@ class RepSocket(_HubSocket):
 
 
 class Responder:
-    """The serving end of a REQ/REP channel, with the thread that runs it.
+    """The serving end of a REQ/REP channel; it owns no thread.
 
     Binds ``address`` and answers every request with ``handler(payload)``.
     A handler that raises is answered with ``{"ok": False, "error": ...}``
-    rather than killing the channel.  The responder is a thread, not a
-    reactor callback, because handlers may do slow work (the catalog's
-    ``subscribe`` can mount a dataset).
+    rather than killing the channel.  Handlers may do slow work (the
+    catalog's ``subscribe`` can run a user's ``loader_factory``), so a request
+    is never answered where it is delivered — that is the reactor thread for
+    a ``tcp://`` peer, a caller's thread for ``inproc://``, and under the
+    inbox's sink lock either way.  The sink only hands it to the process's
+    one service thread (:class:`_ServiceWorker`).
     """
 
     def __init__(
-        self, hub: InProcHub, address: str, handler: Callable[[object], object], thread_name: str
+        self, hub: InProcHub, address: str, handler: Callable[[object], object], name: str
     ) -> None:
-        self._rep = RepSocket(hub, address, identity=thread_name)
+        self._rep = RepSocket(hub, address, identity=name)
         self._handler = handler
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._serve, daemon=True, name=thread_name)
-        self._thread.start()
+        self._stopped = False
+        self._rep._endpoint.set_sink(self._enqueue)
 
-    def _serve(self) -> None:
-        while not self._stop.is_set():
-            try:
-                request = self._rep.recv(timeout=0.2)
-            except Exception:
-                continue
-            payload = request.body.get("payload") if isinstance(request.body, dict) else None
-            try:
-                reply = self._handler(payload)
-            except Exception as exc:  # a handler bug must not kill the channel
-                reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            try:
-                self._rep.reply(request, reply)
-            except Exception:
-                pass  # requester vanished; keep serving others
+    def _enqueue(self, request: Message) -> None:
+        _service_worker().requests.put((self, request))
+
+    def _answer(self, request: Message) -> None:
+        """Service thread: run the handler, route the reply; never raises."""
+        if self._stopped:
+            return  # unbound while the request waited: dropped, as a late push would be
+        payload = request.body.get("payload") if isinstance(request.body, dict) else None
+        try:
+            reply = self._handler(payload)
+        except Exception as exc:  # a handler bug must not kill the channel
+            reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        try:
+            self._rep.reply(request, reply)
+        except Exception:
+            pass  # requester vanished; keep serving others
 
     def stop(self) -> None:
-        if self._stop.is_set():
-            return
-        self._stop.set()
-        self._thread.join(timeout=2.0)
+        """Unbind the channel (idempotent); returns at once."""
+        self._stopped = True
         self._rep.close()
+
+
+class _ServiceWorker:
+    """The process's one service thread (``repro-services``).
+
+    Every :class:`Responder` of the process — describe, metrics and catalog
+    channels of any number of sessions, mounts and clients — is answered
+    here, one request at a time.  It blocks on its queue with no timeout and
+    lives as long as the process, like the reactor.
+    """
+
+    def __init__(self) -> None:
+        self.requests: "queue.SimpleQueue[Tuple[Responder, Message]]" = queue.SimpleQueue()
+        threading.Thread(target=self._run, daemon=True, name="repro-services").start()
+
+    def _run(self) -> None:
+        while True:
+            responder, request = self.requests.get()
+            responder._answer(request)
+
+
+_worker_lock = threading.Lock()
+_worker: Optional[_ServiceWorker] = None
+_worker_pid: Optional[int] = None
+
+
+def _service_worker() -> _ServiceWorker:
+    """The process-wide service worker, started by the first request ever
+    delivered — a process that nobody queries has no such thread.  Keyed by
+    pid like the reactor: a ``fork()`` child inherits the object, not the
+    thread."""
+    global _worker, _worker_pid
+    with _worker_lock:
+        if _worker is None or _worker_pid != os.getpid():
+            _worker = _ServiceWorker()
+            _worker_pid = os.getpid()
+        return _worker
+
+
+def request_once(hub: InProcHub, address: str, body, *, timeout: float) -> dict:
+    """One request/reply on the REQ/REP channel at ``address``.
+
+    Opens a :class:`ReqSocket`, asks, closes.  Raises :class:`MessagingError`
+    when nothing answers in time or the reply is not a dict (every service
+    in the tree answers with one).
+    """
+    req = ReqSocket(hub, address)
+    try:
+        reply = req.request(body, timeout=timeout)
+    finally:
+        req.close()
+    if not isinstance(reply, dict):
+        raise MessagingError(f"malformed reply from {address!r}: {reply!r}")
+    return reply

@@ -1,8 +1,8 @@
 """The ``{address}/metrics`` exposition channel.
 
-Every serving session (plain and sharded) and every broker binds a tiny
-REQ/REP responder next to its data channels, exactly like the describe and
-catalog services.  The channel answers::
+Every serving session and every broker binds a tiny REQ/REP responder next
+to its data channels, exactly like the describe and catalog services.  The
+channel answers::
 
     {"op": "snapshot"}    -> {"ok": True, "metrics": {...}, "stall": {...},
                               "spans": [...], "stats": {...}, "origin": {...}}
@@ -48,9 +48,7 @@ class MetricsService:
         self._stats_fn = stats_fn
         self._registry = registry if registry is not None else REGISTRY
         self._ring = ring if ring is not None else obs_trace.RING
-        self._responder = Responder(
-            hub, f"{address}/metrics", self._handle, "repro-metrics-service"
-        )
+        self._responder = Responder(hub, f"{address}/metrics", self._handle, "repro-metrics")
 
     def _handle(self, payload) -> Dict[str, object]:
         op = payload.get("op") if isinstance(payload, dict) else None
@@ -84,16 +82,11 @@ def fetch_metrics_from_hub(
     hub, address: str, *, body: Optional[Dict[str, object]] = None, timeout: float = 5.0
 ) -> Dict[str, object]:
     """One request on ``{address}/metrics`` over an existing hub."""
-    from repro.messaging.sockets import ReqSocket
+    from repro.messaging.sockets import request_once
 
-    req = ReqSocket(hub, f"{address}/metrics")
-    try:
-        reply = req.request(dict(body or {"op": "snapshot"}), timeout=timeout)
-    finally:
-        req.close()
-    if not isinstance(reply, dict):
-        raise RuntimeError(f"malformed metrics reply from {address!r}: {reply!r}")
-    return reply
+    return request_once(
+        hub, f"{address}/metrics", dict(body or {"op": "snapshot"}), timeout=timeout
+    )
 
 
 def fetch_metrics(

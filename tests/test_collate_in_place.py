@@ -304,7 +304,7 @@ class TestDepthOneOrder:
             ),
         )
         session.start()
-        session._thread.join(timeout=10)
+        session._threads[0].join(timeout=10)
         assert not session.is_running
         assert session.producer.epochs_completed == 2
         assert fills == {"fill_batch": 0, "share_batch": 0}
@@ -624,7 +624,7 @@ class TestFailurePath:
         # attached: a producer without consumers would wait, not stage.)
         seen = [consume(consumer, stop_after=2, close=False) for consumer in consumers]
         assert seen[0] == seen[1] == {0: list(range(8))}
-        session._thread.join(timeout=10)
+        session._threads[0].join(timeout=10)
         assert not session.is_running
         for consumer in consumers:
             consumer.close()

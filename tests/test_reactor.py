@@ -221,8 +221,8 @@ class TestConstantThreadCount:
             start=False,
         )
         try:
-            # Baseline: the serving side's threads (producers, stage workers,
-            # describe) plus whatever already lives in the process.
+            # Baseline: whatever already lives in the process (a bound session
+            # has no thread of its own until it is started).
             before = set(threading.enumerate())
             consumers = [
                 repro.attach(
@@ -270,9 +270,7 @@ class TestConstantThreadCount:
             # independent of consumer count) is expected; the attach/iterate
             # side may add at most the one shared reactor.  32 consumers x 4
             # members previously cost 32 pump loops plus 32*4 feeder threads.
-            serving_side = {"repro-session-describe"} | {
-                f"repro-producer-shard{k}" for k in range(self.SHARDS)
-            }
+            serving_side = {f"repro-producer-shard{k}" for k in range(self.SHARDS)}
             attach_side = {
                 name
                 for name in new_names - serving_side

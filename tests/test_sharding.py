@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import ConsumerConfig, GroupConsumer, ShardedLoaderSession, TensorConsumer
+from repro.core import ConsumerConfig, GroupConsumer, TensorConsumer
 from repro.core.group import describe_address, member_address
 from repro.core.session import SharedLoaderSession
 from repro.data import BatchSampler, DataLoader, SequentialSampler
@@ -434,8 +434,7 @@ class TestGroupSessionSurface:
             index_loader(), address="inproc://surface", shards=2, start=False
         )
         try:
-            assert isinstance(session, ShardedLoaderSession)
-            assert len(session.members) == 2
+            assert session.shards == 2 and len(session.members) == 2
             assert SharedLoaderSession.at("inproc://surface") is session
         finally:
             session.shutdown()
@@ -509,9 +508,7 @@ class TestGroupSessionSurface:
         with pytest.raises(ValueError):
             repro.serve(index_loader(), address="inproc://bad", shards=0)
         with pytest.raises(TypeError):
-            ShardedLoaderSession(object(), address="inproc://bad", shards=2)
-        with pytest.raises(ValueError):
-            ShardedLoaderSession(index_loader(), address="inproc://bad", shards=1)
+            SharedLoaderSession(object(), address="inproc://bad", shards=2)
         sampler = SequentialSampler(IndexDataset(8))
         loader = DataLoader(IndexDataset(8), batch_sampler=BatchSampler(sampler, 4))
         with pytest.raises(ValueError):

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.group import describe_address
 from repro.data import DataLoader, SyntheticImageDataset
-from repro.messaging import Message, MessageKind
+from repro.messaging import Message, MessageKind, request_once
+from repro.messaging import endpoint as endpoints
 from repro.messaging.reactor import get_reactor
+from repro.obs.service import fetch_metrics_from_hub
 from repro.tensor import BatchPayload, SharedMemoryPool, from_numpy
 from repro.tensor.errors import PayloadError, SharedMemoryError
 from repro.messaging.transport import (
@@ -72,17 +75,26 @@ class TestServingThreads:
     def test_thread_set_is_the_same_with_1_and_with_8_client_connections(self):
         """Mirror of the consumer-side check in test_reactor.py: the serving
         process's repro- threads do not depend on how many remote connections
-        it holds (the old accept/serve/forward model added two per client)."""
+        it holds (the old accept/serve/forward model added two per client),
+        nor on how many service channels it answers: describe, metrics and
+        catalog requests all land on the one ``repro-services`` thread."""
+
+        process_wide = ("repro-reactor", "repro-services")
+        # Another test's loader workers may still be winding down: not ours.
+        strays = {t for t in threading.enumerate() if t.name not in process_wide}
 
         def repro_threads():
             return sorted(
-                t.name for t in threading.enumerate() if t.name.startswith("repro-")
+                t.name
+                for t in threading.enumerate()
+                if t.name.startswith("repro-") and t not in strays
             )
 
         dataset = SyntheticImageDataset(8, image_size=8, payload_bytes=16)
         session = repro.serve(
             DataLoader(dataset, batch_size=4), address="tcp://127.0.0.1:0", start=False
         )
+        broker = repro.broker("tcp://127.0.0.1:0")
         clients = []
         try:
             port = int(session.address.rsplit(":", 1)[1])
@@ -92,20 +104,38 @@ class TestServingThreads:
                     TcpClientEndpoint("127.0.0.1", port, op="connect", address="/fan")
                 )
 
+            def ask_every_service():
+                remote = endpoints.connect(session.address)
+                plane = endpoints.connect(broker.address)
+                try:
+                    assert describe_address(remote.hub, session.address)["shards"] == 1
+                    assert fetch_metrics_from_hub(remote.hub, session.address)["ok"]
+                    listing = request_once(
+                        plane.hub, f"{broker.address}/catalog", {"op": "list"}, timeout=5.0
+                    )
+                    assert listing == {"ok": True, "datasets": []}
+                finally:
+                    remote.release()
+                    plane.release()
+
             dial()
+            ask_every_service()
             with_one = repro_threads()
             for _ in range(7):
                 dial()
+            ask_every_service()
             # All eight are live server-side: one publish reaches each of them.
             assert session.hub.publish("/fan", batch("ping")) == 8
             for client in clients:
                 assert client.receive(timeout=5.0).body == "ping"
             assert repro_threads() == with_one
-            assert "repro-reactor" in with_one
+            assert with_one.count("repro-reactor") == 1
+            assert with_one.count("repro-services") == 1
             assert not [name for name in with_one if name.startswith("repro-tcp-")]
         finally:
             for client in clients:
                 client.close()
+            broker.shutdown()
             session.shutdown()
 
 
