@@ -95,7 +95,7 @@ def run_broker_plane(names):
     broker = repro.broker("inproc://bench-fanout-broker")
     try:
         for name in names:
-            broker.publish(name, make_loader(), epochs=1, poll_interval=0.002)
+            broker.publish(name, make_loader(), epochs=1)
         throughput = drain_all(broker.attach_dataset, names)
         # Per-tenant drain check BEFORE shutdown(): shutdown zeroes the
         # accounting, so asserting afterwards would be vacuous.
@@ -118,7 +118,6 @@ def run_separate_sessions(names):
             make_loader(),
             address=f"inproc://bench-fanout-solo-{name}",
             epochs=1,
-            poll_interval=0.002,
         )
         for name in names
     }

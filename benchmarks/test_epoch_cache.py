@@ -69,7 +69,6 @@ def run_epochs(address, *, cache=None, epochs=EPOCHS):
     """Run ``epochs`` epochs; returns per-epoch batches/sec seen by consumer 0."""
     serve_kwargs = dict(
         epochs=epochs,
-        poll_interval=0.002,
         pipeline_depth=4,
         pipeline_workers=4,
         start=False,
@@ -137,7 +136,6 @@ def test_epoch_cache_tcp_with_late_attacher():
         address="tcp://127.0.0.1:0",
         epochs=None,
         cache="all",
-        poll_interval=0.002,
         start=False,
     )
     expected = N_ITEMS // BATCH_SIZE

@@ -39,7 +39,7 @@ def test_shared_loader_end_to_end_throughput(benchmark, bench_record):
         pipeline = Compose([DecodeJpeg(height=16, width=16), Normalize(), ToTensor()])
         loader = DataLoader(dataset, batch_size=16, transform=pipeline)
         session = repro.serve(
-            loader, address="inproc://microbench", epochs=1, poll_interval=0.002
+            loader, address="inproc://microbench", epochs=1
         )
         consumer = repro.attach(
             "inproc://microbench", max_epochs=1, receive_timeout=20
@@ -69,7 +69,7 @@ def test_shared_loader_tcp_end_to_end_throughput(benchmark, bench_record):
         pipeline = Compose([DecodeJpeg(height=16, width=16), Normalize(), ToTensor()])
         loader = DataLoader(dataset, batch_size=16, transform=pipeline)
         session = repro.serve(
-            loader, address="tcp://127.0.0.1:0", epochs=1, poll_interval=0.002,
+            loader, address="tcp://127.0.0.1:0", epochs=1,
             start=False,
         )
         consumer = TensorConsumer(

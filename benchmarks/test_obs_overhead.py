@@ -68,7 +68,6 @@ def run_epoch(tag):
         make_loader(),
         address=f"inproc://bench-obs-overhead-{tag}",
         epochs=1,
-        poll_interval=0.002,
         pipeline_depth=DEPTH,
         pipeline_workers=4,
         start=False,

@@ -56,7 +56,6 @@ def run_epoch(address, depth, *, direct_consumer=False):
         make_loader(),
         address=address,
         epochs=1,
-        poll_interval=0.002,
         pipeline_depth=depth,
         pipeline_workers=None if depth == 1 else 4,
         start=False,

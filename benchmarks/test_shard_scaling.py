@@ -53,7 +53,6 @@ def run_epoch(address, shards, *, interleave="index"):
         make_loader(),
         address=address,
         epochs=1,
-        poll_interval=0.002,
         shards=shards,
         start=False,
     )

@@ -182,7 +182,6 @@ def broker(
     address: Optional[str] = None,
     *,
     idle_ttl: Optional[float] = None,
-    sweep_interval: float = 1.0,
     default_quota_bytes: Optional[int] = None,
 ):
     """Open a multi-tenant :class:`~repro.broker.DatasetBroker` at ``address``.
@@ -209,6 +208,5 @@ def broker(
     return DatasetBroker(
         address,
         idle_ttl=idle_ttl,
-        sweep_interval=sweep_interval,
         default_quota_bytes=default_quota_bytes,
     )

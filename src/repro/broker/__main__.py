@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -227,8 +228,7 @@ def main(argv=None) -> int:
             broker.publish(name, _loader(items, batch))
             print(f"mounted {broker.address}/{name} ({items} items, batch {batch})")
         print(f"broker serving at {broker.address} — Ctrl-C to stop")
-        while True:
-            time.sleep(3600)
+        threading.Event().wait()  # parked: only Ctrl-C ends the serving process
     except KeyboardInterrupt:
         print("shutting down")
     finally:

@@ -52,7 +52,8 @@ from repro.core.session import (
 )
 from repro.messaging import endpoint as endpoints
 from repro.messaging.errors import AddressError, AddressNotServedError
-from repro.messaging.sockets import Responder
+from repro.messaging.reactor import TimerHandle, get_reactor
+from repro.messaging.sockets import Responder, run_on_services
 from repro.obs.metrics import counter
 from repro.obs.service import MetricsService
 
@@ -177,12 +178,12 @@ class DatasetBroker:
         The plane's base address (``tcp://host:port`` or ``inproc://name``).
         Datasets mount at ``{address}/{name}``.
     idle_ttl:
-        Seconds a mounted dataset may sit with zero consumers before the
-        janitor drains it (its producers stop, its memory drains back to the
-        pool, its catalog entry flips to ``registered``).  A later attach
-        mounts it again.  ``None`` (default) never evicts.
-    sweep_interval:
-        How often the janitor checks for idle datasets.
+        Seconds a mounted dataset may sit with zero consumers before it is
+        drained (its producers stop, its memory drains back to the pool, its
+        catalog entry flips to ``registered``).  A later attach mounts it
+        again.  A reactor timer looks twice per ``idle_ttl``, so a dataset
+        goes at most half an ``idle_ttl`` late.  ``None`` (default) never
+        evicts.
     default_quota_bytes:
         Quota applied to datasets published without an explicit
         ``quota_bytes``; ``None`` leaves them unlimited.
@@ -193,13 +194,10 @@ class DatasetBroker:
         address: Optional[str] = None,
         *,
         idle_ttl: Optional[float] = None,
-        sweep_interval: float = 1.0,
         default_quota_bytes: Optional[int] = None,
     ) -> None:
         if idle_ttl is not None and idle_ttl <= 0:
             raise ValueError("idle_ttl must be positive when given")
-        if sweep_interval <= 0:
-            raise ValueError("sweep_interval must be positive")
         address = address or DEFAULT_BROKER_ADDRESS
         base, dataset = endpoints.split_dataset_address(address)
         if dataset is not None:
@@ -212,7 +210,6 @@ class DatasetBroker:
         self.hub = self._endpoint.hub
         self.pool = self._endpoint.pool
         self.idle_ttl = idle_ttl
-        self.sweep_interval = sweep_interval
         self.default_quota_bytes = default_quota_bytes
         self._lock = threading.RLock()
         self._mounts: Dict[str, _Mount] = {}  #: guarded by _lock
@@ -222,8 +219,7 @@ class DatasetBroker:
         self._owner_pid = os.getpid()
         self._catalog: Optional[CatalogService] = None
         self._metrics_service = None
-        self._janitor: Optional[threading.Thread] = None
-        self._janitor_stop = threading.Event()
+        self._idle_timer: Optional[TimerHandle] = None
         try:
             register_session(self.address, self)
             self._catalog = CatalogService(self)
@@ -233,10 +229,11 @@ class DatasetBroker:
                 self.hub, self.address, stats_fn=self.stats
             )
             if idle_ttl is not None:
-                self._janitor = threading.Thread(
-                    target=self._sweep_idle, daemon=True, name="repro-broker-janitor"
+                # The sweep takes _lock and runs evict(): both may block, so
+                # the reactor's timer only hands it to the service thread.
+                self._idle_timer = get_reactor().every(
+                    idle_ttl / 2, lambda: run_on_services(self._sweep_idle)
                 )
-                self._janitor.start()
         except BaseException:
             self.shutdown()
             raise
@@ -439,22 +436,22 @@ class DatasetBroker:
         return sum(len(member.active_consumer_ids()) for member in session.members)
 
     def _sweep_idle(self) -> None:
-        while not self._janitor_stop.wait(self.sweep_interval):
-            now = time.monotonic()
-            with self._lock:
-                idle = []
-                for mount in self._mounts.values():
-                    if not mount.mounted:
-                        continue
-                    if self._consumer_count(mount.session) > 0:
-                        mount.last_active = now
-                    elif now - mount.last_active >= self.idle_ttl:
-                        idle.append(mount.name)
-            for name in idle:
-                try:
-                    self.evict(name)
-                except KeyError:
-                    pass  # unpublished while we weren't holding the lock
+        """Service thread, every ``idle_ttl / 2``: evict the idle datasets."""
+        now = time.monotonic()
+        with self._lock:
+            idle = []
+            for mount in self._mounts.values():
+                if not mount.mounted:
+                    continue
+                if self._consumer_count(mount.session) > 0:
+                    mount.last_active = now
+                elif now - mount.last_active >= self.idle_ttl:
+                    idle.append(mount.name)
+        for name in idle:
+            try:
+                self.evict(name)
+            except KeyError:
+                pass  # unpublished while we weren't holding the lock
 
     def evict(self, name: str, timeout: float = 10.0) -> int:
         """Drain dataset ``name`` back to ``registered``; returns leaked bytes.
@@ -477,8 +474,8 @@ class DatasetBroker:
             except BaseException as exc:
                 # An embedded shutdown never touches the shared pool; a raise
                 # here is the producer's own death (e.g. over quota), worth
-                # keeping for raise_dataset_error but not worth crashing the
-                # janitor over.
+                # keeping for raise_dataset_error but not worth failing the
+                # idle sweep over.
                 mount.error = exc
             # Only flip to registered once the drain is complete, so an
             # attacher that sees "registered" never reaches the dying
@@ -553,9 +550,8 @@ class DatasetBroker:
                 return
             self._shutdown = True
             names = sorted(self._mounts)
-        self._janitor_stop.set()
-        if self._janitor is not None:
-            self._janitor.join(timeout=self.sweep_interval + 2.0)
+        if self._idle_timer is not None:
+            self._idle_timer.cancel()
         for name in names:
             try:
                 self.evict(name, timeout=timeout)

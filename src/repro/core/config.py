@@ -99,7 +99,6 @@ class ProducerConfig:
     heartbeat_timeout: float = 10.0
     wait_for_consumers: bool = True
     share_device: str = "cpu"
-    poll_interval: float = 0.005
     seed: int = 0
     pipeline_depth: int = 1
     pipeline_workers: Optional[int] = None
@@ -120,8 +119,6 @@ class ProducerConfig:
             raise ValueError("producer_batch_size must be positive when given")
         if self.heartbeat_timeout <= 0:
             raise ValueError("heartbeat_timeout must be positive")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
         if self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be at least 1")
         if self.pipeline_workers is not None and self.pipeline_workers < 0:

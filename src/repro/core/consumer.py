@@ -180,8 +180,8 @@ class TensorConsumer:
             self._heartbeat = HeartbeatSender(
                 self._push, self.consumer_id, interval=self.config.heartbeat_interval
             )
-            # Heartbeats and registration retries run from the reactor's
-            # timer wheel — no per-consumer heartbeat thread.
+            # Heartbeats and registration retries have one owner, the reactor's
+            # timer wheel: no heartbeat thread, none sent from the training loop.
             self._timer = self._reactor.every(
                 self.config.heartbeat_interval, self._on_reactor_timer
             )
@@ -252,8 +252,6 @@ class TensorConsumer:
         producer is not up yet.
         """
         deadline = time.monotonic() + timeout
-        if not self._registered:
-            self._register()
         while True:
             if self._registration_error is not None:
                 raise self._registration_error
@@ -582,25 +580,14 @@ class TensorConsumer:
                     wait_started = time.monotonic()
                     try:
                         if deadline is None:
-                            deadline = time.monotonic() + self.config.receive_timeout
-                        if not self._registered:
-                            self._register()
+                            deadline = wait_started + self.config.receive_timeout
                         try:
-                            self._heartbeat.maybe_send()
-                        except MessagingError:
-                            pass
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
+                            message = self._mailbox.get(timeout=max(0.0, deadline - wait_started))
+                        except queue.Empty:
                             raise TimeoutError_(
                                 f"consumer {self.consumer_id!r} received no data for "
                                 f"{self.config.receive_timeout}s; is the producer running?"
-                            )
-                        try:
-                            message = self._mailbox.get(
-                                timeout=min(self.config.heartbeat_interval, remaining)
-                            )
-                        except queue.Empty:
-                            continue
+                            ) from None
                         self._ingest(message)
                         continue
                     finally:
@@ -617,7 +604,6 @@ class TensorConsumer:
                 # The training loop finished with the batch: acknowledge it so
                 # the producer can release the shared memory.
                 self._acknowledge(payload)
-                self._heartbeat.maybe_send()
             # Acknowledge anything left in the buffer so nothing stays pinned.
             self._drop_buffered()
         finally:
@@ -682,7 +668,6 @@ class TensorConsumer:
         self._closed = True
         if self._timer is not None:
             self._timer.cancel()
-        self._heartbeat.stop()
         try:
             self._push.send(
                 MessageKind.BYE,

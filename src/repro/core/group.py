@@ -318,7 +318,7 @@ class GroupConsumer:
                 # receive timeout) — the per-member deadline mirrors what its
                 # own iter_batches would raise.
                 now = time.monotonic()
-                wait_timeout = 0.2
+                wait_timeout = None
                 for rank, since in waiting_since.items():
                     member = members[rank]
                     remaining = since + member.config.receive_timeout - now
@@ -328,7 +328,8 @@ class GroupConsumer:
                             f"{member.config.receive_timeout}s; is the producer "
                             f"running?"
                         )
-                    wait_timeout = min(wait_timeout, remaining)
+                    if wait_timeout is None or remaining < wait_timeout:
+                        wait_timeout = remaining
                 with wake:
                     if state["events"] == events_before:
                         wake.wait(timeout=wait_timeout)

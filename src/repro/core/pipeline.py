@@ -11,9 +11,10 @@ halves so they overlap:
   :meth:`~repro.data.dataloader.DataLoader.prefetch_iter`), runs a caller
   supplied ``stage_fn`` on each (for the producer: copy into shared memory and
   pack a :class:`~repro.tensor.payload.BatchPayload`), and
-* a **bounded hand-off queue** of at most ``depth`` staged items feeds the
+* a **bounded hand-off** of at most ``depth`` staged items feeds the
   publishing loop, which then spends its time only on publish/ack/control
-  work.
+  work.  The bound is a semaphore of free slots: the worker blocks on it, the
+  publishing loop frees one per item taken, ``close()`` one to wake the worker.
 
 ``depth <= 1`` short-circuits to a fully synchronous pipeline — no thread, no
 queue — which is byte-for-byte the pre-pipeline producer behaviour and the
@@ -119,14 +120,14 @@ class StagePipeline:
 
         if self.depth == 1:
             self._iter: Optional[Iterator] = iter(source)
-            self._queue: Optional["queue.Queue"] = None
+            self._queue: Optional["queue.SimpleQueue"] = None
             self._thread: Optional[threading.Thread] = None
             return
 
         self._iter = None
         self._source = iter(source)
-        self._queue = queue.Queue(maxsize=self.depth)
-        self._stop = threading.Event()
+        self._queue = queue.SimpleQueue()
+        self._slots = threading.Semaphore(self.depth)
         self._thread = threading.Thread(target=self._worker, daemon=True, name=name)
         self._thread.start()
 
@@ -134,31 +135,27 @@ class StagePipeline:
     def _worker(self) -> None:
         try:
             for item in self._source:
-                if self._stop.is_set():
+                if self._closed:
                     return
                 staged = self._stage_fn(item)
                 self.items_staged += 1
                 _ITEMS_STAGED.inc()
                 if not self._put(staged):
-                    # Stop was requested while the queue was full; the staged
-                    # item was never handed over, so its holds are ours to
-                    # return.
-                    self._discard(staged)
                     return
             self._put(_Done())
         except BaseException as exc:  # propagate loader/staging failures
-            if not self._put(_Failed(exc)):
-                pass  # closing anyway; close() re-raises nothing by design
+            self._put(_Failed(exc))  # dropped once closing: close() re-raises nothing
 
     def _put(self, obj) -> bool:
-        """Blocking put that gives up when the pipeline is being closed."""
-        while not self._stop.is_set():
-            try:
-                self._queue.put(obj, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
+        """Hand ``obj`` over once a slot is free.  ``False`` when the pipeline
+        closed first (close() frees a slot to say so): ``obj`` was never
+        handed over, so the holds it carries are returned here."""
+        self._slots.acquire()
+        if self._closed:
+            self._discard(obj)
+            return False
+        self._queue.put(obj)
+        return True
 
     # ------------------------------------------------------------------ consumer side
     def __iter__(self) -> "StagePipeline":
@@ -175,6 +172,7 @@ class StagePipeline:
             _ITEMS_STAGED.inc()
             return staged
         obj = self._queue.get()
+        self._slots.release()
         if isinstance(obj, _Done):
             raise StopIteration
         if isinstance(obj, _Failed):
@@ -204,15 +202,15 @@ class StagePipeline:
     def close(self, timeout: float = 5.0) -> None:
         """Stop the worker and release every staged-but-unconsumed item.
 
-        Idempotent.  Safe to call with the worker blocked on a full queue
-        (draining unblocks it) or blocked inside the loader (``source_close``
-        wakes it).
+        Idempotent.  Safe to call with the worker blocked on a full hand-off
+        (the freed slot wakes it) or inside the loader (``source_close`` wakes
+        it); one still busy after ``timeout`` releases what it holds itself.
         """
         if self._closed:
             return
         self._closed = True
         if self._queue is not None:
-            self._stop.set()
+            self._slots.release()
             # A worker blocked inside the loader's __next__ (e.g. waiting on
             # loader worker threads) is woken by closing the source.
             if self._source_close is not None:
@@ -220,16 +218,8 @@ class StagePipeline:
                     self._source_close()
                 except Exception:
                     pass
-            deadline = timeout
-            while True:
-                self._drain()
-                self._thread.join(timeout=min(0.1, deadline))
-                if not self._thread.is_alive():
-                    break
-                deadline -= 0.1
-                if deadline <= 0:
-                    break
-            self._drain()  # anything the worker squeezed in before exiting
+            self._thread.join(timeout=timeout)
+            self._drain()  # after the join: nothing lands behind it
         elif self._source_close is not None:
             try:
                 self._source_close()

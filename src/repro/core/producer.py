@@ -24,6 +24,7 @@ single logical address; nothing in this class is shard-aware.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -35,9 +36,10 @@ from repro.core.config import ProducerConfig
 from repro.core.epoch_runner import EpochRunner, SkipEpoch
 from repro.core.rubberband import JoinDecision, RubberbandPolicy
 from repro.messaging import endpoint as endpoints
+from repro.messaging.errors import EndpointClosedError, MessagingError, TimeoutError_
 from repro.messaging.heartbeat import HeartbeatMonitor
 from repro.messaging.message import Message, MessageKind
-from repro.messaging.sockets import PubSocket, PullSocket
+from repro.messaging.sockets import PubSocket, PullSocket, PushSocket
 from repro.messaging.transport import InProcHub
 from repro.obs import naming
 from repro.obs import trace as obs_trace
@@ -134,7 +136,8 @@ class TensorProducer:
 
         self._consumers: Dict[str, ConsumerState] = {}
         self.epoch = 0
-        self._stopped = False
+        #: stop() calls so far: any ends the loading, one during join() its drain.
+        self._stops = 0
         self._shutdown_sent = False
         # Rubberband replay window: producer holds keyed by per-epoch index.
         self._window_cache: Dict[int, BatchPayload] = {}
@@ -295,17 +298,32 @@ class TensorProducer:
         self._heartbeats.forget(consumer_id)
 
     # ------------------------------------------------------------------ control plane
-    def _process_control(self, block_timeout: Optional[float] = None) -> None:
-        """Drain the control socket: registrations, acks, byes, heartbeats."""
+    def _process_control(self, wait_until: Optional[float] = None) -> None:
+        """Drain the control socket (registrations, acks, byes, heartbeats),
+        then detach whoever has been silent past the heartbeat timeout.
+
+        With ``wait_until`` (a ``time.monotonic`` reading, ``math.inf`` for no
+        deadline of the caller's) and nothing queued, first block until a
+        message arrives, that deadline or the quietest consumer's heartbeat
+        expiry passes, or :meth:`stop` / a closed inbox ends the wait.
+        """
         message = self._control.try_recv()
-        if message is None and block_timeout:
+        if message is None and wait_until is not None:
+            timeout = min(wait_until, self._heartbeats.next_expiry) - time.monotonic()
             try:
-                message = self._control.recv(timeout=block_timeout)
-            except Exception:
-                message = None
+                message = self._control.recv(
+                    timeout=None if timeout == math.inf else max(0.0, timeout)
+                )
+            except TimeoutError_:
+                pass  # a deadline passed; the caller's loop finds out which
+            except EndpointClosedError:
+                self.stop()
         while message is not None:
             self._handle_control_message(message)
             message = self._control.try_recv()
+        if time.monotonic() >= self._heartbeats.next_expiry:
+            for consumer_id in self._heartbeats.sweep():
+                self._drop_consumer(consumer_id, reason="heartbeat timeout")
 
     def _handle_control_message(self, message: Message) -> None:
         body = message.body or {}
@@ -329,8 +347,7 @@ class TensorProducer:
             token = body.get("token")
             if state is None or token is None or state.token == token:
                 self._drop_consumer(consumer_id, reason="bye")
-        elif message.kind is MessageKind.HEARTBEAT:
-            pass  # the beat above is all that is needed
+        # HEARTBEAT: the beat above is all.  SHUTDOWN: stop()'s wake-up, done by arriving.
 
     def _handle_ack(
         self,
@@ -363,17 +380,13 @@ class TensorProducer:
         if self.rubberband.catch_up_for(consumer_id) is not None:
             self.rubberband.record_replayed(consumer_id, 1)
 
-    def _sweep_heartbeats(self) -> None:
-        for consumer_id in self._heartbeats.sweep():
-            self._drop_consumer(consumer_id, reason="heartbeat timeout")
-
     # ------------------------------------------------------------------ epoch-host interface
     # The EpochRunner drives epochs through exactly these members (see
     # repro.core.epoch_runner.EpochHost).
 
     @property
     def stopped(self) -> bool:
-        return self._stopped
+        return self._stops > 0
 
     def wait_for_capacity(self) -> None:
         """Block until every active consumer can take another batch.
@@ -389,9 +402,8 @@ class TensorProducer:
 
     def _wait_for_capacity(self) -> None:
         deadline = time.monotonic() + self.config.heartbeat_timeout * 4
-        while not self._stopped:
+        while not self.stopped:
             self._process_control()
-            self._sweep_heartbeats()
             active = self.active_consumer_ids()
             waiting = [c for c in self._consumers.values() if not c.active]
 
@@ -402,7 +414,7 @@ class TensorProducer:
                     # Everyone left mid-epoch and a newcomer is parked for
                     # the next epoch: abandon this epoch so it can start.
                     raise SkipEpoch()
-                self._process_control(block_timeout=self.config.poll_interval)
+                self._process_control(wait_until=math.inf)
                 deadline = time.monotonic() + self.config.heartbeat_timeout * 4
                 continue
 
@@ -427,7 +439,7 @@ class TensorProducer:
                     self._drop_consumer(consumer_id, reason="ack timeout")
                 deadline = time.monotonic() + self.config.heartbeat_timeout * 4
                 continue
-            self._process_control(block_timeout=self.config.poll_interval)
+            self._process_control(wait_until=deadline)
 
     def publish(
         self, payload: BatchPayload, consumers: List[str], *, topic: str = "broadcast"
@@ -499,7 +511,7 @@ class TensorProducer:
     # ------------------------------------------------------------------ top-level iteration
     def __iter__(self) -> Iterator[int]:
         epoch_limit = self.config.epochs
-        while not self._stopped and (epoch_limit is None or self.epoch < epoch_limit):
+        while not self.stopped and (epoch_limit is None or self.epoch < epoch_limit):
             self.runner.begin_epoch(self.epoch)
             self._window_cache.clear()
             epoch_started = time.monotonic()
@@ -530,15 +542,26 @@ class TensorProducer:
 
     # ------------------------------------------------------------------ shutdown
     def stop(self) -> None:
-        """Ask the producer to stop after the current batch."""
-        self._stopped = True
+        """Ask the producer to stop after the current batch; any thread.  A
+        blocked producer is woken through the inbox it waits on, and one
+        already draining in :meth:`join` gives the drain up."""
+        self._stops += 1
+        try:
+            PushSocket(self.hub, self.config.control_address).send(MessageKind.SHUTDOWN)
+        except MessagingError:
+            pass  # already joined: nothing is bound there, nobody is waiting
 
     def join(self, timeout: float = 10.0) -> None:
-        """Drain outstanding acknowledgements and announce shutdown."""
+        """Drain outstanding acknowledgements and announce shutdown.
+
+        The drain ends with nothing pending, at ``timeout``, or on a
+        :meth:`stop` called while it runs (one from before only ended the
+        loading: the batches already handed out still get acknowledged).
+        """
         deadline = time.monotonic() + timeout
-        while self.ledger.pending_batches and time.monotonic() < deadline:
-            self._process_control(block_timeout=self.config.poll_interval)
-            self._sweep_heartbeats()
+        stops = self._stops
+        while self.ledger.pending_batches and self._stops == stops and time.monotonic() < deadline:
+            self._process_control(wait_until=deadline)
         if not self._shutdown_sent:
             self._pub.send(MessageKind.SHUTDOWN, body={"epochs": self.epoch}, topic="broadcast")
             self._shutdown_sent = True

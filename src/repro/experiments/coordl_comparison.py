@@ -81,7 +81,6 @@ def run_real_epoch_cache(fast: bool = False) -> Dict[str, object]:
         address="inproc://fig14-real-cache",
         epochs=epochs,
         cache="all",
-        poll_interval=0.002,
         start=False,
     )
     epoch_rate, _ = measure_epoch_throughput(

@@ -7,11 +7,12 @@ consumers that it has not received a heartbeat from in a while."
 Two halves are provided:
 
 * :class:`HeartbeatSender` — consumer side.  Emits a heartbeat on a push
-  socket at a fixed interval; the caller drives it (``maybe_send``) from its
-  training loop, or runs ``run_background`` for a thread-based sender.
+  socket at a fixed interval; one owner drives it (``maybe_send``) — for a
+  :class:`~repro.core.consumer.TensorConsumer`, its reactor timer.
 * :class:`HeartbeatMonitor` — producer side.  Records last-seen timestamps per
-  consumer and reports which consumers have gone silent for longer than the
-  detach timeout.
+  consumer, reports which consumers have gone silent for longer than the
+  detach timeout, and says when the next one can (``next_expiry``) so the
+  producer sleeps until then instead of sweeping on every turn.
 
 The monitor is time-source agnostic: pass a ``clock`` callable so the same
 code is driven by ``time.monotonic`` in real mode and by the simulated clock
@@ -20,6 +21,7 @@ in the benchmark harness.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -59,6 +61,10 @@ class HeartbeatMonitor:
         self._peers: Dict[str, PeerLiveness] = {}  #: guarded by _lock
         self._detached: Dict[str, PeerLiveness] = {}  #: guarded by _lock
         self._lock = threading.Lock()
+        #: No :meth:`sweep` before this clock reading can detach anyone
+        #: (``inf`` with no peers).  A beat only moves a peer's expiry later,
+        #: so the bound holds until a new peer arrives or a sweep re-derives it.
+        self.next_expiry = math.inf
 
     # -- recording -------------------------------------------------------------
     def beat(self, consumer_id: str) -> None:
@@ -71,6 +77,7 @@ class HeartbeatMonitor:
                 # A heartbeat from a previously-detached consumer re-registers it.
                 self._detached.pop(consumer_id, None)
                 self._peers[consumer_id] = PeerLiveness(consumer_id, now, now)
+                self.next_expiry = min(self.next_expiry, now + self._detach_timeout)
             else:
                 peer.last_seen = now
                 peer.beats_received += 1
@@ -106,8 +113,9 @@ class HeartbeatMonitor:
         """Detach every consumer whose silence exceeds the timeout.
 
         Returns the ids detached by this sweep.  The producer calls this
-        periodically and stops waiting for acknowledgements from detached
-        consumers so a crashed trainer cannot wedge the shared loader.
+        once :attr:`next_expiry` has passed and stops waiting for
+        acknowledgements from detached consumers so a crashed trainer cannot
+        wedge the shared loader.
         """
         now = self._clock()
         detached: List[str] = []
@@ -117,6 +125,10 @@ class HeartbeatMonitor:
                 if peer.silence(now) > self._detach_timeout:
                     detached.append(consumer_id)
                     self._detached[consumer_id] = self._peers.pop(consumer_id)
+            self.next_expiry = min(
+                (peer.last_seen + self._detach_timeout for peer in self._peers.values()),
+                default=math.inf,
+            )
         if detached:
             _DETACHES.inc(len(detached))
         return detached
@@ -143,8 +155,6 @@ class HeartbeatSender:
         self._interval = interval
         self._clock = clock
         self._last_sent: Optional[float] = None
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         self.beats_sent = 0
 
     @property
@@ -165,34 +175,3 @@ class HeartbeatSender:
             self.send()
             return True
         return False
-
-    # -- background operation -------------------------------------------------------
-    def run_background(self) -> None:
-        """Start a daemon thread that beats every ``interval`` seconds.
-
-        Restartable: ``stop()`` leaves the stop event set, so it must be
-        cleared here or a restarted sender's thread would see the stale stop
-        and exit before sending a single beat.
-        """
-        if self._thread is not None:
-            return
-        self._stop_event.clear()
-        self._thread = threading.Thread(
-            target=self._loop, daemon=True, name="repro-heartbeat"
-        )
-        self._thread.start()
-
-    def _loop(self) -> None:
-        while not self._stop_event.wait(self._interval):
-            try:
-                self.send()
-            except Exception:
-                # A failed heartbeat means the producer is gone; the consumer's
-                # main loop will notice through its own receive timeout.
-                break
-
-    def stop(self) -> None:
-        self._stop_event.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2 * self._interval)
-            self._thread = None

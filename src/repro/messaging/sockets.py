@@ -27,11 +27,14 @@ import os
 import queue
 import threading
 import uuid
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.messaging.errors import MessagingError
 from repro.messaging.message import Message, MessageKind
 from repro.messaging.transport import Inbox, InProcHub
+from repro.obs.metrics import counter
+
+_SERVICE_ERRORS = counter("repro.services.errors")
 
 
 class _HubSocket:
@@ -99,8 +102,8 @@ class PullSocket(_HubSocket):
         super().__init__(hub, address, identity)
         self._endpoint = hub.bind(address, name=self.identity)
 
-    def recv(self, timeout: Optional[float] = None, block: bool = True) -> Message:
-        return self._endpoint.receive(timeout=timeout, block=block)
+    def recv(self, timeout: Optional[float] = None) -> Message:
+        return self._endpoint.receive(timeout=timeout)
 
     def try_recv(self) -> Optional[Message]:
         return self._endpoint.try_receive()
@@ -182,7 +185,7 @@ class Responder:
     is never answered where it is delivered — that is the reactor thread for
     a ``tcp://`` peer, a caller's thread for ``inproc://``, and under the
     inbox's sink lock either way.  The sink only hands it to the process's
-    one service thread (:class:`_ServiceWorker`).
+    one service thread (:func:`run_on_services`).
     """
 
     def __init__(
@@ -194,7 +197,7 @@ class Responder:
         self._rep._endpoint.set_sink(self._enqueue)
 
     def _enqueue(self, request: Message) -> None:
-        _service_worker().requests.put((self, request))
+        run_on_services(lambda: self._answer(request))
 
     def _answer(self, request: Message) -> None:
         """Service thread: run the handler, route the reply; never raises."""
@@ -216,41 +219,45 @@ class Responder:
         self._rep.close()
 
 
-class _ServiceWorker:
+_services_lock = threading.Lock()
+_services: Optional["queue.SimpleQueue[Callable[[], None]]"] = None
+_services_pid: Optional[int] = None
+
+
+def _serve(work: "queue.SimpleQueue[Callable[[], None]]") -> None:
     """The process's one service thread (``repro-services``).
 
     Every :class:`Responder` of the process — describe, metrics and catalog
     channels of any number of sessions, mounts and clients — is answered
-    here, one request at a time.  It blocks on its queue with no timeout and
-    lives as long as the process, like the reactor.
+    here, one request at a time, and so is whatever else may block and so
+    cannot run where it is triggered (a broker's idle sweep, fired by a
+    reactor timer).  It blocks on its queue with no timeout and lives as
+    long as the process, like the reactor.
     """
-
-    def __init__(self) -> None:
-        self.requests: "queue.SimpleQueue[Tuple[Responder, Message]]" = queue.SimpleQueue()
-        threading.Thread(target=self._run, daemon=True, name="repro-services").start()
-
-    def _run(self) -> None:
-        while True:
-            responder, request = self.requests.get()
-            responder._answer(request)
+    while True:
+        try:
+            work.get()()
+        except Exception:
+            # It answers for the whole process, so it outlives any one piece
+            # of work; the counter is where the loss shows.
+            _SERVICE_ERRORS.inc()
 
 
-_worker_lock = threading.Lock()
-_worker: Optional[_ServiceWorker] = None
-_worker_pid: Optional[int] = None
+def run_on_services(work: Callable[[], None]) -> None:
+    """Queue ``work()`` for the service thread; never blocks.
 
-
-def _service_worker() -> _ServiceWorker:
-    """The process-wide service worker, started by the first request ever
-    delivered — a process that nobody queries has no such thread.  Keyed by
-    pid like the reactor: a ``fork()`` child inherits the object, not the
-    thread."""
-    global _worker, _worker_pid
-    with _worker_lock:
-        if _worker is None or _worker_pid != os.getpid():
-            _worker = _ServiceWorker()
-            _worker_pid = os.getpid()
-        return _worker
+    The thread is started by the first call — a process that nobody queries
+    has none — and keyed by pid like the reactor: a ``fork()`` child
+    inherits the queue, not the thread.
+    """
+    global _services, _services_pid
+    with _services_lock:
+        if _services is None or _services_pid != os.getpid():
+            _services, _services_pid = queue.SimpleQueue(), os.getpid()
+            threading.Thread(
+                target=_serve, args=(_services,), daemon=True, name="repro-services"
+            ).start()
+        _services.put_nowait(work)
 
 
 def request_once(hub: InProcHub, address: str, body, *, timeout: float) -> dict:

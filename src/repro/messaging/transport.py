@@ -55,7 +55,9 @@ class Inbox:
         self.name = name
         self.address = address
         self.subscriptions: Set[str] = set()
-        self._queue: "queue.Queue[Message]" = queue.Queue()
+        # Unbounded, so the C queue does: no Python-level Condition per message.
+        # ``None`` is close()'s wake-up for a blocked receive(), never a message.
+        self._queue: "queue.SimpleQueue[Optional[Message]]" = queue.SimpleQueue()
         self._closed = False
         self._sink_lock = threading.Lock()
         self._sink = None  #: guarded by _sink_lock
@@ -87,11 +89,7 @@ class Inbox:
             self._sink = sink
             if sink is None:
                 return
-            while True:
-                try:
-                    backlog = self._queue.get_nowait()
-                except queue.Empty:
-                    break
+            while (backlog := self.try_receive()) is not None:
                 sink(backlog)
 
     def deliver(self, message: Message) -> None:
@@ -105,15 +103,20 @@ class Inbox:
             # deliverer can ever park inside _sink_lock.
             self._queue.put_nowait(message)
 
-    def receive(self, timeout: Optional[float] = None, block: bool = True) -> Message:
+    def receive(self, timeout: Optional[float] = None) -> Message:
+        """The next message; ``timeout=None`` waits until one arrives or the
+        inbox is closed (:class:`EndpointClosedError`, also under a waiter)."""
         if self._closed and self._queue.empty():
             raise EndpointClosedError(f"endpoint {self.name!r} is closed")
         try:
-            return self._queue.get(block=block, timeout=timeout)
+            message = self._queue.get(timeout=timeout)
         except queue.Empty as exc:
             raise TimeoutError_(
                 f"no message on endpoint {self.name!r} within timeout={timeout}"
             ) from exc
+        if message is None:  # close() found us waiting
+            raise EndpointClosedError(f"endpoint {self.name!r} is closed")
+        return message
 
     def try_receive(self) -> Optional[Message]:
         """Non-blocking receive; returns ``None`` when the queue is empty."""
@@ -127,6 +130,7 @@ class Inbox:
 
     def close(self) -> None:
         self._closed = True
+        self._queue.put_nowait(None)
 
     @property
     def closed(self) -> bool:

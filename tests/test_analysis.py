@@ -15,6 +15,7 @@ Layout mirrors the analyzer itself:
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -1075,6 +1076,105 @@ class TestCommittedTreeIsClean:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 finding(s)" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Meta: nothing on the serving side wakes up to look
+# ---------------------------------------------------------------------------
+
+#: Calls that park the calling thread.  ``get``/``put``/``recv``/``receive``
+#: count only with a ``timeout=`` keyword: positionally, ``dict.get(key, 0)``
+#: and ``sock.recv(4096)`` look the same as a timeout and are not one.
+_BLOCKING_METHODS = {"wait", "get", "put", "join", "recv", "receive", "sleep"}
+_POSITIONAL_TIMEOUT = {"wait", "join", "sleep"}
+
+
+def _is_number(node) -> bool:
+    """A numeric literal, or ``min(<literal>, ...)`` — a deadline capped by a
+    guess still wakes up on the guess."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "min":
+        return any(_is_number(arg) for arg in node.args)
+    return (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, (int, float))
+        and not isinstance(node.value, bool)
+    )
+
+
+def polling_waits(source: str, path: str = "snippet.py"):
+    """``path:line`` of every blocking call inside a ``while`` loop whose
+    timeout is a numeric literal: a wait that wakes up on a guess to look,
+    instead of blocking on what it waits for until a named deadline."""
+    found = []
+    for loop in ast.walk(ast.parse(textwrap.dedent(source))):
+        if not isinstance(loop, ast.While):
+            continue
+        for call in ast.walk(loop):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            if name not in _BLOCKING_METHODS:
+                continue
+            timeouts = [kw.value for kw in call.keywords if kw.arg == "timeout"]
+            if name in _POSITIONAL_TIMEOUT:
+                timeouts += call.args[:1]
+            if any(_is_number(timeout) for timeout in timeouts):
+                found.append(f"{path}:{call.lineno}")
+    return sorted(set(found))
+
+
+@pytest.mark.analysis
+class TestNothingWakesUpToLook:
+    def test_flags_a_timed_retry_loop(self):
+        assert polling_waits(
+            """
+            def put(self, obj):
+                while not self._stop.is_set():
+                    try:
+                        self._queue.put(obj, timeout=0.05)
+                        return True
+                    except queue.Full:
+                        continue
+            """
+        ) == ["snippet.py:5"]
+
+    def test_flags_positional_literals_capped_deadlines_and_sleep(self):
+        found = polling_waits(
+            """
+            while not stop.wait(0.5):
+                sweep()
+            while thread.is_alive():
+                thread.join(timeout=min(0.1, left))
+                thread.join(0.1)
+            while True:
+                time.sleep(3600)
+            """
+        )
+        assert found == ["snippet.py:2", "snippet.py:5", "snippet.py:6", "snippet.py:8"]
+
+    def test_deadlines_and_lookups_are_clean(self):
+        assert polling_waits(
+            """
+            while pending and time.monotonic() < deadline:
+                message = inbox.receive(timeout=deadline - time.monotonic())
+                epoch = body.get("admitted_epoch", 0)
+                with wake:
+                    wake.wait(timeout=wait_timeout)
+            while waker.recv(4096):
+                pass
+            for _ in range(200):
+                time.sleep(0.05)
+            """
+        ) == []
+
+    def test_serving_side_has_no_polling_waits(self):
+        found = []
+        for package in ("core", "messaging", "broker"):
+            for path in sorted((SRC / "repro" / package).rglob("*.py")):
+                found += polling_waits(path.read_text(), str(path.relative_to(REPO_ROOT)))
+        assert found == [], "blocking calls on a literal timeout inside a while loop:\n" + "\n".join(
+            found
+        )
 
 
 # ---------------------------------------------------------------------------

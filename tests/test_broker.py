@@ -328,9 +328,7 @@ class TestLifecycle:
             assert broker.stats()["datasets"]["cold"]["state"] == "mounted"
 
     def test_idle_dataset_evicted_and_remounts_on_attach(self):
-        with repro.broker(
-            "inproc://plane-idle", idle_ttl=0.2, sweep_interval=0.05
-        ) as broker:
+        with repro.broker("inproc://plane-idle", idle_ttl=0.2) as broker:
             broker.publish("fickle", tagged_loader(10, n=8, batch_size=4))
             rows = drain(repro.attach(f"{broker.address}/fickle", max_epochs=1))
             assert len(rows) == 2

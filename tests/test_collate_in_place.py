@@ -275,7 +275,7 @@ class TestDepthOneOrder:
         session = SharedLoaderSession(
             image_loader(n=40, batch_size=4),
             producer_config=ProducerConfig(
-                epochs=1, poll_interval=0.002, buffer_size=buffer_size
+                epochs=1, buffer_size=buffer_size
             ),
         )
         # Registers, and then never takes a batch: nothing is ever acked.
@@ -300,7 +300,7 @@ class TestDepthOneOrder:
         session = SharedLoaderSession(
             image_loader(n=16, batch_size=4),
             producer_config=ProducerConfig(
-                epochs=2, poll_interval=0.002, wait_for_consumers=False
+                epochs=2, wait_for_consumers=False
             ),
         )
         session.start()
@@ -462,7 +462,6 @@ class TestEveryFeedDeliversExactlyOnce:
             image_loader(n=26, **loader_kwargs),
             address="inproc://in-place-feeds",
             epochs=2,
-            poll_interval=0.002,
             start=False,
             **config,
         )
@@ -483,7 +482,6 @@ class TestEveryFeedDeliversExactlyOnce:
             cache="mru",
             cache_bytes=3 * batch_nbytes(4),
             pipeline_depth=depth,
-            poll_interval=0.002,
             start=False,
         )
         results = run_session(session, max_epochs=3)
@@ -503,7 +501,6 @@ class TestEveryFeedDeliversExactlyOnce:
             address="inproc://in-place-evicted-hit",
             epochs=2,
             cache="all",
-            poll_interval=0.002,
             start=False,
         )
         cache = session.producer.runner.cache
@@ -528,7 +525,6 @@ class TestEveryFeedDeliversExactlyOnce:
             address="inproc://in-place-shards",
             shards=2,
             epochs=2,
-            poll_interval=0.002,
             start=False,
         )
         results = run_session(session, consumers=2, max_epochs=2)
@@ -546,7 +542,6 @@ class TestEveryFeedDeliversExactlyOnce:
             epochs=1,
             flexible_batching=True,
             producer_batch_size=8,
-            poll_interval=0.002,
             start=False,
         )
         consumer = session.consumer(
@@ -612,7 +607,6 @@ class TestFailurePath:
             address="inproc://in-place-failure",
             epochs=1,
             pipeline_depth=depth,
-            poll_interval=0.002,
             start=False,
         )
         consumers = [

@@ -29,9 +29,8 @@ from repro.data.transforms import Compose, DecodeJpeg, Normalize, ToTensor
 import numpy as np
 
 from repro.messaging import InProcHub
-from repro.messaging.heartbeat import HeartbeatSender
 from repro.messaging.message import MessageKind
-from repro.messaging.sockets import PubSocket, PullSocket, PushSocket
+from repro.messaging.sockets import PubSocket, PullSocket
 from repro.tensor import BatchPayload, SharedMemoryPool, from_numpy
 
 
@@ -209,7 +208,7 @@ class TestPipelinedProducer:
         session = SharedLoaderSession(
             small_loader(),
             producer_config=ProducerConfig(
-                epochs=2, poll_interval=0.002, pipeline_depth=depth
+                epochs=2, pipeline_depth=depth
             ),
         )
         results = {}
@@ -237,7 +236,7 @@ class TestPipelinedProducer:
         session = SharedLoaderSession(
             small_loader(num_workers=2),
             producer_config=ProducerConfig(
-                epochs=1, poll_interval=0.002, pipeline_depth=3
+                epochs=1, pipeline_depth=3
             ),
         )
         results = {}
@@ -252,7 +251,7 @@ class TestPipelinedProducer:
         session = SharedLoaderSession(
             small_loader(size=160, batch_size=8),
             producer_config=ProducerConfig(
-                epochs=None, poll_interval=0.002, pipeline_depth=4
+                epochs=None, pipeline_depth=4
             ),
         )
         results = {}
@@ -276,7 +275,7 @@ class TestPipelinedProducer:
         session = SharedLoaderSession(
             small_loader(size=64, batch_size=8),
             producer_config=ProducerConfig(
-                epochs=1, heartbeat_timeout=3, poll_interval=0.002, pipeline_depth=4
+                epochs=1, heartbeat_timeout=3, pipeline_depth=4
             ),
         )
         results = {}
@@ -306,7 +305,6 @@ class TestPipelinedProducer:
                 epochs=2,
                 rubberband_fraction=0.0,  # newcomers always park to the next epoch
                 heartbeat_timeout=5,
-                poll_interval=0.002,
                 pipeline_depth=4,
             ),
         )
@@ -341,7 +339,6 @@ class TestPipelinedProducer:
                 epochs=1,
                 flexible_batching=True,
                 producer_batch_size=32,
-                poll_interval=0.002,
                 pipeline_depth=3,
             ),
         )
@@ -384,7 +381,7 @@ class TestPipelinedProducer:
         before = {t.name for t in threading.enumerate()}
         session = SharedLoaderSession(
             small_loader(size=16, batch_size=8),
-            producer_config=ProducerConfig(epochs=1, poll_interval=0.002),
+            producer_config=ProducerConfig(epochs=1),
         )
         results = {}
         session.start()
@@ -401,7 +398,7 @@ class TestPipelinedProducer:
         consumer."""
         session = SharedLoaderSession(
             small_loader(size=16, batch_size=8),
-            producer_config=ProducerConfig(epochs=1, poll_interval=0.002),
+            producer_config=ProducerConfig(epochs=1),
         )
         results = {}
         session.start()
@@ -446,7 +443,6 @@ class TestDuplicateDeliveryRegression:
                 epochs=1,
                 rubberband_fraction=0.75,  # window = 3 batches
                 buffer_size=16,
-                poll_interval=0.002,
             ),
         )
         first = TensorConsumer(
@@ -598,7 +594,7 @@ class TestDuplicateDeliveryRegression:
             hub=hub,
             pool=pool,
             config=ProducerConfig(
-                epochs=1, rubberband_fraction=0.75, buffer_size=16, poll_interval=0.002
+                epochs=1, rubberband_fraction=0.75, buffer_size=16
             ),
         )
         first = TensorConsumer(
@@ -652,7 +648,7 @@ class TestConsumerLen:
     def test_len_does_not_double_across_epochs(self):
         session = SharedLoaderSession(
             small_loader(size=24, batch_size=8),
-            producer_config=ProducerConfig(epochs=3, poll_interval=0.002),
+            producer_config=ProducerConfig(epochs=3),
         )
         session.start()
         consumer = session.consumer(
@@ -674,7 +670,7 @@ class TestConsumerLen:
     def test_len_before_first_epoch_completes_tracks_progress(self):
         session = SharedLoaderSession(
             small_loader(size=16, batch_size=8),
-            producer_config=ProducerConfig(epochs=1, poll_interval=0.002),
+            producer_config=ProducerConfig(epochs=1),
         )
         session.start()
         consumer = session.consumer(
@@ -687,34 +683,3 @@ class TestConsumerLen:
             pass
         session.shutdown()
         assert len(consumer) == 2
-
-
-# ---------------------------------------------------------------------------
-# Heartbeat sender restart (regression)
-# ---------------------------------------------------------------------------
-
-
-class TestHeartbeatSenderRestart:
-    def test_run_background_after_stop_sends_again(self):
-        hub = InProcHub()
-        pull = PullSocket(hub, "control")
-        push = PushSocket(hub, "control")
-        sender = HeartbeatSender(push, "c1", interval=0.01)
-        sender.run_background()
-        deadline = time.time() + 2
-        while sender.beats_sent == 0 and time.time() < deadline:
-            time.sleep(0.005)
-        sender.stop()
-        sent_before_restart = sender.beats_sent
-        assert sent_before_restart > 0
-
-        # Regression: the stop event used to stay set, so a restarted
-        # background sender exited without ever beating again.
-        sender.run_background()
-        deadline = time.time() + 2
-        while sender.beats_sent <= sent_before_restart and time.time() < deadline:
-            time.sleep(0.005)
-        sender.stop()
-        assert sender.beats_sent > sent_before_restart
-        beats = pull.drain()
-        assert all(m.kind is MessageKind.HEARTBEAT for m in beats)

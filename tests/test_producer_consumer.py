@@ -58,7 +58,7 @@ def run_consumer(session, name, results, max_epochs=1, batch_size=None, delay=0.
 def session():
     session = SharedLoaderSession(
         small_loader(),
-        producer_config=ProducerConfig(epochs=1, heartbeat_timeout=5, poll_interval=0.002),
+        producer_config=ProducerConfig(epochs=1, heartbeat_timeout=5),
     )
     yield session
     session.shutdown()
@@ -120,7 +120,7 @@ class TestMultipleConsumers:
             small_loader(size=16, batch_size=8),
             hub=hub,
             pool=pool,
-            config=ProducerConfig(epochs=1, poll_interval=0.002),
+            config=ProducerConfig(epochs=1),
         )
         received = {}
 
@@ -148,7 +148,7 @@ class TestMultipleConsumers:
     def test_multi_epoch_run(self):
         session = SharedLoaderSession(
             small_loader(size=24, batch_size=8),
-            producer_config=ProducerConfig(epochs=3, poll_interval=0.002),
+            producer_config=ProducerConfig(epochs=3),
         )
         results = {}
         session.start()
@@ -161,7 +161,7 @@ class TestDynamicMembership:
     def test_consumer_leaving_does_not_block_others(self):
         session = SharedLoaderSession(
             small_loader(size=64, batch_size=8),
-            producer_config=ProducerConfig(epochs=1, heartbeat_timeout=3, poll_interval=0.002),
+            producer_config=ProducerConfig(epochs=1, heartbeat_timeout=3),
         )
         results = {}
 
@@ -192,7 +192,7 @@ class TestDynamicMembership:
         session = SharedLoaderSession(
             small_loader(size=64, batch_size=8),
             producer_config=ProducerConfig(
-                epochs=2, rubberband_fraction=0.0, poll_interval=0.002
+                epochs=2, rubberband_fraction=0.0
             ),
         )
         results = {}
@@ -221,7 +221,7 @@ class TestDynamicMembership:
     def test_producer_waits_for_first_consumer(self):
         session = SharedLoaderSession(
             small_loader(size=16, batch_size=8),
-            producer_config=ProducerConfig(epochs=1, poll_interval=0.002),
+            producer_config=ProducerConfig(epochs=1),
         )
         results = {}
         session.start()
@@ -239,7 +239,6 @@ class TestFlexibleBatchingIntegration:
             epochs=1,
             flexible_batching=True,
             producer_batch_size=32,
-            poll_interval=0.002,
         )
         session = SharedLoaderSession(small_loader(size=64, batch_size=16), producer_config=config)
         sizes = {}
@@ -288,7 +287,7 @@ class TestShutdownAndErrors:
             small_loader(size=16, batch_size=8),
             hub=hub,
             pool=pool,
-            config=ProducerConfig(epochs=1, poll_interval=0.002),
+            config=ProducerConfig(epochs=1),
         )
         consumer = TensorConsumer(hub=hub, pool=pool, config=ConsumerConfig(receive_timeout=20))
         batches = []
@@ -319,7 +318,7 @@ class TestShutdownAndErrors:
     def test_stop_ends_the_producer_early(self):
         session = SharedLoaderSession(
             small_loader(size=64, batch_size=8),
-            producer_config=ProducerConfig(epochs=None, poll_interval=0.002),
+            producer_config=ProducerConfig(epochs=None),
         )
         results = {}
         session.start()

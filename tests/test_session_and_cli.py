@@ -57,7 +57,7 @@ class TestRubberbandCatchUp:
         session = SharedLoaderSession(
             tiny_loader(size=40, batch_size=4),  # 10 batches per epoch
             producer_config=ProducerConfig(
-                epochs=1, rubberband_fraction=0.5, poll_interval=0.002
+                epochs=1, rubberband_fraction=0.5
             ),
         )
         counts = {}

@@ -243,7 +243,7 @@ class TestBindOrAdopt:
             shards=shards,
             hub=hub,
             pool=pool,
-            producer_config=ProducerConfig(epochs=1, poll_interval=0.002),
+            producer_config=ProducerConfig(epochs=1),
         )
         try:
             assert session.hub is hub and session.pool is pool
