@@ -1,6 +1,7 @@
 """Unit tests for datasets, samplers, transforms, collation and the DataLoader."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,10 +210,45 @@ class TestTransforms:
         np.testing.assert_array_equal(always["image"], item["image"][:, ::-1])
 
     def test_normalize_scales_to_float(self):
-        item = Normalize()(self._image_item(8))
-        image = item["image"]
-        assert image.dtype == np.float32
-        assert image.max() < 10.0
+        pixels = np.array(
+            [[[0, 255, 51], [102, 0, 255]], [[255, 153, 0], [204, 204, 204]]], np.uint8
+        )
+        image = Normalize()({"image": pixels})["image"]
+        assert image.dtype == np.float32 and image.shape == (2, 2, 3)
+        mean, std = np.array(Normalize.IMAGENET_MEAN), np.array(Normalize.IMAGENET_STD)
+        np.testing.assert_allclose(image, (pixels / 255.0 - mean) / std, rtol=1e-6)
+        # A 2-D image has no channel axis to match: the mean of the constants.
+        red = pixels[..., 0]
+        gray = Normalize()({"image": red})["image"]
+        np.testing.assert_allclose(gray, (red / 255.0 - mean.mean()) / std.mean(), rtol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(8, 8, 3), (8, 8)], ids=["per-channel", "scalar"])
+    def test_normalize_scales_uint8_by_dtype_not_by_content(self, shape):
+        # A black frame or a 0/1 mask is still pixels: its 1s are 1/255, not white.
+        mask = np.random.default_rng(0).integers(0, 2, size=shape, dtype=np.uint8)
+        brighter = np.concatenate([mask, np.full_like(mask[:1], 255)])
+        alone = Normalize()({"image": mask})["image"]
+        inside = Normalize()({"image": brighter})["image"][:8]
+        assert alone.tobytes() == inside.tobytes()
+        assert alone.max() < -1.7  # (1/255 - mean) / std, nowhere near (1 - mean) / std
+        # A float image in [0, 1] is still taken as already scaled.
+        as_float = Normalize()({"image": mask.astype(np.float32)})["image"]
+        assert as_float.max() > 2.0
+
+    @pytest.mark.parametrize("shape", [(256, 256, 3), (256, 256)], ids=["per-channel", "scalar"])
+    def test_normalize_allocates_one_output_sized_array(self, shape):
+        # A count, not a clock: allocation repeats exactly, and the allocate-
+        # per-step expression this replaced peaked at 3.04x the output.
+        item = {"image": np.random.default_rng(0).integers(0, 256, size=shape, dtype=np.uint8)}
+        normalize = Normalize()
+        normalize(item)  # fills the per-width row constants
+        tracemalloc.start()
+        try:
+            out = normalize(item)["image"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
     def test_normalize_rejects_zero_std(self):
         with pytest.raises(ValueError):

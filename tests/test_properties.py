@@ -1,5 +1,9 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +16,7 @@ from repro.data import BatchSampler, RandomSampler, SyntheticImageDataset
 from repro.data import default_collate, plan_collate
 from repro.data.collate import _FLOAT, _INT, _column_spec
 from repro.data.samplers import SequentialSampler
+from repro.data.transforms import Normalize, ToTensor
 from repro.simulation import Simulator, Store
 from repro.tensor import BatchPayload, SharedMemoryPool, Tensor, TensorPayload, from_numpy
 from repro.tensor.dtype import DType, all_dtypes, as_dtype
@@ -528,6 +533,157 @@ def test_as_dtype_rejects_unsupported_and_unhashable_input_as_before(bad):
     with pytest.raises(TypeError) as got:
         as_dtype(bad)
     assert str(got.value) == str(reference.value)
+
+
+# ---------------------------------------------------------------------------
+# Normalize and ToTensor: one allocation and in-place arithmetic on image rows
+# give, bit for bit, what the allocate-per-step expressions gave.
+# ---------------------------------------------------------------------------
+
+
+def _reference_normalize(self, item):
+    """``Normalize.__call__`` as it stood before the in-place rewrite, verbatim."""
+    item = dict(item)
+    values = item[self.key].astype(np.float32)
+    if values.max() > 1.0:
+        values = values / 255.0
+    if values.ndim == 3 and values.shape[-1] == len(self.mean):
+        values = (values - self.mean) / self.std
+    else:
+        values = (values - float(self.mean.mean())) / float(self.std.mean())
+    item[self.key] = values
+    return item
+
+
+def _reference_to_tensor(self, item):
+    """``ToTensor.__call__`` as it stood before the one-pass rewrite, verbatim."""
+    item = dict(item)
+    keys = self.keys if self.keys is not None else [
+        k for k, v in item.items() if isinstance(v, np.ndarray)
+    ]
+    for key in keys:
+        value = item[key]
+        if key == "image" and value.ndim == 3:
+            value = np.ascontiguousarray(np.transpose(value, (2, 0, 1)))
+        item[key] = from_numpy(np.ascontiguousarray(value))
+    return item
+
+
+_IMAGE_SHAPES = {
+    "hwc": lambda h, w: (h, w, 3),
+    "gray": lambda h, w: (h, w),
+    "rgba": lambda h, w: (h, w, 4),
+    "chw": lambda h, w: (3, h, w),
+}
+
+
+def _make_image(form, layout, dtype, height, width, scale, nans, rng):
+    shape = _IMAGE_SHAPES[form](height, width)
+    # "cropped" cuts the image out of a frame one element wider on each side
+    # of its first two axes.
+    full = tuple(n + 2 for n in shape[:2]) + shape[2:] if layout == "cropped" else shape
+    if dtype == np.uint8:
+        image = rng.integers(0, 256, size=full, dtype=np.uint8)
+    else:
+        image = (rng.random(full) * scale).astype(dtype)
+        image.reshape(-1)[rng.integers(0, image.size, size=nans)] = np.nan
+    if layout == "fortran":
+        image = np.asfortranarray(image)
+    elif layout == "cropped":
+        image = image[1:-1, 1:-1]
+    elif layout == "flipped":
+        image = image[:, ::-1]
+    return image
+
+
+_image_cases = dict(
+    form=st.sampled_from(sorted(_IMAGE_SHAPES)),
+    layout=st.sampled_from(["c", "fortran", "cropped", "flipped"]),
+    dtype=st.sampled_from([np.uint8, np.float32, np.float64]),
+    height=st.integers(min_value=1, max_value=40),
+    width=st.integers(min_value=1, max_value=40),
+    scale=st.sampled_from([1.0, 300.0]),  # floats already in [0, 1], and above it
+    nans=st.integers(min_value=0, max_value=2),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+
+
+def _bits(array):
+    """Float32 values as integers, so a NaN equals the same NaN."""
+    return np.ascontiguousarray(array).view(np.uint32)
+
+
+@given(**_image_cases)
+@settings(max_examples=400, deadline=None)
+def test_normalize_in_place_on_rows_equals_the_allocating_expression(
+    form, layout, dtype, height, width, scale, nans, seed
+):
+    rng = np.random.default_rng(seed)
+    image = _make_image(form, layout, dtype, height, width, scale, nans, rng)
+    # A uint8 frame no brighter than 1 is the one input that reads differently
+    # now (tests/test_data.py::test_normalize_scales_uint8_by_dtype_not_by_content).
+    assume(dtype != np.uint8 or image.max() > 1)
+    before = image.copy()
+    normalize = Normalize()
+    want = _reference_normalize(normalize, {"image": image, "label": 3})
+    got = normalize({"image": image, "label": 3})
+
+    out = got["image"]
+    assert got["label"] == 3 and out.shape == image.shape
+    assert out.dtype == np.float32 and out.flags.c_contiguous
+    assert np.array_equal(_bits(out), _bits(want["image"]))
+    # Above all for float32 C-contiguous input, which an asarray would alias:
+    # a dataset's stored images must not be normalised in place, epoch after epoch.
+    assert not np.shares_memory(out, image)
+    assert image.tobytes() == before.tobytes()
+
+
+@given(explicit_keys=st.booleans(), **_image_cases)
+@settings(max_examples=300, deadline=None)
+def test_to_tensor_in_one_pass_equals_the_three_step_conversion(
+    explicit_keys, form, layout, dtype, height, width, scale, nans, seed
+):
+    rng = np.random.default_rng(seed)
+    image = _make_image(form, layout, dtype, height, width, scale, nans, rng)
+    item = {"image": image, "mask": image, "label": 3, "index": np.int64(seed)}
+    to_tensor = ToTensor(keys=("mask", "image")) if explicit_keys else ToTensor()
+    want = _reference_to_tensor(to_tensor, item)
+    got = to_tensor(item)
+
+    assert list(got) == list(want) and (got["label"], got["index"]) == (3, seed)
+    for key in ("image", "mask"):
+        out, ref = got[key].numpy(), want[key].numpy()
+        assert (out.shape, out.dtype) == (ref.shape, ref.dtype) and out.flags.c_contiguous
+        assert out.tobytes() == ref.tobytes()
+        # Wrapped where it was wrapped, copied where it was copied.
+        assert np.shares_memory(out, image) == np.shares_memory(ref, image)
+    assert item["image"] is image and item["mask"] is image
+
+
+def test_one_normalize_serves_four_threads_on_three_widths():
+    rng = np.random.default_rng(0)
+    images = [rng.integers(0, 256, size=(5, width, 3), dtype=np.uint8) for width in (7, 16, 33)]
+    want = [Normalize()({"image": image})["image"] for image in images]
+    shared = Normalize()
+    start = threading.Barrier(4)
+
+    def mismatches(offset):
+        start.wait(timeout=10)  # all four meet the empty row cache together
+        order = [(turn + offset) % len(images) for turn in range(300)]
+        got = [shared({"image": images[which]})["image"] for which in order]
+        return [
+            turn for turn, which in enumerate(order)
+            if not np.array_equal(_bits(got[turn]), _bits(want[which]))
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            found = list(pool.map(mismatches, range(4), timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    assert found == [[], [], [], []]
 
 
 # ---------------------------------------------------------------------------
