@@ -81,11 +81,11 @@ def run_epochs(address, *, cache=None, epochs=EPOCHS):
         session, epochs=epochs, batches_per_epoch=expected, consumers=N_CONSUMERS
     )
     assert all(count == expected * epochs for count in counts.values()), counts
-    stats = session.stats()["producer"]
+    metrics = session.metrics()
     assert_session_drained(session)
     session.shutdown()
     assert session.pool.bytes_in_flight == 0 and session.pool.cached_bytes == 0
-    return epoch_times, stats
+    return epoch_times, metrics
 
 
 @pytest.mark.overlap_ratio
@@ -96,7 +96,7 @@ def test_cached_epochs_at_least_2x_epoch0(bench_record):
     deselects it and only the TINY smoke step (which skips the ratio
     assertion) runs it on shared runners.
     """
-    epoch_times, stats = run_epochs("inproc://bench-epoch-cache", cache="all")
+    epoch_times, metrics = run_epochs("inproc://bench-epoch-cache", cache="all")
     epoch0 = epoch_times[0]
     cached = min(epoch_times[e] for e in range(1, EPOCHS))
     ratio = cached / epoch0
@@ -111,8 +111,8 @@ def test_cached_epochs_at_least_2x_epoch0(bench_record):
         for e in sorted(epoch_times)
     )
     print(f"\n| epoch | source | batches/sec |\n|---|---|---|\n{rows}\nratio: {ratio:.1f}x")
-    assert stats["batches_loaded"] == N_ITEMS // BATCH_SIZE  # epoch 0 only
-    assert stats["cache"]["hits"] == (EPOCHS - 1) * (N_ITEMS // BATCH_SIZE)
+    assert metrics["repro.producer.batches_loaded"] == N_ITEMS // BATCH_SIZE  # epoch 0 only
+    assert metrics["repro.cache"]["hits"] == (EPOCHS - 1) * (N_ITEMS // BATCH_SIZE)
     if TINY:
         assert ratio > 0  # liveness + leak-freedom only
     else:
@@ -172,8 +172,8 @@ def test_epoch_cache_tcp_with_late_attacher():
     assert results["anchor"][:expected] == results["anchor"][expected : 2 * expected]
     assert len(results["late"]) == expected
     assert results["late"] == results["anchor"][:expected]
-    stats = session.stats()["producer"]
-    assert stats["cache"]["hits"] > 0
+    metrics = session.metrics()
+    assert metrics["repro.cache"]["hits"] > 0
     # stop() makes the open-ended producer loop exit; its join() then clears
     # the cache, so both buckets must reach zero before pool.shutdown().
     assert_session_drained(session)

@@ -73,8 +73,8 @@ def main() -> None:
     for trainer in trainers:
         trainer.join()
 
-    producer_stats = session.stats()["producer"]
-    cache = producer_stats["cache"]
+    metrics = session.metrics()
+    cache = metrics["repro.cache"]
     session.shutdown()
 
     print("Epoch caching: repeat epochs straight from shared memory")
@@ -89,7 +89,7 @@ def main() -> None:
     cached = min(rates[e] for rates in stats.values() for e in rates if e >= 1)
     print(f"cached-epoch speedup: {cached / epoch0:.1f}x")
     print(
-        f"loader ran {producer_stats['batches_loaded']} batches (epoch 0 only); "
+        f"loader ran {metrics['repro.producer.batches_loaded']} batches (epoch 0 only); "
         f"cache served {cache['hits']} hits, {cache['misses']} misses, "
         f"{cache['evictions']} evictions"
     )

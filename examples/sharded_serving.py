@@ -7,7 +7,7 @@ still call ``repro.attach(address)`` and iterate one ordered stream covering
 the whole dataset every epoch (merged by ``(epoch, batch index, shard)``; add
 ``interleave="any"`` for arrival-order delivery).
 
-The table printed at the end shows ``session.stats()``'s per-member rows:
+The table printed at the end shows ``session.metrics()``'s per-member rows:
 each shard loaded roughly a third of the batches, both trainers consumed the
 full dataset each epoch, and the shared pool drained to zero.
 
@@ -74,19 +74,18 @@ def main() -> None:
     for thread in trainers:
         thread.join()
 
-    stats = session.stats()
+    metrics = session.metrics()
     print("\n| shard | address | batches loaded | payloads published |")
     print("|---|---|---|---|")
-    for row in stats["members"]:
+    for shard, (member, row) in enumerate(zip(session.members, metrics["repro.group.members"])):
         print(
-            f"| {row['shard']} | {row['address'].split('//', 1)[1]} "
-            f"| {row['batches_loaded']} | {row['payloads_published']} |"
+            f"| {shard} | {member.address.split('//', 1)[1]} "
+            f"| {row['repro.producer.batches_loaded']} | {row['repro.producer.publishes']} |"
         )
-    aggregate = stats["producer"]
     print(
-        f"\ngroup totals: {aggregate['batches_loaded']} batches loaded, "
-        f"{aggregate['payloads_published']} payloads published, "
-        f"bytes_in_flight={aggregate['bytes_in_flight']}"
+        f"\ngroup totals: {metrics['repro.producer.batches_loaded']} batches loaded, "
+        f"{metrics['repro.producer.publishes']} payloads published, "
+        f"bytes_in_flight={metrics['repro.pool.bytes_in_flight']}"
     )
     for name, (samples, batches, elapsed) in sorted(results.items()):
         print(

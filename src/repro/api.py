@@ -88,7 +88,7 @@ def serve(
     republished straight from shared memory; ``cache="lru"`` or ``"mru"``
     with ``cache_bytes=<budget>`` keeps a CoorDL-style partial cache.  It is
     sugar for ``cache_policy=`` and the session's cache counters are at
-    ``session.stats()["producer"]["cache"]``.
+    ``session.metrics()["repro.cache"]``.
 
     ``shards=N`` (N > 1) serves the loader from a **sharded producer group**:
     the session runs N member producers, each loading a disjoint shard of

@@ -14,7 +14,7 @@ Enable it through configuration — no training-loop changes::
     session = repro.serve(loader, address="inproc://cifar", epochs=3,
                           cache="all")           # or cache="lru", cache_bytes=...
     ...
-    session.stats()["producer"]["cache"]          # hits / misses / evictions
+    session.metrics()["repro.cache"]              # hits / misses / evictions
 
 Cache holds are accounted separately from in-flight holds
 (``pool.cached_bytes`` vs ``pool.bytes_in_flight``), so flow control and the

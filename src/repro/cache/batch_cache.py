@@ -83,7 +83,7 @@ class CachePolicy(str, enum.Enum):
 
 @dataclass
 class CacheStats:
-    """Counters the cache exposes through ``producer.stats()``."""
+    """Counters the cache reports as ``producer.metrics()["repro.cache"]``."""
 
     policy: str = CachePolicy.NONE.value
     budget_bytes: Optional[int] = None

@@ -41,7 +41,6 @@ from repro.messaging.message import Message, MessageKind
 from repro.messaging.reactor import get_reactor, reactor_only
 from repro.messaging.sockets import PushSocket
 from repro.messaging.transport import InProcHub
-from repro.obs import naming
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import counter, histogram
 from repro.tensor.payload import BatchPayload
@@ -644,17 +643,6 @@ class TensorConsumer:
             "repro.pool.attach_cache_hits": getattr(self.pool, "attach_cache_hits", 0),
             "repro.pool.attach_opens": getattr(self.pool, "attach_opens", 0),
         }
-
-    def stats(self) -> Dict[str, object]:
-        """Uniform statistics dict (the consumer half of
-        :meth:`TensorProducer.stats`): stable keys instead of ad-hoc
-        attribute spelunking.
-
-        .. deprecated:: PR 9
-           A thin legacy view over :meth:`metrics` (the key map lives in
-           :mod:`repro.obs.naming`); new code should read :meth:`metrics`.
-        """
-        return naming.to_legacy(self.metrics(), naming.CONSUMER_KEYS, role="consumer")
 
     # ------------------------------------------------------------------ shutdown
     @property

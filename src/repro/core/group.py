@@ -37,7 +37,6 @@ from repro.core.manifest import SessionManifest
 from repro.messaging import endpoint as endpoints
 from repro.messaging.errors import MessagingError, TimeoutError_
 from repro.messaging.sockets import request_once
-from repro.obs import naming
 from repro.tensor.tensor import Tensor
 
 __all__ = [
@@ -360,27 +359,35 @@ class GroupConsumer:
         return sum(len(member) for member in self.members)
 
     def metrics(self) -> Dict[str, object]:
-        """Aggregated counters under the canonical ``repro.*`` namespace."""
+        """Every key of :meth:`TensorConsumer.metrics
+        <repro.core.consumer.TensorConsumer.metrics>`, over the whole group,
+        plus ``repro.group.*`` and each member's own reading in rank order.
+
+        Counters are summed over members; ``epochs`` is the fewest any member
+        has seen (an epoch is the group's once every shard delivered it), and
+        ``admitted_epoch`` the latest (the merge starts there), ``None`` until
+        every member is admitted.  The ``repro.pool.*`` attach keys are read
+        once: members share one pool.
+        """
+        rows = [member.metrics() for member in self.members]
+        admitted = [row["repro.consumer.admitted_epoch"] for row in rows]
+
+        def over(combine, key: str):
+            return combine(row[f"repro.consumer.{key}"] for row in rows)
+
         return {
-            "repro.consumer.id": self.consumer_id,
+            **rows[0],  # for its repro.pool.* keys; the rest is replaced below
+            "repro.consumer.batches": over(sum, "batches"),
+            "repro.consumer.samples": over(sum, "samples"),
+            "repro.consumer.epochs": over(min, "epochs"),
+            "repro.consumer.duplicates": over(sum, "duplicates"),
+            "repro.consumer.buffered": over(sum, "buffered"),
+            "repro.consumer.admitted_epoch": None if None in admitted else max(admitted),
+            "repro.consumer.mailbox_overflows": over(sum, "mailbox_overflows"),
             "repro.group.interleave": self.interleave,
             "repro.group.shards": len(self.members),
-            "repro.consumer.batches": self.batches_consumed,
-            "repro.consumer.samples": self.samples_consumed,
-            "repro.consumer.duplicates": self.duplicates_dropped,
+            "repro.group.members": rows,
         }
-
-    def stats(self) -> Dict[str, object]:
-        """Aggregated consumer stats plus one row per member shard.
-
-        Deprecated view: a projection of :meth:`metrics` onto the historical
-        key names (plus the per-member legacy rows).
-        """
-        legacy = naming.to_legacy(
-            self.metrics(), naming.GROUP_CONSUMER_KEYS, role="group-consumer"
-        )
-        legacy["members"] = [member.stats() for member in self.members]
-        return legacy
 
     # ------------------------------------------------------------------ shutdown
     @property

@@ -41,7 +41,6 @@ from repro.messaging.heartbeat import HeartbeatMonitor
 from repro.messaging.message import Message, MessageKind
 from repro.messaging.sockets import PubSocket, PullSocket, PushSocket
 from repro.messaging.transport import InProcHub
-from repro.obs import naming
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import counter, histogram
 from repro.tensor.payload import BatchPayload
@@ -153,6 +152,8 @@ class TensorProducer:
 
         self.payloads_published = 0
         self.epochs_completed = 0
+        #: Consumers dropped so far, by reason ("bye", "heartbeat timeout", ...).
+        self._drops: Dict[str, int] = {}
         #: ``(epoch, when its send returned)`` of the latest publish.
         self._last_publish: Optional[Tuple[int, float]] = None
 
@@ -287,6 +288,7 @@ class TensorProducer:
         if state is None:
             return
         _CONSUMER_DROPS.inc()
+        self._drops[reason] = self._drops.get(reason, 0) + 1
         # Release the holds of every batch the consumer still owed an ack for.
         for key in list(self.ledger.pending_keys()):
             record = self.ledger.record_for(key)
@@ -596,7 +598,9 @@ class TensorProducer:
         Per-instance snapshot: the values are this producer's own counters,
         not the process-wide registry totals (several producers — shard
         members, broker tenants — share one registry but report their own
-        rows here).
+        rows here).  ``repro.producer.consumer_drops`` counts detached
+        consumers by reason (``"bye"``, ``"heartbeat timeout"``,
+        ``"ack timeout"``).
         """
         cache_stats = (
             self.cache.stats() if self.cache is not None else CacheStats()
@@ -608,6 +612,7 @@ class TensorProducer:
             "repro.producer.publishes": self.payloads_published,
             "repro.producer.pending_batches": self.ledger.pending_batches,
             "repro.producer.consumers": len(self._consumers),
+            "repro.producer.consumer_drops": dict(self._drops),
             "repro.pool.bytes_in_flight": self.pool.bytes_in_flight,
             "repro.pool.cached_bytes": self.pool.cached_bytes,
             "repro.pool.peak_bytes": self.pool.peak_bytes,
@@ -616,36 +621,6 @@ class TensorProducer:
             "repro.pool.segment_reuse_misses": self.pool.segment_reuse_misses,
             "repro.pool.mmap_total": self.pool.mmap_total,
             "repro.cache": cache_stats,
-        }
-
-    def stats(self) -> Dict[str, object]:
-        """Uniform statistics dict (the producer half of the pair that
-        :meth:`TensorConsumer.stats` completes): load/publish counters, the
-        cache's hit/miss/eviction figures (zeroed when no cache is
-        configured), and the pool's two memory buckets — ``bytes_in_flight``
-        vs ``cached_bytes``.
-
-        .. deprecated:: PR 9
-           A thin legacy view over :meth:`metrics` (the key map lives in
-           :mod:`repro.obs.naming`); new code should read :meth:`metrics`.
-        """
-        return naming.to_legacy(self.metrics(), naming.PRODUCER_KEYS, role="producer")
-
-    def status(self) -> Dict[str, object]:
-        """A snapshot used by monitoring utilities and tests."""
-        return {
-            "epoch": self.epoch,
-            "consumers": {
-                cid: {
-                    "active": state.active,
-                    "batches_sent": state.batches_sent,
-                    "outstanding": self.ledger.outstanding_for(cid),
-                }
-                for cid, state in self._consumers.items()
-            },
-            "pending_batches": self.ledger.pending_batches,
-            "bytes_in_flight": self.pool.bytes_in_flight,
-            "payloads_published": self.payloads_published,
         }
 
     def __repr__(self) -> str:

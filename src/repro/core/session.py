@@ -51,14 +51,12 @@ from repro.core.producer import TensorProducer
 from repro.messaging import endpoint as endpoints
 from repro.messaging.sockets import Responder
 from repro.messaging.transport import InProcHub
-from repro.obs import naming
 from repro.obs.service import MetricsService
 from repro.tensor.shared_memory import SharedMemoryPool
 
 # Directory of live sessions keyed by URI address, so repro.attach() can hand
 # out consumers without the caller holding the session object.  Brokers
-# register here too; every entry answers .consumer(config) / .shutdown() /
-# .stats().
+# register here too; every entry answers .consumer(config) / .shutdown().
 _SESSIONS_LOCK = threading.Lock()
 _SESSIONS: Dict[str, object] = {}  #: guarded by _SESSIONS_LOCK
 
@@ -195,7 +193,7 @@ class SharedLoaderSession:
                     self.hub, f"{address}/group", lambda _: dict(manifest), "repro-describe"
                 )
                 self._services.append(describe)
-                self._services.append(MetricsService(self.hub, address, stats_fn=self.stats))
+                self._services.append(MetricsService(self.hub, address, stats_fn=self.metrics))
         except BaseException:
             self._join_idle_members(timeout=0.1)
             self._release()
@@ -209,7 +207,7 @@ class SharedLoaderSession:
     def producer(self) -> TensorProducer:
         """The first member — *the* producer of an unsharded session.
 
-        Prefer :attr:`members` / :meth:`stats` for group-aware callers.
+        Prefer :attr:`members` / :meth:`metrics` for group-aware callers.
         """
         return self.members[0]
 
@@ -285,22 +283,31 @@ class SharedLoaderSession:
 
     # -- introspection -----------------------------------------------------------------
     def metrics(self) -> Dict[str, object]:
-        """Session aggregate under the canonical ``repro.*`` namespace.
+        """One snapshot of the whole session under the ``repro.*`` namespace.
 
-        Counter fields are summed across members; the pool buckets
-        (``repro.pool.*``) are read once, from the first member — members
-        share the pool, so summing would double-count.
+        The aggregate answers every key of :meth:`TensorProducer.metrics
+        <repro.core.producer.TensorProducer.metrics>`: counters and the
+        ``repro.cache`` / ``consumer_drops`` dicts are summed across members;
+        the pool buckets (``repro.pool.*``) are read once, from the first
+        member — members share the pool, so summing would double-count.
+        ``repro.group.members`` is each member's own reading in rank order,
+        and ``repro.session.consumers`` each consumer the session holds.
         """
         rows = [member.metrics() for member in self.members]
-        cache_totals: Dict[str, int] = {}
-        for row in rows:
-            for key, value in row["repro.cache"].items():
-                if isinstance(value, (int, float)):
-                    cache_totals[key] = cache_totals.get(key, 0) + value
 
         def over(combine, key: str):
             return combine(row[f"repro.producer.{key}"] for row in rows)
 
+        def summed(key: str) -> Dict[str, int]:
+            totals: Dict[str, int] = {}
+            for row in rows:
+                for name, value in row[key].items():
+                    if isinstance(value, (int, float)):
+                        totals[name] = totals.get(name, 0) + value
+            return totals
+
+        with self._lock:
+            consumers = list(self._consumers)
         return {
             **rows[0],  # for its repro.pool.* rows; the rest is replaced below
             "repro.group.shards": self.shards,
@@ -310,45 +317,10 @@ class SharedLoaderSession:
             "repro.producer.publishes": over(sum, "publishes"),
             "repro.producer.pending_batches": over(sum, "pending_batches"),
             "repro.producer.consumers": over(max, "consumers"),
-            "repro.cache": cache_totals,
-        }
-
-    def stats(self) -> Dict[str, object]:
-        """One snapshot of the whole session: aggregate, members, consumers.
-
-        The ``producer`` row carries the epoch-cache counters
-        (``stats()["producer"]["cache"]`` — hits, misses, evictions,
-        cached_bytes) alongside the pool's memory buckets, so a monitoring
-        loop needs exactly one call; ``members`` has one row per member.
-
-        Deprecated view: the aggregate row is a projection of :meth:`metrics`
-        onto the historical key names.
-        """
-        member_rows = [
-            {**member.stats(), "shard": rank, "address": member.address}
-            for rank, member in enumerate(self.members)
-        ]
-        aggregate = naming.to_legacy(
-            self.metrics(),
-            naming.PRODUCER_KEYS,
-            role="producer" if self.shards == 1 else "producer-group",
-        )
-        aggregate["shards"] = self.shards
-        # Last completed epoch per member, so drift between shards shows.
-        aggregate["epoch_progress"] = {
-            rank: member.epochs_completed - 1
-            for rank, member in enumerate(self.members)
-            if member.epochs_completed
-        }
-        with self._lock:
-            consumers = list(self._consumers)
-        return {
-            "address": self.address,
-            "running": self.is_running,
-            "shards": self.shards,
-            "producer": aggregate,
-            "members": member_rows,
-            "consumers": [consumer.stats() for consumer in consumers],
+            "repro.producer.consumer_drops": summed("repro.producer.consumer_drops"),
+            "repro.cache": summed("repro.cache"),
+            "repro.group.members": rows,
+            "repro.session.consumers": [consumer.metrics() for consumer in consumers],
         }
 
     def raise_producer_error(self) -> None:

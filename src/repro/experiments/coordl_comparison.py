@@ -86,7 +86,7 @@ def run_real_epoch_cache(fast: bool = False) -> Dict[str, object]:
     epoch_rate, _ = measure_epoch_throughput(
         session, epochs=epochs, batches_per_epoch=n_items // batch_size
     )
-    stats = session.stats()["producer"]
+    cache = session.metrics()["repro.cache"]
     session.shutdown()
     epoch0 = epoch_rate.get(0, 0.0)
     cached = min((rate for e, rate in epoch_rate.items() if e >= 1), default=0.0)
@@ -95,8 +95,8 @@ def run_real_epoch_cache(fast: bool = False) -> Dict[str, object]:
         "epoch0_batches_per_s": round(epoch0, 1),
         "cached_epoch_batches_per_s": round(cached, 1),
         "real_cache_speedup_x": round(cached / epoch0, 2) if epoch0 else 0.0,
-        "cache_hits": stats["cache"]["hits"],
-        "cache_misses": stats["cache"]["misses"],
+        "cache_hits": cache["hits"],
+        "cache_misses": cache["misses"],
     }
 
 

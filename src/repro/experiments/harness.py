@@ -122,7 +122,7 @@ def measure_epoch_throughput(
 
     Returns ``(epoch_rates, counts)``: epoch index -> batches/sec, and
     consumer id -> total batches.  The session is left running/finished but
-    **not** shut down, so callers can read ``session.stats()`` first.
+    **not** shut down, so callers can read ``session.metrics()`` first.
     """
     from repro.core import ConsumerConfig
 

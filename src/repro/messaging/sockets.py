@@ -65,26 +65,10 @@ class _HubSocket:
 class PubSocket(_HubSocket):
     """Publisher end of PUB/SUB: multicast to all connected subscribers."""
 
-    def __init__(self, hub: InProcHub, address: str, identity: Optional[str] = None) -> None:
-        super().__init__(hub, address, identity)
-        self._messages_sent = 0
-        self._deliveries = 0
-
     def send(self, kind: MessageKind, body=None, topic: str = "") -> int:
         """Publish a message; returns the number of subscribers it reached."""
         message = Message(topic=topic, kind=kind, sender=self.identity, body=body)
-        delivered = self._hub.publish(self._address, message)
-        self._messages_sent += 1
-        self._deliveries += delivered
-        return delivered
-
-    @property
-    def messages_sent(self) -> int:
-        return self._messages_sent
-
-    @property
-    def total_deliveries(self) -> int:
-        return self._deliveries
+        return self._hub.publish(self._address, message)
 
 
 class PushSocket(_HubSocket):

@@ -16,7 +16,7 @@ Four pieces, designed to be imported from anywhere in the tree:
 
 from __future__ import annotations
 
-from repro.obs import naming, stall, trace
+from repro.obs import stall, trace
 from repro.obs.metrics import (
     REGISTRY,
     Counter,
@@ -43,7 +43,6 @@ __all__ = [
     "fetch_metrics",
     "gauge",
     "histogram",
-    "naming",
     "record_span",
     "span_complete",
     "stall",

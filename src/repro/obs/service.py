@@ -11,7 +11,8 @@ channel answers::
 ``metrics`` is the process-wide registry snapshot, ``stall`` the derived
 attribution breakdown, ``spans`` the tail of the span ring (completed
 batch-lifecycle traces recorded when ACKs return to the producer), and
-``stats`` the serving object's legacy ``stats()`` dict when one was wired.
+``stats`` the serving object's own reading when one was wired (a session's
+``metrics()``, a broker's ``stats()``).
 All values are plain dicts/lists/floats, so they cross the tcp:// broker as
 ordinary pickled bodies — ``python -m repro.obs <address>`` works from any
 process that can dial the address.
@@ -22,13 +23,15 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import REGISTRY, MetricsRegistry
+from repro.obs.metrics import REGISTRY, MetricsRegistry, counter
 from repro.obs.stall import attribution
 
 __all__ = ["MetricsService", "fetch_metrics", "fetch_metrics_from_hub"]
 
 #: Default number of spans returned by a snapshot (the ring holds more).
 SNAPSHOT_SPAN_LIMIT = 64
+
+_SERVICE_ERRORS = counter("repro.services.errors")
 
 
 class MetricsService:
@@ -70,7 +73,9 @@ class MetricsService:
                 try:
                     reply["stats"] = self._stats_fn()
                 except Exception:
-                    pass  # a mid-teardown session still answers with metrics
+                    # A mid-teardown session still answers with the registry;
+                    # the counter is where the missing reading shows.
+                    _SERVICE_ERRORS.inc()
             return reply
         return {"ok": False, "error": f"unknown op {op!r}"}
 

@@ -1178,6 +1178,64 @@ class TestNothingWakesUpToLook:
 
 
 # ---------------------------------------------------------------------------
+# Meta: one reading per object
+# ---------------------------------------------------------------------------
+
+#: Method names that would give an object with ``metrics()`` a second reading.
+_SECOND_READINGS = {"stats", "status"}
+
+
+def second_readings(source: str, path: str = "snippet.py"):
+    """``path:line Class`` of every class that defines ``metrics`` next to
+    ``stats`` or ``status``: two dicts, two vocabularies, for one object."""
+    found = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        methods = {
+            item.name
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        if "metrics" in methods and methods & _SECOND_READINGS:
+            found.append(f"{path}:{node.lineno} {node.name}")
+    return found
+
+
+@pytest.mark.analysis
+class TestOneReadingPerObject:
+    def test_flags_metrics_beside_stats_or_status(self):
+        assert second_readings(
+            """
+            class Producer:
+                def metrics(self):
+                    return {}
+
+                def stats(self):
+                    return {}
+
+            class Session:
+                @property
+                def status(self):
+                    return {}
+
+                def metrics(self):
+                    return {}
+
+            class Cache:
+                def stats(self):
+                    return {}
+            """
+        ) == ["snippet.py:2 Producer", "snippet.py:9 Session"]
+
+    def test_src_has_no_second_readings(self):
+        found = []
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            found += second_readings(path.read_text(), str(path.relative_to(REPO_ROOT)))
+        assert found == [], "classes with metrics() and stats()/status():\n" + "\n".join(found)
+
+
+# ---------------------------------------------------------------------------
 # Regressions: real defects the analyzer found in src/
 # ---------------------------------------------------------------------------
 

@@ -329,9 +329,9 @@ class TestCacheConfig:
         producer = TensorProducer(small_loader(), address="inproc://cache-none")
         try:
             assert producer.cache is None
-            stats = producer.stats()
-            assert stats["cache"]["policy"] == "none"
-            assert stats["cache"]["hits"] == 0
+            metrics = producer.metrics()
+            assert metrics["repro.cache"]["policy"] == "none"
+            assert metrics["repro.cache"]["hits"] == 0
         finally:
             producer.join(timeout=0.1)
 
@@ -360,12 +360,12 @@ class TestCachedEpochs:
             thread.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
 
-        stats = session.stats()["producer"]
-        assert stats["batches_loaded"] == 6          # epoch 0 only
-        assert stats["payloads_published"] == 18     # 3 epochs broadcast
-        assert stats["cache"]["misses"] == 6
-        assert stats["cache"]["hits"] == 12
-        assert stats["cache"]["insertions"] == 6
+        metrics = session.metrics()
+        assert metrics["repro.producer.batches_loaded"] == 6  # epoch 0 only
+        assert metrics["repro.producer.publishes"] == 18  # 3 epochs broadcast
+        assert metrics["repro.cache"]["misses"] == 6
+        assert metrics["repro.cache"]["hits"] == 12
+        assert metrics["repro.cache"]["insertions"] == 6
         for seen in results.values():
             assert len(seen) == 18
             assert seen[:6] == seen[6:12] == seen[12:18]  # replay is identical
@@ -403,11 +403,11 @@ class TestCachedEpochs:
         for thread in threads:
             thread.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
-        stats = session.stats()["producer"]
+        metrics = session.metrics()
         # Epoch 0 loads all 6; epoch 1 hits the cached prefix of 3.
-        assert stats["batches_loaded"] == 9
-        assert stats["cache"]["hits"] == 3
-        assert stats["cache"]["rejected_inserts"] >= 3
+        assert metrics["repro.producer.batches_loaded"] == 9
+        assert metrics["repro.cache"]["hits"] == 3
+        assert metrics["repro.cache"]["rejected_inserts"] >= 3
         assert results["c0"][:6] == results["c0"][6:12]
         assert_drained(session)
         session.shutdown()
@@ -441,9 +441,9 @@ class TestCachedEpochs:
         for thread in threads:
             thread.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
-        stats = session.stats()["producer"]
-        assert stats["cache"]["hits"] >= 6  # 3 planned hits per repeat epoch
-        assert stats["batches_loaded"] < 18  # strictly better than no cache
+        metrics = session.metrics()
+        assert metrics["repro.cache"]["hits"] >= 6  # 3 planned hits per repeat epoch
+        assert metrics["repro.producer.batches_loaded"] < 18  # strictly better than no cache
         assert results["c0"][:6] == results["c0"][6:12] == results["c0"][12:18]
         assert_drained(session)
         session.shutdown()
@@ -501,9 +501,9 @@ class TestFlexibleCachedEpochs:
         for thread in threads:
             thread.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
-        stats = session.stats()["producer"]
-        assert stats["batches_loaded"] == 3     # 3 producer batches, epoch 0 only
-        assert stats["cache"]["hits"] == 6      # replayed twice
+        metrics = session.metrics()
+        assert metrics["repro.producer.batches_loaded"] == 3  # 3 producer batches, epoch 0 only
+        assert metrics["repro.cache"]["hits"] == 6  # replayed twice
         for seen in results.values():
             assert len(seen) == 18              # 6 slices per epoch per consumer
             assert seen[:6] == seen[6:12] == seen[12:18]
@@ -694,8 +694,8 @@ class TestCachedEpochSource:
             assert flattened == list(range(24))  # full coverage, no dupes
         # Cached-era epochs replay the filling epoch's composition exactly.
         assert epochs[1] == epochs[0] and epochs[2] == epochs[0]
-        stats = session.stats()["producer"]
-        assert stats["cache"]["hits"] >= 6
+        metrics = session.metrics()
+        assert metrics["repro.cache"]["hits"] >= 6
         assert_drained(session)
         session.shutdown()
 

@@ -485,14 +485,14 @@ class TestEveryFeedDeliversExactlyOnce:
             start=False,
         )
         results = run_session(session, max_epochs=3)
-        stats = session.stats()["producer"]
+        metrics = session.metrics()
         assert_drained(session.pool)
         session.shutdown()
         for epoch in range(3):
             assert sorted(results["c0"][epoch]) == list(range(24))
         # Epoch 0 stages all 6; epochs 1 and 2 hit the cached prefix of 3 and
         # reload 3 misses each through open_misses — uncollated, like epoch 0.
-        assert stats["cache"]["hits"] == 6
+        assert metrics["repro.cache"]["hits"] == 6
         assert fills == {"fill_batch": 12, "share_batch": 0}
 
     def test_an_evicted_hit_falls_back_to_an_in_place_load(self, fills):

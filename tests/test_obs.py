@@ -10,10 +10,12 @@ Covers the four surfaces ``repro.obs`` exposes:
   the ACK body), and ring bounding under sustained multi-threaded load;
 * stall attribution (phase seconds must account for the epoch wall);
 * the ``{address}/metrics`` Rep channel via :func:`repro.obs.fetch_metrics`,
-  and the deprecated legacy ``stats()`` views staying shape-compatible.
+  and ``metrics()`` as the one reading of producers and consumers, under the
+  registry's names.
 """
 
 import gc
+import importlib
 import io
 import json
 import multiprocessing
@@ -26,6 +28,7 @@ import repro
 from repro.core import ConsumerConfig, TensorProducer
 from repro.data import DataLoader, SyntheticImageDataset
 from repro.data.transforms import Compose, DecodeJpeg, Normalize, ToTensor
+from repro.messaging import InProcHub
 from repro.obs import RING, STAGES, SpanRing, record_span, span_complete
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import (
@@ -36,8 +39,7 @@ from repro.obs.metrics import (
     REGISTRY,
     set_enabled,
 )
-from repro.obs.naming import CONSUMER_KEYS, PRODUCER_KEYS, to_legacy
-from repro.obs.service import fetch_metrics
+from repro.obs.service import MetricsService, fetch_metrics, fetch_metrics_from_hub
 from repro.obs.stall import attribution
 
 
@@ -376,8 +378,8 @@ class TestMetricsService:
             assert "producer" in reply["stall"] and "consumer" in reply["stall"]
             assert len(reply["spans"]) <= 8
             assert reply["origin"]["pid"] == os.getpid()
-            # The embedded legacy stats() view rides along for dashboards.
-            assert reply["stats"]["producer"]["role"] == "producer"
+            # The session's own metrics() rides along for dashboards.
+            assert reply["stats"]["repro.producer.publishes"] >= 6
 
             prom = fetch_metrics(session.address, body={"op": "prometheus"})
             assert prom["ok"] is True
@@ -385,19 +387,67 @@ class TestMetricsService:
         finally:
             session.shutdown()
 
+    def test_a_failing_object_reading_is_counted(self):
+        def broken():
+            raise RuntimeError("mid-teardown")
+
+        hub = InProcHub()
+        service = MetricsService(hub, "obs-broken", stats_fn=broken)
+        errors = REGISTRY.counter("repro.services.errors")
+        before = errors.value()
+        try:
+            reply = fetch_metrics_from_hub(hub, "obs-broken")
+        finally:
+            service.stop()
+        assert reply["ok"] is True and "stats" not in reply
+        assert errors.value() == before + 1
+
 
 # ---------------------------------------------------------------------------
-# legacy stats() views stay shape-compatible
+# one vocabulary: metrics() under the registry's names, no legacy views
 # ---------------------------------------------------------------------------
+
+#: Every key a producer's and a plain consumer's ``metrics()`` answer.
+PRODUCER_METRICS = {
+    "repro.producer.epoch",
+    "repro.producer.epochs_completed",
+    "repro.producer.batches_loaded",
+    "repro.producer.publishes",
+    "repro.producer.pending_batches",
+    "repro.producer.consumers",
+    "repro.producer.consumer_drops",
+    "repro.pool.bytes_in_flight",
+    "repro.pool.cached_bytes",
+    "repro.pool.peak_bytes",
+    "repro.pool.free_bytes",
+    "repro.pool.segment_reuse_hits",
+    "repro.pool.segment_reuse_misses",
+    "repro.pool.mmap_total",
+    "repro.cache",
+}
+CONSUMER_METRICS = {
+    "repro.consumer.id",
+    "repro.consumer.batches",
+    "repro.consumer.samples",
+    "repro.consumer.epochs",
+    "repro.consumer.duplicates",
+    "repro.consumer.buffered",
+    "repro.consumer.admitted_epoch",
+    "repro.consumer.mailbox_overflows",
+    "repro.pool.attach_cache_hits",
+    "repro.pool.attach_opens",
+}
 
 
 class TestLegacyStatsViews:
     def test_to_legacy_projects_and_tags_role(self):
-        canonical = {"repro.producer.publishes": 5, "repro.pool.peak_bytes": 9}
-        legacy = to_legacy(canonical, PRODUCER_KEYS, role="producer")
-        assert legacy == {"role": "producer", "payloads_published": 5, "peak_bytes": 9}
+        """The projection onto the old key names is gone, not deprecated."""
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.obs.naming")
+        assert not hasattr(repro.obs, "naming")
 
     def test_producer_and_consumer_stats_keep_legacy_keys(self):
+        """Producer and consumer answer one reading, keyed by the pinned table."""
         session = repro.serve(
             tiny_loader(), address="inproc://obs-legacy", epochs=1, start=False
         )
@@ -408,20 +458,23 @@ class TestLegacyStatsViews:
             try:
                 session.start()
                 assert sum(1 for _ in consumer) == 6
-                producer_stats = session.producer.stats()
-                consumer_stats = consumer.stats()
+                producer_metrics = session.producer.metrics()
+                consumer_metrics = consumer.metrics()
             finally:
                 consumer.close()
         finally:
             session.shutdown()
-        assert set(producer_stats) == {"role", *PRODUCER_KEYS.values()}
-        assert producer_stats["role"] == "producer"
-        assert producer_stats["payloads_published"] == 6
-        assert set(consumer_stats) == {"role", *CONSUMER_KEYS.values()}
-        assert consumer_stats["role"] == "consumer"
-        assert consumer_stats["batches_consumed"] == 6
+        for table in (PRODUCER_METRICS, CONSUMER_METRICS):
+            assert all(key.startswith("repro.") for key in table)
+        assert set(producer_metrics) == PRODUCER_METRICS
+        assert producer_metrics["repro.producer.publishes"] == 6
+        assert set(consumer_metrics) == CONSUMER_METRICS
+        assert consumer_metrics["repro.consumer.batches"] == 6
+        for obj in (session, session.producer, consumer):
+            assert not hasattr(obj, "stats") and not hasattr(obj, "status")
 
     def test_group_consumer_stats_keep_legacy_keys(self):
+        """A sharded address reads like a plain one, plus the group's keys."""
         session = repro.serve(
             tiny_loader(size=24, batch_size=2),
             address="inproc://obs-legacy-group",
@@ -432,24 +485,27 @@ class TestLegacyStatsViews:
         try:
             group = session.consumer(ConsumerConfig(receive_timeout=20))
             try:
-                stats = group.stats()
+                session.start()
+                assert sum(1 for _ in group) == 12
+                metrics = group.metrics()
             finally:
                 group.close()
         finally:
             session.shutdown()
-        assert set(stats) == {
-            "role",
-            "consumer_id",
-            "interleave",
-            "shards",
-            "batches_consumed",
-            "samples_consumed",
-            "duplicates_dropped",
-            "members",
+        assert not hasattr(group, "stats")
+        assert set(metrics) == CONSUMER_METRICS | {
+            "repro.group.interleave",
+            "repro.group.shards",
+            "repro.group.members",
         }
-        assert stats["role"] == "group-consumer"
-        assert stats["shards"] == 2
-        assert [m["role"] for m in stats["members"]] == ["consumer", "consumer"]
+        assert metrics["repro.group.shards"] == 2
+        members = metrics["repro.group.members"]
+        assert [set(row) for row in members] == [CONSUMER_METRICS] * 2
+        assert metrics["repro.consumer.batches"] == 12
+        assert metrics["repro.consumer.batches"] == sum(
+            row["repro.consumer.batches"] for row in members
+        )
+        assert metrics["repro.consumer.epochs"] == 1
 
 
 # ---------------------------------------------------------------------------

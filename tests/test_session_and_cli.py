@@ -104,7 +104,7 @@ class TestRubberbandCatchUp:
         session.shutdown()
         policy = session.producer.rubberband
         assert policy.joins_immediate + policy.joins_caught_up + policy.joins_deferred >= 1
-        assert session.producer.status()["pending_batches"] == 0
+        assert session.producer.metrics()["repro.producer.pending_batches"] == 0
 
 
 class TestExperimentsCli:

@@ -167,12 +167,21 @@ class TestKeptConsumers:
                 with session._lock:
                     assert len(session._consumers) == 1
             # Closed but not yet replaced: still reported.
-            rows = session.stats()["consumers"]
-            assert [row["consumer_id"] for row in rows] == ["c49"]
+            rows = session.metrics()["repro.session.consumers"]
+            assert [row["repro.consumer.id"] for row in rows] == ["c49"]
             survivor = session.consumer(ConsumerConfig(consumer_id="survivor"))
-            rows = session.stats()["consumers"]
-            assert [row["consumer_id"] for row in rows] == ["survivor"]
+            rows = session.metrics()["repro.session.consumers"]
+            assert [row["repro.consumer.id"] for row in rows] == ["survivor"]
             survivor.close()
+            # All 51 said BYE to every member; the session sums the reasons.
+            deadline = time.monotonic() + 10.0
+            expected = {"bye": 51 * shards}
+            while (
+                session.metrics()["repro.producer.consumer_drops"] != expected
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert session.metrics()["repro.producer.consumer_drops"] == expected
         finally:
             session.shutdown()
 

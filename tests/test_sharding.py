@@ -310,13 +310,13 @@ class TestMemberChurn:
         # must have returned every hold on their own.
         deadline = time.time() + 10
         while time.time() < deadline and (
-            session.stats()["producer"]["bytes_in_flight"]
-            or session.stats()["producer"]["cached_bytes"]
+            session.metrics()["repro.pool.bytes_in_flight"]
+            or session.metrics()["repro.pool.cached_bytes"]
         ):
             time.sleep(0.01)
-        stats = session.stats()
-        assert stats["producer"]["bytes_in_flight"] == 0
-        assert stats["producer"]["cached_bytes"] == 0
+        metrics = session.metrics()
+        assert metrics["repro.pool.bytes_in_flight"] == 0
+        assert metrics["repro.pool.cached_bytes"] == 0
         session.shutdown()
         assert session.pool.live_segments == 0
 
@@ -397,12 +397,12 @@ class TestCacheOnShards:
         assert len(seen) == 72
         for epoch in range(3):
             assert sorted(seen[epoch * 24:(epoch + 1) * 24]) == list(range(24))
-        stats = session.stats()
+        metrics = session.metrics()
         # Epoch 0 loaded 6 batches (3 per member); epochs 1-2 were pure
         # cache hits republished from each member's shard cache.
-        assert stats["producer"]["batches_loaded"] == 6
-        assert stats["producer"]["cache"]["hits"] == 12
-        assert stats["producer"]["cached_bytes"] == 0  # cleared at shutdown
+        assert metrics["repro.producer.batches_loaded"] == 6
+        assert metrics["repro.cache"]["hits"] == 12
+        assert metrics["repro.pool.cached_bytes"] == 0  # cleared at shutdown
         assert session.pool.live_segments == 0
 
     def test_cache_budget_is_divided_across_members(self):
@@ -455,20 +455,18 @@ class TestGroupSessionSurface:
         consumer = repro.attach("inproc://stats", max_epochs=1)
         session.start()
         consume_flat(consumer)
-        stats = session.stats()
+        metrics = session.metrics()
         try:
-            assert stats["shards"] == 3
-            assert [row["shard"] for row in stats["members"]] == [0, 1, 2]
-            assert all(row["role"] == "producer" for row in stats["members"])
-            total = sum(row["payloads_published"] for row in stats["members"])
-            assert stats["producer"]["payloads_published"] == total
-            assert stats["producer"]["role"] == "producer-group"
-            group_stats = stats["consumers"][0]
-            assert group_stats["role"] == "group-consumer"
-            assert group_stats["shards"] == 3
-            assert len(group_stats["members"]) == 3
-            assert group_stats["batches_consumed"] == sum(
-                row["batches_consumed"] for row in group_stats["members"]
+            assert metrics["repro.group.shards"] == 3
+            members = metrics["repro.group.members"]
+            assert len(members) == 3
+            total = sum(row["repro.producer.publishes"] for row in members)
+            assert metrics["repro.producer.publishes"] == total
+            (group,) = metrics["repro.session.consumers"]
+            assert group["repro.group.shards"] == 3
+            assert len(group["repro.group.members"]) == 3
+            assert group["repro.consumer.batches"] == sum(
+                row["repro.consumer.batches"] for row in group["repro.group.members"]
             )
         finally:
             session.shutdown()

@@ -250,6 +250,7 @@ class TestDeadlinesWakeTheProducer:
         # Registered, holding a full buffer, and never heard from again.
         wait_for(lambda: "silent" not in producer.consumers)
         assert HEARTBEAT_DETACHES.value() == detaches + 1
+        assert producer.metrics()["repro.producer.consumer_drops"] == {"heartbeat timeout": 1}
         assert producer.ledger.pending_batches == 0
         assert producer.pool.bytes_in_flight == 0
         producer.stop()
@@ -270,6 +271,7 @@ class TestDeadlinesWakeTheProducer:
         # Four heartbeat timeouts, not one: it was alive, just not acking.
         assert time.monotonic() - registered >= 0.8
         assert HEARTBEAT_DETACHES.value() == detaches
+        assert producer.metrics()["repro.producer.consumer_drops"] == {"ack timeout": 1}
         assert producer.pool.bytes_in_flight == 0
         producer.stop()
         thread.join(timeout=5.0)
@@ -358,6 +360,7 @@ class TestPauseConditionsResolve:
         early.send(MessageKind.BYE, token="early")
         # SkipEpoch: epoch 0 is abandoned and epoch 1 starts for the newcomer.
         assert late.next_batch().key() == (1, 0)
+        assert producer.metrics()["repro.producer.consumer_drops"] == {"bye": 1}
         late.send(MessageKind.BYE, token="late")
         producer.stop()
         assert joined.wait(5.0)
