@@ -7,6 +7,10 @@ training processes with zero-copy batch handles.  The policy pieces the
 protocol is built from are exposed separately because the simulated
 experiments and the baselines reuse them:
 
+* :class:`~repro.core.protocol.ProducerProtocol` — every producer-side
+  protocol decision (admission, rubberband catch-up, acks, the heartbeat and
+  ack-progress deadlines, flow control, epoch turnover) over one table of
+  peers, with no I/O: the producer is its driver.
 * :class:`~repro.core.ack_ledger.AckLedger` — which consumer still owes an
   acknowledgement for which batch, and when a batch's memory can be released.
 * :class:`~repro.core.batch_buffer.BatchBuffer` — the consumer-side bounded
@@ -15,7 +19,7 @@ experiments and the baselines reuse them:
   collation, per-consumer slicing, offsets, shuffling and repetition
   accounting (paper Section 3.2.6/3.2.7 and Figure 5).
 * :class:`~repro.core.rubberband.RubberbandPolicy` — the join window at the
-  start of an epoch (Section 3.2.5).
+  start of an epoch and its admission rule (Section 3.2.5).
 * :class:`~repro.core.producer.TensorProducer` /
   :class:`~repro.core.consumer.TensorConsumer` — the runnable, threaded /
   multi-process implementation used by the examples and integration tests.
@@ -39,12 +43,14 @@ from repro.core.group import GroupConsumer
 from repro.core.manifest import MANIFEST_SCHEMA_VERSION, SessionManifest
 from repro.core.pipeline import StagedItem, StagePipeline
 from repro.core.producer import TensorProducer
+from repro.core.protocol import ProducerProtocol
 from repro.core.rubberband import JoinDecision, RubberbandPolicy
 from repro.core.session import SharedLoaderSession
 
 __all__ = [
     "ProducerConfig",
     "ConsumerConfig",
+    "ProducerProtocol",
     "AckLedger",
     "BatchRecord",
     "BatchBuffer",

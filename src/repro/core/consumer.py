@@ -356,6 +356,17 @@ class TensorConsumer:
         if message.kind is MessageKind.SHUTDOWN:
             self._shutdown = True
             raise _ShutdownReceived()
+        if message.kind is MessageKind.BYE:
+            # The producer dropped this consumer (no acks, or silence):
+            # nothing sent from here on is paced for it.
+            body = message.body or {}
+            mine = body.get("consumer_id") == self.consumer_id
+            if mine and body.get("token") in (None, self._token):
+                raise MessagingError(
+                    f"consumer {self.consumer_id!r} was detached by the producer: "
+                    f"{body.get('reason')}"
+                )
+            return None
         if message.kind is MessageKind.EPOCH_END:
             body = message.body or {}
             epoch = int(body.get("epoch", 0))

@@ -3,10 +3,14 @@
 The producer is the *connection and flow-control shell* around an
 :class:`~repro.core.epoch_runner.EpochRunner`.  The runner owns the nested
 loader, the staging pipeline, flexible batching and the epoch cache; the
-producer implements the paper's connection mechanisms — consumer registration
-and heartbeats, flow control through the consumer batch buffer, rubberbanding
-for late joiners, and the acknowledgement ledger that releases shared memory
-once every consumer has acknowledged a batch (Figure 4, steps 3 and 6).
+paper's connection mechanisms — consumer registration and heartbeats, flow
+control through the consumer batch buffer, rubberbanding for late joiners,
+and the acknowledgement ledger that releases shared memory once every
+consumer has acknowledged a batch (Figure 4, steps 3 and 6) — are decided by
+a :class:`~repro.core.protocol.ProducerProtocol`.  The producer is that
+core's driver: it reads the clock, feeds the core what arrives on the control
+inbox, and does the socket sends and pool ``retain``/``release`` for the
+names the core returns.
 
 It is exposed as an iterator over the nested loader, exactly like the paper's
 ``producer.py`` example::
@@ -27,17 +31,15 @@ import dataclasses
 import math
 import time
 import uuid
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.cache import BatchCache, CachePolicy, CacheStats
-from repro.core.ack_ledger import AckLedger
 from repro.core.config import ProducerConfig
 from repro.core.epoch_runner import EpochRunner, SkipEpoch
-from repro.core.rubberband import JoinDecision, RubberbandPolicy
+from repro.core.protocol import PUBLISH, SKIP_EPOCH, Dropped, Peer, ProducerProtocol, Replay
+from repro.core.rubberband import RubberbandPolicy
 from repro.messaging import endpoint as endpoints
 from repro.messaging.errors import EndpointClosedError, MessagingError, TimeoutError_
-from repro.messaging.heartbeat import HeartbeatMonitor
 from repro.messaging.message import Message, MessageKind
 from repro.messaging.sockets import PubSocket, PullSocket, PushSocket
 from repro.messaging.transport import InProcHub
@@ -57,23 +59,8 @@ _EPOCH_SECONDS = histogram("repro.producer.epoch_seconds")
 _EPOCH_TURNAROUND_SECONDS = histogram("repro.producer.epoch_turnaround_seconds")
 _SPAN_SECONDS = histogram("repro.producer.batch_span_seconds")
 _CONSUMER_DROPS = counter("repro.producer.consumer_drops")
-
-
-@dataclass
-class ConsumerState:
-    """What the producer knows about one registered consumer."""
-
-    consumer_id: str
-    batch_size: Optional[int] = None
-    buffer_size: int = 2
-    active: bool = True
-    admitted_epoch: int = 0
-    joined_at: float = field(default_factory=time.monotonic)
-    batches_sent: int = 0
-    #: Registration token from the consumer's HELLO; lets the producer tell a
-    #: retry of the same consumer apart from a different consumer trying to
-    #: squat on an id that is already registered.
-    token: Optional[str] = None
+_BEATS_RECEIVED = counter("repro.heartbeat.received")
+_DETACHES = counter("repro.heartbeat.detaches")
 
 
 class TensorProducer:
@@ -120,26 +107,22 @@ class TensorProducer:
 
             self._pub = PubSocket(self.hub, self.config.data_address, identity=self.identity)
             self._control = PullSocket(self.hub, self.config.control_address, identity=self.identity)
-            self._heartbeats = HeartbeatMonitor(detach_timeout=self.config.heartbeat_timeout)
-            self.ledger = AckLedger()
             self.rubberband = RubberbandPolicy(self.config.rubberband_fraction)
             try:
                 self.rubberband.set_epoch_length(len(data_loader))
             except TypeError:
                 pass
+            self.protocol = ProducerProtocol(self.config, self.rubberband)
+            self.ledger = self.protocol.ledger
         except BaseException:
             # A failure after the bind must not leave the address registered
             # (or the tcp:// broker running) with no owner to release it.
             self.close_endpoint()
             raise
 
-        self._consumers: Dict[str, ConsumerState] = {}
-        self.epoch = 0
         #: stop() calls so far: any ends the loading, one during join() its drain.
         self._stops = 0
         self._shutdown_sent = False
-        # Rubberband replay window: producer holds keyed by per-epoch index.
-        self._window_cache: Dict[int, BatchPayload] = {}
 
         self.runner = EpochRunner(
             data_loader,
@@ -151,9 +134,6 @@ class TensorProducer:
         )
 
         self.payloads_published = 0
-        self.epochs_completed = 0
-        #: Consumers dropped so far, by reason ("bye", "heartbeat timeout", ...).
-        self._drops: Dict[str, int] = {}
         #: ``(epoch, when its send returned)`` of the latest publish.
         self._last_publish: Optional[Tuple[int, float]] = None
 
@@ -164,145 +144,66 @@ class TensorProducer:
         return self.config.address
 
     @property
-    def consumers(self) -> Dict[str, ConsumerState]:
-        return dict(self._consumers)
+    def epoch(self) -> int:
+        return self.protocol.epoch
+
+    @property
+    def epochs_completed(self) -> int:
+        """Epochs finished so far (every finished epoch advances ``epoch``)."""
+        return self.protocol.epoch
+
+    # Other threads (the services worker, sessions) read the peer table
+    # through one-call ``tuple(...)`` snapshots, never by iterating it live.
+    @property
+    def consumers(self) -> Dict[str, Peer]:
+        return {peer.consumer_id: peer for peer in tuple(self.protocol.peers.values())}
 
     @property
     def batches_loaded(self) -> int:
         """Total batches the runner has staged (producer-lifetime counter)."""
         return self.runner.batches_loaded
 
-    @property
-    def _batches_published_this_epoch(self) -> int:
-        return self.runner.batches_published_this_epoch
-
     def active_consumer_ids(self) -> List[str]:
-        return [c.consumer_id for c in self._consumers.values() if c.active]
+        return [peer.consumer_id for peer in tuple(self.protocol.peers.values()) if peer.active]
 
-    def _register_consumer(self, body: Mapping) -> None:
-        consumer_id = body["consumer_id"]
-        token = body.get("token")
-        existing = self._consumers.get(consumer_id)
-        if existing is not None:
-            if existing.token != token:
-                # A *different* consumer squatting on a live id would corrupt
-                # the ack ledger (two parties acknowledging under one key):
-                # reject on its personal topic; the rightful owner filters
-                # the reply out by token.
-                self._pub.send(
-                    MessageKind.REPLY,
-                    body={
-                        "consumer_id": consumer_id,
-                        "token": token,
-                        "error": (
-                            f"consumer_id {consumer_id!r} is already registered with "
-                            f"this producer; choose a unique consumer_id"
-                        ),
-                    },
-                    topic=f"consumer/{consumer_id}",
-                )
-                return
-            # A HELLO retry: re-announce without re-running the join decision.
-            self._heartbeats.beat(consumer_id)
-            self._pub.send(
-                MessageKind.REPLY,
-                body={
-                    "consumer_id": consumer_id,
-                    "token": token,
-                    "admitted_epoch": existing.admitted_epoch,
-                    "decision": "already-registered",
-                    "flexible_batching": self.config.flexible_batching,
-                },
-                topic=f"consumer/{consumer_id}",
-            )
-            return
-        state = ConsumerState(
-            consumer_id=consumer_id,
-            batch_size=body.get("batch_size"),
-            buffer_size=int(body.get("buffer_size", self.config.buffer_size)),
-            token=token,
-        )
-        published = self._batches_published_this_epoch
-        decision = self.rubberband.decide(consumer_id, published) \
-            if self.rubberband.batches_per_epoch is not None else (
-                JoinDecision.IMMEDIATE if published == 0
-                else JoinDecision.WAIT_FOR_NEXT_EPOCH
-            )
+    def _admit(self, body: Mapping, now: float) -> None:
+        reply, replays = self.protocol.hello(body, now, self.runner.batches_published_this_epoch)
+        if "error" not in reply:
+            _BEATS_RECEIVED.inc()
+        # Tell the consumer which epoch it starts in (or why it may not).
+        self._pub.send(MessageKind.REPLY, body=reply, topic=f"consumer/{reply['consumer_id']}")
+        self._send_replays(reply["consumer_id"], replays)
 
-        if decision is JoinDecision.WAIT_FOR_NEXT_EPOCH:
-            state.active = False
-            state.admitted_epoch = self.epoch + 1
-        else:
-            state.active = True
-            state.admitted_epoch = self.epoch
-        self._consumers[consumer_id] = state
-        self._heartbeats.beat(consumer_id)
-
-        # Tell the consumer which epoch it starts in.
-        self._pub.send(
-            MessageKind.REPLY,
-            body={
-                "consumer_id": consumer_id,
-                "token": token,
-                "admitted_epoch": state.admitted_epoch,
-                "decision": str(decision),
-                "flexible_batching": self.config.flexible_batching,
-            },
-            topic=f"consumer/{consumer_id}",
-        )
-
-        if decision is JoinDecision.CATCH_UP:
-            self._replay_window(state)
-
-    def _replay_window(self, state: ConsumerState) -> None:
-        """Send the batches a rubberbanded consumer missed (personal topic).
-
-        A hold is taken only when the consumer is genuinely *added* as a
-        waiter for the batch; if it already owes an ack for this key the
-        message is re-sent (the consumer dedupes) but retaining again would
-        leak — the duplicate ack never releases the extra hold.
-        """
-        for index in sorted(self._window_cache):
-            payload = self._window_cache[index]
-            key = payload.key()
-            record = self.ledger.record_for(key)
-            if record is None:
+    def _send_replays(self, consumer_id: str, replays: List[Replay]) -> None:
+        """Send a rubberbanded consumer the batches it missed (personal topic),
+        holding the segments once more where the core took a new waiter."""
+        for payload, hold in replays:
+            if hold:
                 for name in payload.segment_names:
                     self.pool.retain(name)
-                self.ledger.publish(
-                    key,
-                    [state.consumer_id],
-                    segment_names=payload.segment_names,
-                    nbytes=payload.tensor_nbytes,
-                )
-            elif state.consumer_id not in record.waiting_on:
-                for name in payload.segment_names:
-                    self.pool.retain(name)
-                self.ledger.add_waiter(key, state.consumer_id)
-            self._pub.send(MessageKind.BATCH, body=payload, topic=f"consumer/{state.consumer_id}")
-            state.batches_sent += 1
-            self.rubberband.record_replayed(state.consumer_id, 0)  # tracked via acks
+            self._pub.send(MessageKind.BATCH, body=payload, topic=f"consumer/{consumer_id}")
 
-    def _drop_consumer(self, consumer_id: str, *, reason: str) -> None:
-        state = self._consumers.pop(consumer_id, None)
-        if state is None:
-            return
-        _CONSUMER_DROPS.inc()
-        self._drops[reason] = self._drops.get(reason, 0) + 1
-        # Release the holds of every batch the consumer still owed an ack for.
-        for key in list(self.ledger.pending_keys()):
-            record = self.ledger.record_for(key)
-            if record is not None and consumer_id in record.waiting_on:
-                for name in record.segment_names:
-                    self.pool.release_if_present(name)
-        self.ledger.drop_consumer(consumer_id)
-        self.rubberband.abandon(consumer_id)
-        self._heartbeats.forget(consumer_id)
+    def _apply_drops(self, dropped: Iterable[Dropped]) -> None:
+        for consumer_id, reason, releases, notice in dropped:
+            _CONSUMER_DROPS.inc()
+            if reason == "heartbeat timeout":
+                _DETACHES.inc()
+            self._release(releases)
+            if notice is not None:
+                # It may still be iterating: told, its next step fails with
+                # the reason instead of overrunning its buffer with
+                # broadcasts it is no longer paced for.
+                self._pub.send(MessageKind.BYE, body=notice, topic=f"consumer/{consumer_id}")
+
+    def _release(self, names: Iterable[str]) -> None:
+        for name in names:
+            self.pool.release_if_present(name)
 
     # ------------------------------------------------------------------ control plane
-    def _process_control(self, wait_until: Optional[float] = None) -> None:
+    def _process_control(self, wait_until: Optional[float] = None) -> float:
         """Drain the control socket (registrations, acks, byes, heartbeats),
         then detach whoever has been silent past the heartbeat timeout.
+        Returns the clock reading the messages were handled at.
 
         With ``wait_until`` (a ``time.monotonic`` reading, ``math.inf`` for no
         deadline of the caller's) and nothing queued, first block until a
@@ -311,7 +212,7 @@ class TensorProducer:
         """
         message = self._control.try_recv()
         if message is None and wait_until is not None:
-            timeout = min(wait_until, self._heartbeats.next_expiry) - time.monotonic()
+            timeout = min(wait_until, self.protocol.next_expiry) - time.monotonic()
             try:
                 message = self._control.recv(
                     timeout=None if timeout == math.inf else max(0.0, timeout)
@@ -320,35 +221,30 @@ class TensorProducer:
                 pass  # a deadline passed; the caller's loop finds out which
             except EndpointClosedError:
                 self.stop()
+        now = time.monotonic()
         while message is not None:
-            self._handle_control_message(message)
+            self._handle_control_message(message, now)
             message = self._control.try_recv()
-        if time.monotonic() >= self._heartbeats.next_expiry:
-            for consumer_id in self._heartbeats.sweep():
-                self._drop_consumer(consumer_id, reason="heartbeat timeout")
+        if now >= self.protocol.next_expiry:
+            self._apply_drops(self.protocol.expire(now))
+        return now
 
-    def _handle_control_message(self, message: Message) -> None:
+    def _handle_control_message(self, message: Message, now: float) -> None:
         body = message.body or {}
         consumer_id = body.get("consumer_id", message.sender)
-        # Only registered consumers count as live peers (an unconditional beat
-        # would track rejected duplicate-id HELLOs and stray senders forever).
-        if message.kind is not MessageKind.HELLO and consumer_id in self._consumers:
-            self._heartbeats.beat(consumer_id)
         if message.kind is MessageKind.HELLO:
-            self._register_consumer(body)
-        elif message.kind is MessageKind.ACK:
+            self._admit(body, now)
+            return
+        if self.protocol.beat(consumer_id, now):
+            _BEATS_RECEIVED.inc()
+        if message.kind is MessageKind.ACK:
             self._handle_ack(
                 consumer_id,
                 (int(body["epoch"]), int(body["batch_index"])),
                 trace=body.get("trace"),
             )
         elif message.kind is MessageKind.BYE:
-            # A rejected duplicate also says BYE when it closes; its token
-            # mismatch must not drop the rightful owner on its behalf.
-            state = self._consumers.get(consumer_id)
-            token = body.get("token")
-            if state is None or token is None or state.token == token:
-                self._drop_consumer(consumer_id, reason="bye")
+            self._apply_drops(self.protocol.bye(consumer_id, body.get("token")))
         # HEARTBEAT: the beat above is all.  SHUTDOWN: stop()'s wake-up, done by arriving.
 
     def _handle_ack(
@@ -372,15 +268,8 @@ class TensorProducer:
             )
             if "sampled" in trace and "acked" in trace:
                 _SPAN_SECONDS.observe(float(trace["acked"]) - float(trace["sampled"]))
-        record = self.ledger.record_for(key)
-        if record is None or consumer_id not in record.waiting_on:
-            self.ledger.acknowledge(consumer_id, key)  # counts the duplicate
-            return
-        for name in record.segment_names:
+        for name in self.protocol.ack(consumer_id, key):
             self.pool.release_if_present(name)
-        self.ledger.acknowledge(consumer_id, key)
-        if self.rubberband.catch_up_for(consumer_id) is not None:
-            self.rubberband.record_replayed(consumer_id, 1)
 
     # ------------------------------------------------------------------ epoch-host interface
     # The EpochRunner drives epochs through exactly these members (see
@@ -391,11 +280,8 @@ class TensorProducer:
         return self._stops > 0
 
     def wait_for_capacity(self) -> None:
-        """Block until every active consumer can take another batch.
-
-        Also enforces the paper's pause conditions: no consumers → no
-        loading; a rubberbanded consumer catching up → publishing halts.
-        """
+        """Block until every active consumer can take another batch (the
+        core's :meth:`~repro.core.protocol.ProducerProtocol.capacity`)."""
         started = time.monotonic()
         try:
             self._wait_for_capacity()
@@ -403,45 +289,17 @@ class TensorProducer:
             _CAPACITY_WAIT_SECONDS.inc(time.monotonic() - started)
 
     def _wait_for_capacity(self) -> None:
-        deadline = time.monotonic() + self.config.heartbeat_timeout * 4
         while not self.stopped:
-            self._process_control()
-            active = self.active_consumer_ids()
-            waiting = [c for c in self._consumers.values() if not c.active]
-
-            if not active:
-                if not self.config.wait_for_consumers:
-                    return
-                if waiting and self._batches_published_this_epoch > 0:
-                    # Everyone left mid-epoch and a newcomer is parked for
-                    # the next epoch: abandon this epoch so it can start.
-                    raise SkipEpoch()
-                self._process_control(wait_until=math.inf)
-                deadline = time.monotonic() + self.config.heartbeat_timeout * 4
-                continue
-
-            buffer_limit = min(
-                [self.config.buffer_size]
-                + [state.buffer_size for state in self._consumers.values() if state.active]
-            )
-            capacity_ok = self.ledger.all_have_capacity(active, buffer_limit)
-            inflight_cap = self.config.max_inflight_batches
-            if inflight_cap is not None and self.ledger.pending_batches >= inflight_cap:
-                # Total-footprint bound: even with room in every consumer's
-                # buffer, the producer holds publishing until acks drain the
-                # ledger below the cap (keeps one dataset's shared-memory use
-                # bounded when it shares a pool with other tenants).
-                capacity_ok = False
-            if capacity_ok and not self.rubberband.halting:
+            now = self._process_control()
+            verdict, dropped = self.protocol.capacity(now, self.runner.batches_published_this_epoch)
+            if verdict == PUBLISH:
                 return
-            if time.monotonic() > deadline:
-                # A consumer stopped acknowledging but still heartbeats:
-                # detach the slowest rather than wedging the shared loader.
-                for consumer_id in self.ledger.slowest_consumers(active):
-                    self._drop_consumer(consumer_id, reason="ack timeout")
-                deadline = time.monotonic() + self.config.heartbeat_timeout * 4
+            if verdict == SKIP_EPOCH:
+                raise SkipEpoch()
+            if dropped:
+                self._apply_drops(dropped)
                 continue
-            self._process_control(wait_until=deadline)
+            self._process_control(wait_until=self.protocol.ack_deadline)
 
     def publish(
         self, payload: BatchPayload, consumers: List[str], *, topic: str = "broadcast"
@@ -468,10 +326,6 @@ class TensorProducer:
             # Stamped before the send so the stamp travels with the payload.
             trace["published"] = time.monotonic()
         self._pub.send(MessageKind.BATCH, body=payload, topic=topic)
-        for consumer_id in consumers:
-            state = self._consumers.get(consumer_id)
-            if state is not None:
-                state.batches_sent += 1
         self.payloads_published += 1
         _PUBLISHES.inc()
         finished = time.monotonic()
@@ -479,43 +333,26 @@ class TensorProducer:
         _PUBLISH_SECONDS.inc(finished - started)
 
     def retain_for_window(self, payload: BatchPayload, batch_index: int) -> bool:
-        """Keep the first few batches of an epoch alive for rubberband joiners.
-
-        The latest joiner still admitted (strict "before 2%") has missed at
-        most batch ``window - 2``; caching more would pin memory for nothing.
-        """
-        try:
-            window = self.rubberband.window_batches
-        except ValueError:
-            window = 0
-        if self.config.rubberband_fraction > 0 and batch_index + 1 < window:
-            self._window_cache[batch_index] = payload
-            return True
-        return False
+        """Offer the payload to the rubberband replay window (the core's
+        :meth:`~repro.core.protocol.ProducerProtocol.keep`)."""
+        return self.protocol.keep(payload, batch_index)
 
     def batch_size_for(self, consumer_id: str) -> Optional[int]:
-        state = self._consumers.get(consumer_id)
-        return state.batch_size if state is not None else None
+        peer = self.protocol.peers.get(consumer_id)
+        return peer.batch_size if peer is not None else None
 
     def consumer_batch_sizes(self) -> Dict[str, int]:
         return {
-            state.consumer_id: int(state.batch_size)
-            for state in self._consumers.values()
-            if state.active and state.batch_size
+            peer.consumer_id: int(peer.batch_size)
+            for peer in tuple(self.protocol.peers.values())
+            if peer.active and peer.batch_size
         }
-
-    def _clear_window_cache(self) -> None:
-        for payload in self._window_cache.values():
-            for name in payload.segment_names:
-                self.pool.release_if_present(name)
-        self._window_cache.clear()
 
     # ------------------------------------------------------------------ top-level iteration
     def __iter__(self) -> Iterator[int]:
         epoch_limit = self.config.epochs
         while not self.stopped and (epoch_limit is None or self.epoch < epoch_limit):
             self.runner.begin_epoch(self.epoch)
-            self._window_cache.clear()
             epoch_started = time.monotonic()
             try:
                 for progress in self.runner.run(self.epoch):
@@ -528,19 +365,12 @@ class TensorProducer:
 
     def _finish_epoch(self) -> None:
         finished_epoch = self.epoch
-        self._clear_window_cache()
+        self._release(self.protocol.end_epoch())
         self._pub.send(
             MessageKind.EPOCH_END,
-            body={"epoch": finished_epoch, "batches": self._batches_published_this_epoch},
+            body={"epoch": finished_epoch, "batches": self.runner.batches_published_this_epoch},
             topic="broadcast",
         )
-        self.epoch += 1
-        self.epochs_completed += 1
-        self.rubberband.reset_for_new_epoch()
-        # Waiting consumers become active at the boundary (Figure 6).
-        for state in self._consumers.values():
-            if not state.active and state.admitted_epoch <= self.epoch:
-                state.active = True
 
     # ------------------------------------------------------------------ shutdown
     def stop(self) -> None:
@@ -567,16 +397,7 @@ class TensorProducer:
         if not self._shutdown_sent:
             self._pub.send(MessageKind.SHUTDOWN, body={"epochs": self.epoch}, topic="broadcast")
             self._shutdown_sent = True
-        # Whatever is still pending belongs to consumers that vanished; free it.
-        for key in list(self.ledger.pending_keys()):
-            record = self.ledger.record_for(key)
-            if record is None:
-                continue
-            for consumer_id in list(record.waiting_on):
-                for name in record.segment_names:
-                    self.pool.release_if_present(name)
-                self.ledger.acknowledge(consumer_id, key)
-        self._clear_window_cache()
+        self._release(self.protocol.drain())
         # Cache holds are distinct from in-flight holds; release them last so
         # both buckets read zero after join() on every exit path.
         if self.cache is not None:
@@ -611,8 +432,8 @@ class TensorProducer:
             "repro.producer.batches_loaded": self.batches_loaded,
             "repro.producer.publishes": self.payloads_published,
             "repro.producer.pending_batches": self.ledger.pending_batches,
-            "repro.producer.consumers": len(self._consumers),
-            "repro.producer.consumer_drops": dict(self._drops),
+            "repro.producer.consumers": len(self.protocol.peers),
+            "repro.producer.consumer_drops": dict(self.protocol.drops),
             "repro.pool.bytes_in_flight": self.pool.bytes_in_flight,
             "repro.pool.cached_bytes": self.pool.cached_bytes,
             "repro.pool.peak_bytes": self.pool.peak_bytes,
@@ -625,6 +446,6 @@ class TensorProducer:
 
     def __repr__(self) -> str:
         return (
-            f"TensorProducer(epoch={self.epoch}, consumers={len(self._consumers)}, "
+            f"TensorProducer(epoch={self.epoch}, consumers={len(self.protocol.peers)}, "
             f"published={self.payloads_published})"
         )

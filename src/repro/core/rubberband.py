@@ -5,22 +5,19 @@ iterated on in an epoch, the producer will halt all other consumers to let
 that consumer synchronize."  Consumers that miss the window wait for the next
 epoch boundary (Figure 6).
 
-The policy is a pure decision object so the threaded producer, the simulated
-producer and the unit tests all share it.  It answers two questions:
-
-* *Admission*: given how far the current epoch has progressed, is a newly
-  arrived consumer admitted immediately (and served the batches it missed), or
-  parked until the next epoch?
-* *Catch-up*: which batch indices does an admitted late joiner need to replay,
-  and is the producer currently halting the other consumers while that
-  happens?
+The policy is the window's geometry and the admission rule, nothing more:
+given how far the current epoch has progressed, is a newly arrived consumer
+admitted immediately, caught up on the batches it missed, or parked until the
+next epoch?  :meth:`RubberbandPolicy.decide` changes nothing but its join
+counters, so the threaded producer, the simulated figures and the unit tests
+all share it.  Who is catching up, and the halt that lasts while they do,
+are fields of the producer's peer table (:mod:`repro.core.protocol`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 
 class JoinDecision(str, enum.Enum):
@@ -34,24 +31,14 @@ class JoinDecision(str, enum.Enum):
         return self.value
 
 
-@dataclass
-class PendingCatchUp:
-    """A consumer currently being caught up via rubberbanding."""
-
-    consumer_id: str
-    missed_batches: List[int]
-    remaining: int
-
-
 class RubberbandPolicy:
-    """Decides admission for joining consumers and tracks catch-up state."""
+    """Decides admission for joining consumers."""
 
     def __init__(self, window_fraction: float = 0.02, batches_per_epoch: Optional[int] = None) -> None:
         if not (0.0 <= window_fraction <= 1.0):
             raise ValueError("window_fraction must be within [0, 1]")
         self.window_fraction = float(window_fraction)
         self.batches_per_epoch = batches_per_epoch
-        self._catch_ups: Dict[str, PendingCatchUp] = {}
         self.joins_immediate = 0
         self.joins_caught_up = 0
         self.joins_deferred = 0
@@ -90,46 +77,10 @@ class RubberbandPolicy:
             self.joins_immediate += 1
             return JoinDecision.IMMEDIATE
         if self.within_window(batches_already_published):
-            self._catch_ups[consumer_id] = PendingCatchUp(
-                consumer_id=consumer_id,
-                missed_batches=list(range(batches_already_published)),
-                remaining=batches_already_published,
-            )
             self.joins_caught_up += 1
             return JoinDecision.CATCH_UP
         self.joins_deferred += 1
         return JoinDecision.WAIT_FOR_NEXT_EPOCH
 
-    # -- catch-up tracking -------------------------------------------------------------------
-    @property
-    def halting(self) -> bool:
-        """True while at least one consumer is still replaying missed batches."""
-        return bool(self._catch_ups)
-
-    def catch_up_for(self, consumer_id: str) -> Optional[PendingCatchUp]:
-        return self._catch_ups.get(consumer_id)
-
-    def record_replayed(self, consumer_id: str, count: int = 1) -> bool:
-        """Mark replayed batches delivered; returns True when the consumer is caught up."""
-        pending = self._catch_ups.get(consumer_id)
-        if pending is None:
-            return True
-        pending.remaining = max(0, pending.remaining - count)
-        if pending.remaining == 0:
-            del self._catch_ups[consumer_id]
-            return True
-        return False
-
-    def abandon(self, consumer_id: str) -> None:
-        """Forget a catch-up (the consumer left before finishing it)."""
-        self._catch_ups.pop(consumer_id, None)
-
-    def reset_for_new_epoch(self) -> None:
-        """Epoch boundary: every parked consumer becomes a normal participant."""
-        self._catch_ups.clear()
-
     def __repr__(self) -> str:
-        return (
-            f"RubberbandPolicy(window={self.window_fraction:.0%}, "
-            f"halting={self.halting}, catch_ups={len(self._catch_ups)})"
-        )
+        return f"RubberbandPolicy(window={self.window_fraction:.0%})"

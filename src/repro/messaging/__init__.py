@@ -21,8 +21,9 @@ the same patterns:
 * :mod:`~repro.messaging.sockets` — ``PubSocket``, ``PushSocket`` /
   ``PullSocket`` and ``ReqSocket`` / ``RepSocket`` pattern wrappers, plus
   ``Responder`` / ``request_once``, the two ends of a service channel.
-* :class:`~repro.messaging.heartbeat.HeartbeatMonitor` — per-peer liveness
-  tracking with the detach-after-timeout behaviour the producer relies on.
+* :class:`~repro.messaging.heartbeat.HeartbeatSender` — the consumer's
+  liveness ping; the producer's side (detach after a silence) is a field of
+  its peer table in :mod:`repro.core.protocol`, no messaging object.
 * :mod:`~repro.messaging.endpoint` — URI-addressed endpoints: a process-wide
   registry mapping schemes (``inproc://`` and ``tcp://`` built in; new
   schemes plug in the same way) to transports, so producers serve and
@@ -71,7 +72,7 @@ from repro.messaging.sockets import (
     Responder,
     request_once,
 )
-from repro.messaging.heartbeat import HeartbeatMonitor, HeartbeatSender
+from repro.messaging.heartbeat import HeartbeatSender
 
 __all__ = [
     "Message",
@@ -88,7 +89,6 @@ __all__ = [
     "RepSocket",
     "Responder",
     "request_once",
-    "HeartbeatMonitor",
     "HeartbeatSender",
     "MessagingError",
     "EndpointClosedError",

@@ -14,10 +14,10 @@ Kind                      Meaning
 ``BATCH``                 producer → consumers: a packed :class:`BatchPayload`
 ``ACK``                   consumer → producer: finished with a batch
 ``HELLO``                 consumer → producer: registration (batch size, name)
-``BYE``                   consumer → producer: graceful departure
+``BYE``                   consumer → producer: graceful departure;
+                          producer → one consumer: you were dropped, and why
 ``HEARTBEAT``             consumer → producer: liveness ping
 ``EPOCH_END``             producer → consumers: epoch boundary marker
-``HALT`` / ``RESUME``     producer → consumers: rubberbanding pause control
 ``SHUTDOWN``              producer → consumers: the producer is going away
 ``REQUEST`` / ``REPLY``   generic REQ/REP bodies (used by control queries)
 ========================  =====================================================
@@ -42,8 +42,6 @@ class MessageKind(str, enum.Enum):
     BYE = "bye"
     HEARTBEAT = "heartbeat"
     EPOCH_END = "epoch_end"
-    HALT = "halt"
-    RESUME = "resume"
     SHUTDOWN = "shutdown"
     REQUEST = "request"
     REPLY = "reply"

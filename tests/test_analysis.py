@@ -1236,6 +1236,69 @@ class TestOneReadingPerObject:
 
 
 # ---------------------------------------------------------------------------
+# Meta: the producer's protocol core does no I/O
+# ---------------------------------------------------------------------------
+
+#: What the sans-I/O core may not import: threads, clocks, sockets and queues,
+#: the messaging layer and the shared-memory pool belong to its driver.
+_IMPURE_MODULES = (
+    "threading", "time", "socket", "select", "queue",
+    "repro.messaging", "repro.tensor.shared_memory",
+)
+
+
+def _impure(module: str) -> bool:
+    return any(module == bad or module.startswith(bad + ".") for bad in _IMPURE_MODULES)
+
+
+def impure_imports(source: str):
+    """Every module ``source`` imports that a sans-I/O core may not."""
+    found = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            # ``from repro import messaging`` imports repro.messaging as well.
+            modules = [
+                node.module if _impure(node.module) else f"{node.module}.{alias.name}"
+                for alias in node.names
+            ]
+        else:
+            continue
+        found += dict.fromkeys(module for module in modules if _impure(module))
+    return found
+
+
+@pytest.mark.analysis
+class TestProtocolCoreIsPure:
+    def test_flags_threads_clocks_sockets_and_the_messaging_layer(self):
+        assert impure_imports(
+            """
+            import json
+            import time, socket
+            from threading import Lock
+            from repro import messaging
+            from repro.messaging.message import Message, MessageKind
+            from repro.tensor.shared_memory import SharedMemoryPool
+            from repro.core.ack_ledger import AckLedger
+            from timeit import default_timer
+            """
+        ) == [
+            "time",
+            "socket",
+            "threading",
+            "repro.messaging",
+            "repro.messaging.message",
+            "repro.tensor.shared_memory",
+        ]
+
+    def test_the_producer_protocol_core_imports_no_io(self):
+        path = SRC / "repro" / "core" / "protocol.py"
+        assert path.is_file(), "the producer's protocol core, core/protocol.py, is missing"
+        assert impure_imports(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
 # Regressions: real defects the analyzer found in src/
 # ---------------------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from repro.core import (
     plan_slices,
 )
 from repro.core.flexible_batch import recommend_producer_batch_size
+from repro.core.protocol import ProducerProtocol
 from repro.core.rubberband import JoinDecision
 from repro.tensor import BatchPayload, SharedMemoryPool, from_numpy
 
@@ -275,6 +276,32 @@ class TestFlexibleBatcher:
             FlexibleBatcher(8, {"a": 16})
 
 
+class _Batch:
+    """What the producer's protocol core reads of a batch."""
+
+    def __init__(self, index):
+        self.epoch, self.batch_index = 0, index
+        self.segment_names = (f"seg-{index}",)
+        self.tensor_nbytes = 8
+
+    def key(self):
+        return (self.epoch, self.batch_index)
+
+
+def _core_with_window(fraction, *, batches_per_epoch, published):
+    """A protocol core that has sent its first consumer ``published``
+    batches, each kept in the rubberband replay window."""
+    core = ProducerProtocol(
+        ProducerConfig(buffer_size=16), RubberbandPolicy(fraction, batches_per_epoch)
+    )
+    core.hello({"consumer_id": "first"}, 0.0, 0)
+    for index in range(published):
+        batch = _Batch(index)
+        core.ledger.publish(batch.key(), ["first"], segment_names=batch.segment_names)
+        assert core.keep(batch, index)
+    return core
+
+
 class TestRubberband:
     def test_window_geometry(self):
         policy = RubberbandPolicy(0.02, batches_per_epoch=1000)
@@ -300,28 +327,39 @@ class TestRubberband:
         assert policy.joins_caught_up == 1
         assert policy.joins_deferred == 1
 
+    # Catch-up is a field of the producer's peer table (repro.core.protocol).
     def test_catch_up_progress_and_halting(self):
-        policy = RubberbandPolicy(0.05, batches_per_epoch=100)
-        assert policy.decide("c", 3) is JoinDecision.CATCH_UP
-        assert policy.halting
-        pending = policy.catch_up_for("c")
-        assert pending.missed_batches == [0, 1, 2]
-        assert not policy.record_replayed("c", 2)
-        assert policy.record_replayed("c", 1)
-        assert not policy.halting
+        core = _core_with_window(0.05, batches_per_epoch=100, published=3)  # window: 5
+        reply, replays = core.hello({"consumer_id": "c"}, 0.0, 3)
+        assert reply["decision"] == "catch_up"
+        assert core.halting
+        assert [(batch.batch_index, hold) for batch, hold in replays] == [
+            (0, True), (1, True), (2, True)
+        ]
+        # Each replay took a hold of its own, which the ack returns.
+        assert core.ack("c", (0, 0)) == ("seg-0",)
+        assert core.ack("c", (0, 1)) == ("seg-1",)
+        assert core.halting
+        assert core.ack("c", (0, 2)) == ("seg-2",)
+        assert not core.halting
 
     def test_record_replayed_for_unknown_consumer_is_true(self):
-        policy = RubberbandPolicy(0.02, 100)
-        assert policy.record_replayed("ghost") is True
+        # An unknown consumer's ack catches nobody up and releases nothing.
+        core = _core_with_window(0.05, batches_per_epoch=100, published=1)
+        assert core.ack("ghost", (0, 0)) == ()
+        assert "ghost" not in core.peers and not core.halting
+        assert core.ledger.duplicate_acks == 1
 
     def test_abandon_and_epoch_reset_clear_state(self):
-        policy = RubberbandPolicy(0.05, batches_per_epoch=100)
-        policy.decide("a", 2)
-        policy.abandon("a")
-        assert not policy.halting
-        policy.decide("b", 2)
-        policy.reset_for_new_epoch()
-        assert not policy.halting
+        core = _core_with_window(0.05, batches_per_epoch=100, published=2)
+        core.hello({"consumer_id": "a", "token": "ta"}, 0.0, 2)
+        assert core.halting
+        core.bye("a", "ta")  # left before it caught up
+        assert not core.halting
+        core.hello({"consumer_id": "b"}, 0.0, 2)
+        assert core.halting
+        assert sorted(core.end_epoch()) == ["seg-0", "seg-1"]  # the window's holds
+        assert not core.halting
 
     def test_unknown_epoch_length_raises(self):
         policy = RubberbandPolicy(0.02)

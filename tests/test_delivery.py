@@ -518,3 +518,86 @@ class TestEpochStartCost:
         # The order array (8 MB) and whatever the permutation needed beside
         # it; a list of a million ints alone is 36 MB.
         assert peak < 20e6, f"{peak / 1e6:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# a steady-state batch costs the producer a fixed number of calls
+# ---------------------------------------------------------------------------
+
+
+class TestPerBatchControlCost:
+    """The Python calls the producer thread makes inside one steady-state
+    ``TensorProducer.publish``, and inside the handling of one ACK from
+    control-message dispatch (``_handle_control_message``) to its return.
+
+    Counted, not clocked: ``inproc-small``'s p99 spreads wider than its bound
+    between two identical trees, and these numbers do not move at all
+    between runs.  Measured on the tree before the protocol decisions moved
+    into ``core/protocol.py`` (one consumer, ``buffer_size=1``, epoch 1 of 2,
+    so every lazy path is warm): 44 calls per publish (46 for the epoch's
+    first, which also times the epoch turnaround) and 21 per ACK.  None may
+    grow.  ``heartbeat_interval=60`` keeps heartbeats out of the counted
+    stretch, so every control message the producer handles is a HELLO or an
+    ACK.
+    """
+
+    ITEMS, BATCH = 64, 8
+    FIRST_PUBLISH_CALLS, PUBLISH_CALLS, ACK_CALLS = 46, 44, 21
+
+    def _steady_state_counts(self):
+        """``{"publish": [...], "ack": [...]}``: calls per epoch-1 publish and
+        per epoch-1 ACK, in order."""
+        address = "inproc://delivery-control-cost"
+        publish = TensorProducer.publish.__code__
+        dispatch = TensorProducer._handle_control_message.__code__
+        counts = {"publish": [], "ack": []}
+        window = {"frame": None, "kind": None, "calls": 0}
+
+        def profile(frame, event, arg):
+            if threading.current_thread().name != "repro-producer":
+                return
+            if event == "call":
+                if window["frame"] is not None:
+                    window["calls"] += 1
+                elif frame.f_code is publish and frame.f_locals["payload"].epoch == 1:
+                    window.update(frame=frame, kind="publish", calls=0)
+                elif frame.f_code is dispatch:
+                    message = frame.f_locals["message"]
+                    if message.kind is MessageKind.ACK and message.body["epoch"] == 1:
+                        window.update(frame=frame, kind="ack", calls=0)
+            elif event == "return" and frame is window["frame"]:
+                counts[window["kind"]].append(window["calls"])
+                window.update(frame=None, kind=None)
+
+        session = repro.serve(
+            DataLoader(IndexDataset(self.ITEMS), batch_size=self.BATCH),
+            address=address,
+            epochs=2,
+            buffer_size=1,
+            start=False,
+        )
+        consumer = repro.attach(address, max_epochs=2, buffer_size=1, heartbeat_interval=60)
+        trainer = threading.Thread(target=lambda: list(consumer), name="test-cost-trainer")
+        trainer.start()
+        threading.setprofile(profile)  # inherited by the producer thread
+        try:
+            session.start()
+        finally:
+            threading.setprofile(None)
+        try:
+            join_all([trainer], timeout=60.0)
+            session.raise_producer_error()
+        finally:
+            consumer.close()
+            session.shutdown()
+        per_epoch = self.ITEMS // self.BATCH
+        assert len(counts["publish"]) == per_epoch
+        assert len(counts["ack"]) == per_epoch
+        return counts
+
+    def test_a_publish_and_an_ack_cost_no_more_calls_than_before(self):
+        counts = self._steady_state_counts()
+        first, *rest = counts["publish"]
+        assert first <= self.FIRST_PUBLISH_CALLS, counts
+        assert max(rest) <= self.PUBLISH_CALLS, counts
+        assert max(counts["ack"]) <= self.ACK_CALLS, counts

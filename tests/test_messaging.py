@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.config import ProducerConfig
+from repro.core.protocol import ProducerProtocol
+from repro.core.rubberband import RubberbandPolicy
 from repro.messaging import (
     EndpointClosedError,
-    HeartbeatMonitor,
     HeartbeatSender,
     InProcHub,
     Message,
@@ -142,42 +144,59 @@ class TestReqRep:
             rep.reply(bogus, {})
 
 
+def _protocol(heartbeat_timeout):
+    """A producer protocol core without a join window: every HELLO is admitted
+    at once."""
+    return ProducerProtocol(
+        ProducerConfig(heartbeat_timeout=heartbeat_timeout), RubberbandPolicy(0.0)
+    )
+
+
+def _hello(core, consumer_id, now):
+    return core.hello({"consumer_id": consumer_id, "token": "t"}, now, 0)
+
+
 class TestHeartbeats:
+    """The producer side of liveness is a field of its protocol core's peer
+    table, stepped here with a fake clock."""
+
     def test_monitor_tracks_and_detaches_silent_consumers(self):
-        clock = {"now": 0.0}
-        monitor = HeartbeatMonitor(detach_timeout=5.0, clock=lambda: clock["now"])
-        monitor.beat("c1")
-        monitor.beat("c2")
-        clock["now"] = 3.0
-        monitor.beat("c2")
-        clock["now"] = 7.0
-        detached = monitor.sweep()
-        assert detached == ["c1"]
-        assert monitor.live_consumers() == ["c2"]
-        assert monitor.detached_consumers() == ["c1"]
+        core = _protocol(5.0)
+        _hello(core, "c1", 0.0)
+        _hello(core, "c2", 0.0)
+        assert core.beat("c2", 3.0)
+        dropped = core.expire(7.0)
+        assert [(d.consumer_id, d.reason) for d in dropped] == [("c1", "heartbeat timeout")]
+        assert list(core.peers) == ["c2"]
+        assert core.drops == {"heartbeat timeout": 1}
+        assert core.next_expiry == 8.0  # c2's last beat plus the timeout
 
     def test_detached_consumer_can_reregister(self):
-        clock = {"now": 0.0}
-        monitor = HeartbeatMonitor(detach_timeout=1.0, clock=lambda: clock["now"])
-        monitor.beat("c1")
-        clock["now"] = 5.0
-        monitor.sweep()
-        monitor.beat("c1")
-        assert monitor.is_live("c1")
+        core = _protocol(1.0)
+        _hello(core, "c1", 0.0)
+        core.expire(5.0)
+        assert not core.beat("c1", 5.0)  # a beat alone revives nobody
+        reply, _ = _hello(core, "c1", 5.0)
+        assert "error" not in reply
+        assert core.peers["c1"].last_seen == 5.0
 
     def test_forget_removes_consumer(self):
-        monitor = HeartbeatMonitor(detach_timeout=1.0)
-        monitor.beat("c1")
-        monitor.forget("c1")
-        assert monitor.live_consumers() == []
+        core = _protocol(1.0)
+        _hello(core, "c1", 0.0)
+        (dropped,) = core.bye("c1", "t")
+        assert dropped.notice is None  # it said BYE itself: nothing to tell it
+        assert core.peers == {}
+        assert core.expire(10.0) == []
 
     def test_silence_of_unknown_consumer_is_none(self):
-        monitor = HeartbeatMonitor()
-        assert monitor.silence_of("ghost") is None
+        core = _protocol(10.0)
+        assert not core.beat("ghost", 1.0)
+        assert core.peers == {}
+        assert core.next_expiry == float("inf")
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError):
-            HeartbeatMonitor(detach_timeout=0)
+            ProducerConfig(heartbeat_timeout=0)
 
     def test_sender_sends_on_interval_only(self):
         hub = InProcHub()

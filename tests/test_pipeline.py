@@ -473,7 +473,7 @@ class TestDuplicateDeliveryRegression:
         assert producer.rubberband.joins_caught_up == 1
         # The race under test: the window (batches 0 and 1) is replayed again,
         # duplicating deliveries the consumer already received.
-        producer._replay_window(producer._consumers["late"])
+        producer._send_replays("late", producer.protocol.replay("late"))
         for _ in iterator:  # batches 2 and 3, epoch end
             pass
         first_thread.join(timeout=20)
@@ -608,10 +608,9 @@ class TestDuplicateDeliveryRegression:
             config=ConsumerConfig(consumer_id="late", max_epochs=1, buffer_size=16),
         )
         producer._process_control()  # admits "late", replays batch 0
-        state = producer._consumers["late"]
-        segment = producer._window_cache[0].segment_names[0]
+        segment = producer.protocol.window[0].segment_names[0]
         refcount_after_first_replay = pool.refcount(segment)
-        producer._replay_window(state)
+        producer._send_replays("late", producer.protocol.replay("late"))
         assert pool.refcount(segment) == refcount_after_first_replay
         producer.stop()
         for consumer in (first, late):

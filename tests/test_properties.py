@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
+import collections
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core import AckLedger, BatchBuffer, plan_slices
+from repro.core import AckLedger, BatchBuffer, ProducerConfig, plan_slices
 from repro.core.flexible_batch import recommend_producer_batch_size
+from repro.core.protocol import PUBLISH, SKIP_EPOCH, ProducerProtocol
 from repro.core.rubberband import JoinDecision, RubberbandPolicy
 from repro.data import BatchSampler, RandomSampler, SyntheticImageDataset
 from repro.data import default_collate, plan_collate
@@ -215,6 +218,20 @@ def test_sequential_sampler_is_identity(size):
 # Rubberband policy: decisions are consistent with the window definition.
 # ---------------------------------------------------------------------------
 
+
+class FakeBatch:
+    """What the producer's protocol core reads of a batch: its key, segment
+    names and size."""
+
+    def __init__(self, epoch, index):
+        self.epoch, self.batch_index = epoch, index
+        self.segment_names = (f"seg-{epoch}-{index}",)
+        self.tensor_nbytes = 8
+
+    def key(self):
+        return (self.epoch, self.batch_index)
+
+
 @given(
     window=st.floats(min_value=0.0, max_value=0.5),
     batches_per_epoch=st.integers(min_value=10, max_value=5000),
@@ -224,15 +241,176 @@ def test_sequential_sampler_is_identity(size):
 def test_rubberband_decision_consistency(window, batches_per_epoch, join_at):
     assume(join_at <= batches_per_epoch)
     policy = RubberbandPolicy(window, batches_per_epoch)
-    decision = policy.decide("consumer", join_at)
+    core = ProducerProtocol(ProducerConfig(), policy)
+    for index in range(join_at):  # the window keeps what a joiner may still catch up on
+        if not core.keep(FakeBatch(0, index), index):
+            break
+    reply, _replays = core.hello({"consumer_id": "consumer"}, 0.0, join_at)
+    decision = JoinDecision(reply["decision"])
     if join_at == 0:
         assert decision is JoinDecision.IMMEDIATE
     elif window > 0 and join_at < policy.window_batches:
         assert decision is JoinDecision.CATCH_UP
-        assert policy.halting
+        assert core.halting
     else:
         assert decision is JoinDecision.WAIT_FOR_NEXT_EPOCH
-        assert not policy.halting
+        assert not core.halting
+
+
+# ---------------------------------------------------------------------------
+# The producer's protocol core, stepped with a fake clock and no threads:
+# every hold it asks for comes back exactly once, whatever the schedule.
+# ---------------------------------------------------------------------------
+
+_PEERS = ("a", "b", "c")
+
+
+class ProducerProtocolModel(RuleBasedStateMachine):
+    """The driver's side of :class:`ProducerProtocol`, reduced to counting.
+
+    ``held`` is every hold the core has asked the driver to take and not yet
+    given back, by segment name: one per receiver of a publish, one per new
+    waiter of a replay, one for the replay window's own.
+    """
+
+    BATCHES = 6  # per epoch: a join window of 3, so the replay window keeps 0 and 1
+
+    def __init__(self):
+        super().__init__()
+        self.core = ProducerProtocol(
+            ProducerConfig(buffer_size=2, heartbeat_timeout=1.0),
+            RubberbandPolicy(0.5, batches_per_epoch=self.BATCHES),
+        )
+        self.now = 0.0
+        self.published = 0
+        self.held = collections.Counter()
+
+    def _give_back(self, names):
+        self.held.subtract(names)
+        assert min(self.held.values(), default=0) >= 0, "a hold came back twice"
+
+    def _dropped(self, dropped):
+        for consumer_id, reason, releases, notice in dropped:
+            self._give_back(releases)
+            assert consumer_id not in self.core.peers
+            assert (notice is None) == (reason == "bye")
+
+    def _end_epoch(self):
+        self._give_back(self.core.end_epoch())
+        self.published = 0
+
+    @rule(
+        consumer=st.sampled_from(_PEERS),
+        token=st.sampled_from(["t1", "t2"]),
+        buffer_size=st.integers(min_value=1, max_value=3),
+    )
+    def hello(self, consumer, token, buffer_size):
+        before = self.core.peers.get(consumer)
+        body = {"consumer_id": consumer, "token": token, "buffer_size": buffer_size}
+        reply, replays = self.core.hello(body, self.now, self.published)
+        if before is not None and before.token != token:
+            # A squatter is refused and changes nothing.
+            assert "error" in reply and replays == []
+            assert self.core.peers[consumer] is before
+            return
+        assert reply["admitted_epoch"] == self.core.peers[consumer].admitted_epoch
+        for batch, hold in replays:
+            if hold:
+                self.held.update(batch.segment_names)
+
+    @rule(consumer=st.sampled_from(_PEERS))
+    def beat(self, consumer):
+        assert self.core.beat(consumer, self.now) == (consumer in self.core.peers)
+
+    @rule(
+        consumer=st.sampled_from(_PEERS),
+        owed=st.booleans(),
+        pick=st.integers(min_value=0, max_value=7),
+    )
+    def ack(self, consumer, owed, pick):
+        ledger = self.core.ledger
+        owing = [k for k in ledger.pending_keys() if consumer in ledger.record_for(k).waiting_on]
+        # An owed key, or one that may be a duplicate, a stranger's or never sent.
+        key = owing[pick % len(owing)] if owed and owing else (self.core.epoch, pick)
+        releases = self.core.ack(consumer, key)
+        assert bool(releases) == (key in owing)
+        self._give_back(releases)
+
+    @rule(consumer=st.sampled_from(_PEERS), own_token=st.booleans())
+    def bye(self, consumer, own_token):
+        peer = self.core.peers.get(consumer)
+        token = peer.token if peer is not None and own_token else "t-other"
+        dropped = self.core.bye(consumer, token)
+        assert len(dropped) == (peer is not None and own_token)
+        self._dropped(dropped)
+
+    @rule()
+    def publish(self):
+        verdict, dropped = self.core.capacity(self.now, self.published)
+        self._dropped(dropped)
+        if verdict == SKIP_EPOCH:
+            self._end_epoch()
+            return
+        active = [peer.consumer_id for peer in self.core.peers.values() if peer.active]
+        if verdict != PUBLISH or not active or self.published == self.BATCHES:
+            return
+        assert not self.core.halting
+        batch = FakeBatch(self.core.epoch, self.published)
+        self.core.ledger.publish(batch.key(), active, segment_names=batch.segment_names)
+        self.held.update(batch.segment_names * len(active))
+        for consumer in active:
+            owed = self.core.ledger.outstanding_for(consumer)
+            assert owed <= self.core.peers[consumer].buffer_size
+        if self.core.keep(batch, self.published):
+            self.held.update(batch.segment_names)
+        self.published += 1
+
+    @rule(seconds=st.sampled_from([0.3, 0.6, 1.5]))
+    def advance(self, seconds):
+        self.now += seconds
+        self._dropped(self.core.expire(self.now))
+
+    @rule()
+    def epoch_end(self):
+        self._end_epoch()
+
+    @rule()
+    def drain(self):
+        self._give_back(self.core.drain())
+        assert +self.held == collections.Counter()
+
+    @invariant()
+    def holds_match_the_tables(self):
+        expected = collections.Counter()
+        for key in self.core.ledger.pending_keys():
+            record = self.core.ledger.record_for(key)
+            for name in record.segment_names:
+                expected[name] += len(record.waiting_on)
+        for batch in self.core.window.values():
+            expected.update(batch.segment_names)
+        assert +self.held == +expected
+
+    @invariant()
+    def dropped_and_unknown_ids_own_nothing(self):
+        for consumer in _PEERS:
+            if consumer not in self.core.peers:
+                assert self.core.ledger.outstanding_for(consumer) == 0
+
+    @invariant()
+    def halting_exactly_while_a_peer_catches_up(self):
+        catching_up = [peer for peer in self.core.peers.values() if peer.catch_up > 0]
+        assert self.core.halting == bool(catching_up)
+        assert all(peer.active for peer in catching_up)
+
+    def teardown(self):
+        self._give_back(self.core.drain())
+        assert +self.held == collections.Counter()
+
+
+ProducerProtocolModel.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None
+)
+TestProducerProtocolModel = ProducerProtocolModel.TestCase
 
 
 # ---------------------------------------------------------------------------

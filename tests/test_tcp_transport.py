@@ -312,7 +312,7 @@ class TestPhantomHeartbeats:
         push.send(MessageKind.HEARTBEAT, body={"consumer_id": "ghost"})
         push.send(MessageKind.ACK, body={"consumer_id": "ghost", "epoch": 0, "batch_index": 0})
         producer._process_control()
-        assert producer._heartbeats.live_consumers() == []
+        assert producer.protocol.peers == {}
         producer.stop()
         producer.join(timeout=5)
 
@@ -323,13 +323,14 @@ class TestPhantomHeartbeats:
         consumer = TensorConsumer(hub=hub, pool=producer.pool,
                                   config=ConsumerConfig(consumer_id="real", max_epochs=1))
         producer._process_control()
-        assert producer._heartbeats.live_consumers() == ["real"]
-        beats_before = producer._heartbeats._peers["real"].beats_received
+        assert list(producer.protocol.peers) == ["real"]
+        seen_before = producer.protocol.peers["real"].last_seen
+        time.sleep(0.01)
         PushSocket(hub, producer.config.control_address).send(
             MessageKind.HEARTBEAT, body={"consumer_id": "real"}
         )
         producer._process_control()
-        assert producer._heartbeats._peers["real"].beats_received > beats_before
+        assert producer.protocol.peers["real"].last_seen > seen_before
         consumer.close()
         producer._process_control()
         producer.stop()
@@ -342,14 +343,16 @@ class TestPhantomHeartbeats:
         push = PushSocket(hub, producer.config.control_address)
         push.send(MessageKind.HELLO, body={"consumer_id": "worker", "token": "t1"})
         producer._process_control()
-        monitor = producer._heartbeats
-        first_seen = monitor._peers["worker"].beats_received
+        peers = producer.protocol.peers
+        first_seen = peers["worker"].last_seen
+        time.sleep(0.01)
         # A different instance squatting on the same id is rejected and must
         # not refresh (or create) liveness for anyone.
         push.send(MessageKind.HELLO, body={"consumer_id": "worker", "token": "t2"})
         producer._process_control()
-        assert monitor.live_consumers() == ["worker"]
-        assert monitor._peers["worker"].beats_received == first_seen
+        assert list(peers) == ["worker"]
+        assert peers["worker"].last_seen == first_seen
+        assert peers["worker"].token == "t1"
         producer.stop()
         producer.join(timeout=5)
 

@@ -23,7 +23,7 @@ from repro.core.pipeline import StagedItem, StagePipeline
 from repro.data import DataLoader
 from repro.data.dataset import Dataset
 from repro.messaging import InProcHub
-from repro.messaging.errors import EndpointClosedError
+from repro.messaging.errors import EndpointClosedError, MessagingError
 from repro.messaging.message import MessageKind
 from repro.messaging.sockets import PushSocket
 from repro.obs.metrics import counter
@@ -375,7 +375,7 @@ class TestPauseConditionsResolve:
         late = Peer(producer, "late")
         replayed = [late.next_batch(), late.next_batch()]
         assert [p.batch_index for p in replayed] == [0, 1]
-        assert producer.rubberband.halting
+        assert producer.protocol.halting
         for payload in held:
             first.ack(payload)
         # Halted: "first" has room again, yet nothing new is published.
@@ -386,12 +386,69 @@ class TestPauseConditionsResolve:
             late.ack(payload)
         assert first.next_batch().batch_index == 2
         assert late.next_batch().batch_index == 2
-        assert not producer.rubberband.halting
+        assert not producer.protocol.halting
         for peer in (first, late):
             peer.send(MessageKind.BYE, token=peer.name)
         producer.stop()
         assert joined.wait(5.0)
         assert producer.pool.bytes_in_flight == 0
+
+
+# ---------------------------------------------------------------------------
+# a consumer the producer drops is told why
+# ---------------------------------------------------------------------------
+
+
+class TestDroppedConsumerIsTold:
+    def test_a_consumer_dropped_for_ack_timeout_fails_with_the_reason(self):
+        """The sitter heartbeats all along, so only the ack timeout drops it,
+        and the runner's pace sets the broadcasts from then on.  Resumed, it
+        used to drain them into its full buffer and die of an OverflowError
+        that blamed the producer."""
+        address = "inproc://waiting-dropped"
+        session = repro.serve(
+            index_loader(batches=16), address=address, heartbeat_timeout=0.25, start=False
+        )
+        consumers = {
+            name: repro.attach(address, consumer_id=name, max_epochs=1, heartbeat_interval=0.05)
+            for name in ("sitter", "runner")
+        }
+        outcome = {}
+
+        def train(name, pause_after):
+            seen = 0
+            try:
+                for _ in consumers[name]:
+                    seen += 1
+                    if seen == pause_after:
+                        time.sleep(1.5)  # past the ack deadline, 4 x 0.25 s
+            except Exception as exc:
+                outcome[name] = exc
+            else:
+                outcome[name] = seen
+
+        threads = [
+            threading.Thread(
+                target=train, args=(name, pause), name=f"repro-test-{name}", daemon=True
+            )
+            for name, pause in (("sitter", 2), ("runner", None))
+        ]
+        for thread in threads:
+            thread.start()
+        session.start()
+        try:
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert isinstance(outcome["sitter"], MessagingError), outcome
+            assert "detached by the producer: ack timeout" in str(outcome["sitter"])
+            assert outcome["runner"] == 16
+            assert session.metrics()["repro.producer.consumer_drops"] == {"ack timeout": 1}
+        finally:
+            for consumer in consumers.values():
+                consumer.close()
+            session.shutdown()
+        assert session.pool.bytes_in_flight == 0
 
 
 # ---------------------------------------------------------------------------
