@@ -40,9 +40,9 @@ def train(address: str, name: str, attached, results: "multiprocessing.Queue") -
         address, consumer_id=name, max_epochs=EPOCHS, receive_timeout=60
     )
     # attach() returns once the registration is written to the socket, not
-    # once the server has read it (Nagle can hold it back a delayed-ACK
-    # period).  A request on the same connection is only answered after it,
-    # so when the metrics reply is here the server holds this registration.
+    # once the server has read it.  A request on the same connection is only
+    # answered after it, so when the metrics reply is here the server holds
+    # this registration.
     fetch_metrics(address)
     attached.release()               # the session may start
     samples = 0

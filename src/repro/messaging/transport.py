@@ -278,6 +278,9 @@ MAX_FRAME_BYTES = 16 << 20
 
 _RECV_BYTES = 65536
 
+#: Deadline for dialling a hub and for its registration reply, together.
+HANDSHAKE_TIMEOUT_S = 10.0
+
 
 class ProtocolError(MessagingError):
     """A peer sent bytes that are not a frame of this protocol."""
@@ -318,11 +321,12 @@ class _Connection:
     frame, an unknown tag, an undecodable body — closes *this* connection
     and costs no other peer anything.
 
-    *Writes.*  :meth:`send` and :meth:`queue` may be called from any thread
-    and never block.  ``send`` hands the frame straight to the kernel, and
-    whatever a full socket buffer does not take waits in ``_pending`` until
-    the reactor sees the socket writable again; ``queue`` leaves the whole
-    write to the reactor.  Frames leave in the order the two were called.
+    *Writes.*  :meth:`send` may be called from any thread and never blocks:
+    it hands the frame straight to the kernel, and whatever a full socket
+    buffer does not take waits in ``_pending`` until the reactor sees the
+    socket writable again.  Frames leave in the order ``send`` was called.
+    Nagle is off, so a small frame is not held back waiting for the peer's
+    delayed acknowledgement of the one before it.
     """
 
     def __init__(
@@ -331,6 +335,7 @@ class _Connection:
         handlers: Dict[int, Callable[[bytearray], None]],
         on_close: Optional[Callable[[], None]] = None,
     ) -> None:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._handlers = handlers
         self._on_close = on_close
@@ -346,10 +351,14 @@ class _Connection:
     def request(self, obj: dict) -> None:
         """Blocking request/acknowledgement on a socket not yet handed to the
         reactor (the registration handshake); raises :class:`MessagingError`
-        unless the peer answers ``{"ok": True}``."""
+        unless the peer answers ``{"ok": True}`` within
+        :data:`HANDSHAKE_TIMEOUT_S`, however it spaces out its bytes."""
+        deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
         try:
             self._sock.sendall(_ctrl_frame(obj))
             while (frame := self._next_frame()) is None:
+                # Never 0, which means non-blocking: past the deadline, recv() times out.
+                self._sock.settimeout(max(deadline - time.monotonic(), 1e-6))
                 chunk = self._sock.recv(_RECV_BYTES)
                 if not chunk:
                     raise ConnectionError("peer closed the connection")
@@ -432,14 +441,6 @@ class _Connection:
         except OSError:
             self.close()
             raise
-
-    def queue(self, frame: bytes) -> None:
-        """Leave one whole frame for the reactor to write: the caller makes
-        no system call on the socket.  Raises :class:`OSError` once closed."""
-        with self._send_lock:
-            if self._closed:
-                raise ConnectionError("connection is closed")
-            self._spill_locked(frame)
 
     def _spill_locked(self, data) -> None:
         if not self._pending:
@@ -569,12 +570,11 @@ class _RemotePeer:
             pass
 
     def _deliver(self, message: Message) -> None:
-        """The inbox's sink: runs on whichever thread published, so it only
-        queues.  A producer fanning a batch out pays an append per remote
-        subscriber, and the loop is the one writer of deliveries that the
-        per-endpoint forwarder threads were before it."""
+        """The inbox's sink: runs on whichever thread published, and writes
+        the delivery to the kernel from there.  The loop writes only what a
+        full socket buffer left in the connection's pending bytes."""
         try:
-            self.connection.queue(_frame(_TAG_DELIVER, message.to_bytes()))
+            self.connection.send(_frame(_TAG_DELIVER, message.to_bytes()))
         except OSError:
             pass  # the connection closed itself; _on_close releases the inbox
 
@@ -705,7 +705,7 @@ class TcpClientEndpoint(Inbox):
         super().__init__(f"tcp-{uuid.uuid4().hex[:8]}", address)
         self.subscriptions.update(subscriptions or ())
         self._acks: Dict[str, threading.Event] = {}
-        sock = socket.create_connection((host, port))
+        sock = socket.create_connection((host, port), timeout=HANDSHAKE_TIMEOUT_S)
         self._connection = _Connection(sock, {_TAG_DELIVER: self._on_deliver})
         # The registration handshake is a plain blocking request/reply; the
         # socket joins the reactor only once the server has acknowledged it.

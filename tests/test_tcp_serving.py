@@ -5,6 +5,7 @@ shutdown ordering, and hostile frames that cost only their sender."""
 import dataclasses
 import pickle
 import socket
+import struct
 import threading
 import time
 
@@ -16,6 +17,8 @@ from repro.core.group import describe_address
 from repro.data import DataLoader, SyntheticImageDataset
 from repro.messaging import Message, MessageKind, request_once
 from repro.messaging import endpoint as endpoints
+from repro.messaging import transport
+from repro.messaging.errors import MessagingError
 from repro.messaging.reactor import get_reactor
 from repro.obs.service import fetch_metrics_from_hub
 from repro.tensor import BatchPayload, SharedMemoryPool, from_numpy
@@ -27,6 +30,7 @@ from repro.messaging.transport import (
     _TAG_PUBLISH,
     MAX_FRAME_BYTES,
     TcpClientEndpoint,
+    TcpHubClient,
     TcpServerHub,
     _frame,
 )
@@ -62,6 +66,14 @@ def reactor_is_responsive():
     ran = threading.Event()
     get_reactor().submit(ran.set)
     return ran.wait(5.0)
+
+
+def hold_the_reactor():
+    """Park the loop until the returned event is set."""
+    held, release = threading.Event(), threading.Event()
+    get_reactor().submit(lambda: (held.set(), release.wait(5.0)))
+    assert held.wait(5.0)
+    return release
 
 
 @pytest.fixture
@@ -175,10 +187,11 @@ class TestNeverBlocks:
             reader.close()
             stuck.close()
 
-    def test_a_publisher_makes_no_socket_write_the_reactor_writes_deliveries(
-        self, hub, monkeypatch
-    ):
+    def test_a_publisher_writes_its_own_delivery_with_nagle_off(self, hub, monkeypatch):
         client = TcpClientEndpoint(hub.host, hub.port, op="connect", address="/data")
+        # The server installs its delivery sink on the loop right after the
+        # reply; one loop turn later it is in place.
+        assert reactor_is_responsive()
         writers = []
         real_send = socket.socket.send
 
@@ -193,9 +206,105 @@ class TestNeverBlocks:
             for index in range(3):
                 assert hub.publish("/data", batch(index)) == 1
             assert [client.receive(timeout=5.0).body for _ in range(3)] == [0, 1, 2]
-            assert writers and set(writers) == {"repro-reactor"}
+            assert writers == [threading.current_thread().name] * 3
+            (peer,) = list(hub._peers)
+            for sock in (client._connection._sock, peer.connection._sock):
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
         finally:
             client.close()
+
+    def test_a_peer_that_resets_mid_stream_costs_the_publisher_nothing(self, hub):
+        """The publisher meets a dead socket itself now: the connection's
+        close and the hub's disconnect can run on the publishing thread."""
+        reader = TcpClientEndpoint(hub.host, hub.port, op="connect", address="/data")
+        doomed = socket.socket()
+        doomed.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        doomed.connect((hub.host, hub.port))
+        doomed.sendall(
+            _frame(_TAG_CTRL, pickle.dumps({"op": "connect", "address": "/data"}))
+        )
+        try:
+            deadline = time.monotonic() + 5.0
+            while hub.connected_count("/data") < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert hub.connected_count("/data") == 2
+            count, cut, body = 400, 50, b"\0" * (16 << 10)
+            left_after_the_cut = []
+
+            def publish_all():
+                for index in range(count):
+                    if index != cut:
+                        hub.publish("/data", batch((index, body)))
+                        continue
+                    # The loop is parked, so the publisher is the one to meet
+                    # the reset (an RST, not a FIN) and to release the peer.
+                    release = hold_the_reactor()
+                    try:
+                        doomed.setsockopt(
+                            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                        )
+                        doomed.close()
+                        hub.publish("/data", batch((index, body)))
+                        left_after_the_cut.append(hub.connected_count("/data"))
+                    finally:
+                        release.set()
+
+            publisher = threading.Thread(target=publish_all, name="test-publisher")
+            publisher.start()
+            publisher.join(timeout=20.0)
+            assert not publisher.is_alive(), "a publisher blocked behind a reset peer"
+            assert left_after_the_cut == [1]
+            assert hub.connected_count("/data") == 1
+            assert reactor_is_responsive()
+            received = [reader.receive(timeout=10.0).body[0] for _ in range(count)]
+            assert received == list(range(count))
+        finally:
+            reader.close()
+            doomed.close()
+
+
+class TestHandshakeDeadline:
+    @pytest.mark.parametrize("server", ["mute", "dribbling"])
+    def test_a_hub_that_never_answers_fails_the_attach_in_time(self, monkeypatch, server):
+        """A listener that never accepts, or one that sends its reply a byte
+        every 50 ms (each recv is short; the whole reply takes 13 s): either
+        way the attach fails with :class:`MessagingError` by one deadline."""
+        monkeypatch.setattr(transport, "HANDSHAKE_TIMEOUT_S", 0.2)
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(4)  # the kernel completes the dial; nobody else speaks
+        done = threading.Event()
+
+        def dribble():
+            conn, _ = listener.accept()
+            with conn:
+                for byte in _HEADER.pack(256) + b"\0" * 256:
+                    if done.wait(0.05):
+                        return
+                    try:
+                        conn.sendall(bytes((byte,)))
+                    except OSError:
+                        return  # the attacher gave up
+
+        if server == "dribbling":
+            threading.Thread(target=dribble, daemon=True).start()
+        outcome = []
+
+        def attach():
+            try:
+                TcpHubClient(*listener.getsockname())
+            except Exception as exc:
+                outcome.append(exc)
+
+        attacher = threading.Thread(target=attach, daemon=True)
+        try:
+            attacher.start()
+            attacher.join(timeout=5.0)
+            assert not attacher.is_alive(), "the attach is still waiting on the hub"
+            assert len(outcome) == 1 and isinstance(outcome[0], MessagingError)
+        finally:
+            done.set()
+            listener.close()
 
 
 class TestOrdering:
