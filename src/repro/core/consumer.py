@@ -14,26 +14,28 @@ training loop moves past it (step 6), emits heartbeats, and departs cleanly
 with BYE.
 
 Message reception rides the per-process :class:`~repro.messaging.reactor.
-Reactor` rather than a private blocking receive loop: the reactor
-fans the data channel out to this consumer's **mailbox** (a bounded queue)
-and runs its heartbeat/registration-retry timer, so attaching K consumers
-costs O(1) threads, not O(K).  The reactor thread does only eager signal
-work (the registration REPLY, SHUTDOWN) — everything that affects epoch
-accounting, admission, dedupe, and acknowledgement happens on the training
-thread, in arrival order, exactly as the old pump did.
+Reactor` rather than a private blocking receive loop: the reactor fans the
+data channel out to this consumer's **mailbox** (a bounded queue) and runs
+its heartbeat/registration-retry timer, so attaching K consumers costs O(1)
+threads, not O(K).  The reactor decides nothing: it forwards every message in
+arrival order, and notes only that a REPLY to this consumer went by, which
+ends the HELLO retries.  Every decision — admission, dedupe, acknowledgement
+of duplicates, epoch accounting, where the stream ends — is made by one
+:class:`~repro.core.protocol.ConsumerProtocol`, on the thread that drains the
+mailbox; this class carries out its answers.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import queue
-import threading
 import time
 import uuid
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.batch_buffer import BatchBuffer
 from repro.core.config import ConsumerConfig
+from repro.core.protocol import DELIVER, DONE, DROP, REACK, SKIP, TRAIN, ConsumerProtocol
 from repro.messaging import endpoint as endpoints
 from repro.messaging.errors import DuplicateConsumerError, MessagingError, TimeoutError_
 from repro.messaging.heartbeat import HeartbeatSender
@@ -58,10 +60,6 @@ _TRAIN_SECONDS = counter("repro.consumer.stall.train_seconds")
 _ACK_SECONDS = counter("repro.consumer.stall.ack_seconds")
 _LOOP_SECONDS = counter("repro.consumer.loop_seconds")
 _LATENCY = histogram("repro.consumer.batch_latency_seconds")
-
-
-class _ShutdownReceived(Exception):
-    """Internal: the producer announced shutdown."""
 
 
 #: Sentinels returned by the non-blocking :meth:`TensorConsumer._try_take`
@@ -109,48 +107,19 @@ class TensorConsumer:
         self._token = uuid.uuid4().hex
 
         self._buffer = BatchBuffer(self.config.buffer_size)
-        self._admitted_epoch: Optional[int] = None
-        # Group sessions raise the effective start epoch above the admitted
-        # one (iter_batches(min_epoch=...)); epochs below it are skipped, so
-        # they must not count toward max_epochs either.
-        self._min_epoch: Optional[int] = None
-        self._epochs_ended = 0
+        self._core = ConsumerProtocol(self.consumer_id, self._token, self.config.max_epochs)
         self._closed = False
-        self._shutdown = False
-        # Iteration stops only when the training thread *processes* the
-        # SHUTDOWN in arrival order; the eager ``_shutdown`` flag above is a
-        # signal for shutdown_received / wait_until_registered, and must not
-        # cut off batches that arrived before the SHUTDOWN.
-        self._shutdown_processed = False
+        # The HELLO went out.  ``_answered``: a REPLY to it went by (the
+        # reactor's routing fact, set before the owner reads the REPLY); the
+        # timer retries HELLO until then and heartbeats after.
         self._registered = False
-        # Reactor-thread view of the registration handshake.  The admitted
-        # epoch used for *filtering* stays trainer-side (``_admitted_epoch``,
-        # set when the REPLY is processed in order); this eager copy only
-        # feeds wait_until_registered so it need not drain the mailbox.
-        self._reactor_admitted: Optional[int] = None
-        self._registration_error: Optional[BaseException] = None
-        self._registered_event = threading.Event()
-        # Inbound messages, reactor -> training thread, in arrival order.
+        self._answered = False
+        # Inbound messages, reactor -> the core's owner, in arrival order.
         self._mailbox: "queue.Queue[Message]" = queue.Queue(maxsize=_MAILBOX_LIMIT)
         self.mailbox_overflows = 0
         # Callbacks poked on every mailbox put (the group merge parks on one
         # condition across all members instead of one thread per member).
         self._wakeups: list = []
-        # Delivery dedupe: a consumer that subscribed before its HELLO was
-        # processed can receive an early-epoch batch twice — once on
-        # ``broadcast`` and again via the rubberband replay on its personal
-        # topic (same epoch, so the admitted-epoch filter passes both).  Keys
-        # seen this epoch are remembered so the duplicate is acknowledged
-        # (returning the producer's replay hold) but never trained on.
-        self._delivered_keys: set = set()
-        # Keys this consumer has acknowledged; decides how a duplicate is
-        # handled (ack it to release the producer's re-send hold vs. drop it
-        # silently while the original still owes the ack).
-        self._acked_keys: set = set()
-        # Batches consumed per epoch, for __len__ (batches in the last
-        # *completed* epoch, the sized-loader contract).
-        self._consumed_per_epoch: Dict[int, int] = {}
-        self._last_completed_epoch: Optional[int] = None
         # Per-batch lifecycle traces keyed by (epoch, batch_index): the
         # producer-side stamps arrive in payload metadata; this consumer's
         # delivered/trained stamps are added here and the completed trace
@@ -161,7 +130,6 @@ class TensorConsumer:
 
         # Statistics surfaced by tests and experiments.
         self.batches_consumed = 0
-        self.epochs_seen = 0
         self.samples_consumed = 0
         self.duplicates_dropped = 0
 
@@ -223,18 +191,18 @@ class TensorConsumer:
 
     @property
     def admitted_epoch(self) -> Optional[int]:
-        if self._admitted_epoch is not None:
-            return self._admitted_epoch
-        return self._reactor_admitted
-
-    @property
-    def is_admitted(self) -> bool:
-        return self.admitted_epoch is not None
+        return self._core.admitted_epoch
 
     @property
     def shutdown_received(self) -> bool:
-        """Whether the producer has announced shutdown to this consumer."""
-        return self._shutdown
+        """Whether this consumer has processed the producer's SHUTDOWN."""
+        return self._core.ended and self._core.refusal is None
+
+    @property
+    def epochs_seen(self) -> int:
+        """Epochs closed at or above the floor: the ones that count toward
+        ``max_epochs``."""
+        return self._core.epochs_ended
 
     def wait_until_registered(self, timeout: float = 10.0) -> int:
         """Block until the producer's registration REPLY arrives.
@@ -242,21 +210,18 @@ class TensorConsumer:
         Returns the admitted epoch.  Group sessions use this to learn every
         member's admission decision *before* merging streams (so a consumer
         admitted mid-epoch by some members and next-epoch by others can start
-        at the first epoch all members agree on).  Safe to call before
-        iterating: while unadmitted, every BATCH message predates this
-        consumer's admission and is filtered, not consumed.
+        at the first epoch all members agree on).
 
-        Waits on the reactor-delivered registration event — no polling
-        receive loop; the reactor's timer keeps re-sending HELLO while the
-        producer is not up yet.
+        The calling thread becomes the protocol core's owner: it drains the
+        mailbox through the core up to the REPLY (what came before predates
+        the admission and is dropped) and leaves the rest queued.  Call it
+        from the thread that iterates, or before iterating starts.
         """
+        core = self._core
         deadline = time.monotonic() + timeout
-        while True:
-            if self._registration_error is not None:
-                raise self._registration_error
-            if self._reactor_admitted is not None:
-                return self._reactor_admitted
-            if self._shutdown:
+        while core.admitted_epoch is None:
+            self._raise_if_refused()
+            if core.ended:
                 raise MessagingError(
                     f"producer shut down before admitting consumer {self.consumer_id!r}"
                 )
@@ -266,36 +231,22 @@ class TensorConsumer:
                     f"consumer {self.consumer_id!r} received no registration reply "
                     f"within {timeout}s; is the producer running?"
                 )
-            self._registered_event.wait(remaining)
+            try:
+                self._ingest(self._mailbox.get(timeout=remaining))
+            except queue.Empty:
+                pass
+        return core.admitted_epoch
 
     # ------------------------------------------------------------------ reactor callbacks
     @reactor_only
     def _on_reactor_message(self, message: Message) -> None:
-        """Reactor thread: eager signal extraction, then forward to the mailbox.
-
-        Only registration/shutdown *signals* are acted on here (they unblock
-        wait_until_registered without a trainer present).  The message itself
-        always goes to the mailbox so the training thread replays everything
-        in arrival order — epoch accounting and admission depend on it.
-        """
+        """Reactor thread: forward to the mailbox in arrival order, deciding
+        nothing.  Only where a REPLY is addressed is noted, never what it
+        says: an answer ends the HELLO retries while nobody drains."""
         if self._closed:
             return
-        if message.kind is MessageKind.REPLY:
-            body = message.body or {}
-            if body.get("consumer_id") == self.consumer_id:
-                token = body.get("token")
-                if token is None or token == self._token:
-                    if body.get("error"):
-                        if self._registration_error is None:
-                            self._registration_error = DuplicateConsumerError(
-                                body["error"]
-                            )
-                    else:
-                        self._reactor_admitted = int(body.get("admitted_epoch", 0))
-                    self._registered_event.set()
-        elif message.kind is MessageKind.SHUTDOWN:
-            self._shutdown = True
-            self._registered_event.set()
+        if message.kind is MessageKind.REPLY and self._core.mine(message.body or {}):
+            self._answered = True
         try:
             self._mailbox.put_nowait(message)
         except queue.Full:
@@ -310,13 +261,13 @@ class TensorConsumer:
 
     @reactor_only
     def _on_reactor_timer(self) -> None:
-        """Reactor timer wheel: heartbeats and registration retries."""
-        if self._closed or self._shutdown:
+        """Reactor timer wheel: HELLO until the producer answers, heartbeats
+        after; nothing once a refusal or SHUTDOWN has been processed."""
+        if self._closed or self._core.ended:
             return
-        if not self._registered or self._reactor_admitted is None:
-            # Not registered, or registered but unanswered — the HELLO (or
-            # its REPLY) may have been lost; resend until admitted.  The
-            # producer treats a repeat HELLO from the same token as idempotent.
+        if not self._registered or not self._answered:
+            # The HELLO (or its REPLY) may have been lost, or the producer is
+            # not up yet.  A repeat HELLO from the same token is idempotent.
             self._register()
             return
         try:
@@ -339,107 +290,47 @@ class TensorConsumer:
             pass
 
     # ------------------------------------------------------------------ message handling
-    def _handle_message(self, message: Message) -> Optional[BatchPayload]:
-        """Process one message; returns a payload when it is a usable data batch."""
-        if message.kind is MessageKind.REPLY:
-            body = message.body or {}
-            if body.get("consumer_id") == self.consumer_id:
-                token = body.get("token")
-                if token is not None and token != self._token:
-                    # Addressed to a different instance that shares our id
-                    # (e.g. the producer rejecting a duplicate registration).
-                    return None
-                if body.get("error"):
-                    raise DuplicateConsumerError(body["error"])
-                self._admitted_epoch = int(body.get("admitted_epoch", 0))
-            return None
-        if message.kind is MessageKind.SHUTDOWN:
-            self._shutdown = True
-            raise _ShutdownReceived()
-        if message.kind is MessageKind.BYE:
-            # The producer dropped this consumer (no acks, or silence):
-            # nothing sent from here on is paced for it.
-            body = message.body or {}
-            mine = body.get("consumer_id") == self.consumer_id
-            if mine and body.get("token") in (None, self._token):
-                raise MessagingError(
-                    f"consumer {self.consumer_id!r} was detached by the producer: "
-                    f"{body.get('reason')}"
-                )
-            return None
-        if message.kind is MessageKind.EPOCH_END:
-            body = message.body or {}
-            epoch = int(body.get("epoch", 0))
-            floor = self._admitted_epoch
-            if floor is not None and self._min_epoch is not None:
-                # Epochs the group skipped (admitted before the merge's start
-                # epoch) were never trained on; counting them toward
-                # max_epochs would end this member's stream early and leave
-                # later epochs served by a subset of shards.
-                floor = max(floor, self._min_epoch)
-            if floor is not None and epoch >= floor:
-                self.epochs_seen += 1
-                self._epochs_ended += 1
-                if self._last_completed_epoch is None or epoch > self._last_completed_epoch:
-                    self._last_completed_epoch = epoch
-                # The dedupe window only needs to span one epoch: batch keys
-                # are (epoch, index), so keys from closed epochs cannot recur.
-                self._delivered_keys = {k for k in self._delivered_keys if k[0] > epoch}
-                self._acked_keys = {k for k in self._acked_keys if k[0] > epoch}
-                self._consumed_per_epoch = {
-                    e: n for e, n in self._consumed_per_epoch.items() if e >= epoch
-                }
-            return None
-        if message.kind is MessageKind.BATCH:
-            payload: BatchPayload = message.body
-            if self._admitted_epoch is None or payload.epoch < self._admitted_epoch:
-                # Published before this consumer was admitted; not ours to use.
-                return None
-            key = payload.key()
-            if key in self._delivered_keys:
-                # Duplicate delivery (broadcast + rubberband replay of the
-                # same batch): never hand it to training twice.  Acknowledge
-                # it only when the original was already acknowledged — that
-                # is exactly when the producer took a fresh hold for the
-                # re-send.  While the original is still buffered it owes the
-                # ledger its single ack; acking the duplicate now would clear
-                # the outstanding count early, letting the producer publish
-                # past this consumer's buffer capacity.
+    def _ingest(self, message: Message) -> None:
+        """The core's owner: one mailbox message through the core, and its
+        answer carried out."""
+        kind, body, core = message.kind, message.body, self._core
+        if kind is MessageKind.BATCH:
+            verdict = core.batch(body)
+            if verdict is DELIVER:
+                metadata = body.metadata
+                producer_trace = metadata.get("trace") if isinstance(metadata, dict) else None
+                if isinstance(producer_trace, dict):
+                    # Copy before stamping: inproc payloads share one metadata
+                    # dict across every consumer in the process (and the
+                    # window cache), so the shared trace stays consumer-agnostic.
+                    trace = dict(producer_trace)
+                    trace["delivered"] = time.monotonic()
+                    self._traces[(body.epoch, body.batch_index)] = trace
+                self._buffer.put(body)
+            elif verdict is not DROP:
                 self.duplicates_dropped += 1
                 _DUPLICATES.inc()
-                if key in self._acked_keys:
-                    self._acknowledge(payload)
-                return None
-            self._delivered_keys.add(key)
-            metadata = payload.metadata
-            producer_trace = (
-                metadata.get("trace") if isinstance(metadata, dict) else None
-            )
-            if isinstance(producer_trace, dict):
-                # Copy before stamping: inproc payloads share one metadata
-                # dict across every consumer in the process (and the window
-                # cache), so the shared trace must stay consumer-agnostic.
-                trace = dict(producer_trace)
-                trace["delivered"] = time.monotonic()
-                self._traces[key] = trace
-            return payload
-        return None
-
-    def _ingest(self, message: Message) -> None:
-        """Training thread: process one mailbox message into the buffer."""
-        try:
-            payload = self._handle_message(message)
-        except _ShutdownReceived:
-            self._shutdown_processed = True
-            return
-        if payload is not None:
-            self._buffer.put(payload)
+                if verdict is REACK:
+                    self._acknowledge(body)
+        elif kind is MessageKind.EPOCH_END:
+            core.epoch_end(body or {})
+        elif kind is MessageKind.REPLY:
+            core.reply(body or {})  # a refusal ends the stream: see _raise_if_refused
+        elif kind is MessageKind.BYE:
+            # Dropped for no acks or silence: nothing from here on is paced for us.
+            reason = core.bye(body or {})
+            if reason is not None:
+                raise MessagingError(
+                    f"consumer {self.consumer_id!r} was detached by the producer: {reason}"
+                )
+        elif kind is MessageKind.SHUTDOWN:
+            core.shutdown()
 
     # ------------------------------------------------------------------ acknowledgements
     def _acknowledge(self, payload: BatchPayload) -> None:
         started = time.monotonic()
         key = payload.key()
-        self._acked_keys.add(key)
+        self._core.acked(key)
         body: Dict[str, object] = {
             "consumer_id": self.consumer_id,
             "epoch": payload.epoch,
@@ -471,17 +362,11 @@ class TensorConsumer:
         _ACK_SECONDS.inc(time.monotonic() - started)
 
     # ------------------------------------------------------------------ iteration
-    def _reached_epoch_limit(self) -> bool:
-        return (
-            self.config.max_epochs is not None
-            and self._epochs_ended >= self.config.max_epochs
-        )
-
     def _begin_iteration(self, min_epoch: Optional[int]) -> None:
         if self._closed:
             raise RuntimeError("consumer has been closed")
         if min_epoch is not None:
-            self._min_epoch = min_epoch
+            self._core.min_epoch = min_epoch
 
     def _drop_buffered(self) -> None:
         """Acknowledge everything buffered so nothing stays pinned."""
@@ -493,63 +378,49 @@ class TensorConsumer:
 
         Returns ``(payload, batch)`` when a batch is ready, ``_WAIT`` when
         nothing is available yet, or ``_DONE`` when the stream has ended
-        (epoch limit or producer shutdown).  This is the engine under both
-        :meth:`iter_batches` and the group merge — the merge drives many
-        members through it from one thread.
+        (epoch limit or producer shutdown; a refusal raises instead).  This
+        is the engine under both :meth:`iter_batches` and the group merge —
+        the merge drives many members through it from one thread.
         """
+        core = self._core
         while True:
-            if self._shutdown_processed:
-                self._drop_buffered()
-                return _DONE
-            while True:
+            # The producer sends EPOCH_END after the epoch's batches and the
+            # reactor keeps per-channel order into the mailbox, so the core
+            # sees the epoch close only after it saw the epoch's batches.
+            while not core.ended:
                 try:
                     message = self._mailbox.get_nowait()
                 except queue.Empty:
                     break
                 self._ingest(message)
-                if self._shutdown_processed:
-                    break
-            if self._shutdown_processed:
-                continue
-            # Stop once the producer has closed max_epochs epochs and every
-            # batch from those epochs has been consumed.  (The producer sends
-            # EPOCH_END after the epoch's batches, and the reactor preserves
-            # per-channel ordering into the mailbox, so this check is
-            # race-free.)
-            if (
-                self._reached_epoch_limit()
-                and self._buffer.is_empty
-                and self._mailbox.qsize() == 0
-            ):
-                return _DONE
             payload = self._buffer.get()
-            if payload is None:
-                if self._reached_epoch_limit():
-                    return _DONE
-                return _WAIT
-            start_epoch = max(self._admitted_epoch or 0, self._min_epoch or 0)
-            if self._reached_epoch_limit() and payload.epoch >= start_epoch + (
-                self.config.max_epochs or 0
-            ):
-                # A batch from an epoch beyond our limit: acknowledge and drop
-                # it so the producer does not wait on us.
-                self._acknowledge(payload)
-                self._drop_buffered()
-                return _DONE
-            if self._min_epoch is not None and payload.epoch < self._min_epoch:
+            verdict = core.take(payload)
+            if verdict is TRAIN:
+                batch = payload.unpack(self.pool)
+                self.batches_consumed += 1
+                self.samples_consumed += payload.batch_size
+                _BATCHES.inc()
+                _SAMPLES.inc(payload.batch_size)
+                return (payload, batch)
+            if verdict is SKIP:
                 # Admitted earlier than the group: this member's pre-group
                 # epochs are not trained on, but their holds must be returned.
                 self._acknowledge(payload)
                 continue
-            batch = payload.unpack(self.pool)
-            self.batches_consumed += 1
-            self.samples_consumed += payload.batch_size
-            _BATCHES.inc()
-            _SAMPLES.inc(payload.batch_size)
-            self._consumed_per_epoch[payload.epoch] = (
-                self._consumed_per_epoch.get(payload.epoch, 0) + 1
-            )
-            return (payload, batch)
+            if verdict is not DONE:
+                return _WAIT
+            # Acknowledge and drop whatever is left so the producer does not
+            # wait on us.
+            if payload is not None:
+                self._acknowledge(payload)
+            self._drop_buffered()
+            self._raise_if_refused()
+            return _DONE
+
+    def _raise_if_refused(self) -> None:
+        """A refused consumer's stream ends in the refusal, every time."""
+        if self._core.refusal is not None:
+            raise DuplicateConsumerError(self._core.refusal)
 
     def __iter__(self) -> Iterator[Dict[str, Tensor]]:
         for _payload, batch in self.iter_batches():
@@ -608,7 +479,7 @@ class TensorConsumer:
                 yield payload, batch
                 trained_at = time.monotonic()
                 _TRAIN_SECONDS.inc(trained_at - train_started)
-                trace = self._traces.get(payload.key())
+                trace = self._traces.get((payload.epoch, payload.batch_index))
                 if trace is not None:
                     trace["trained"] = trained_at
                 # The training loop finished with the batch: acknowledge it so
@@ -629,8 +500,9 @@ class TensorConsumer:
         current epoch (best effort, matching the old behaviour for one-epoch
         runs).
         """
-        if self._last_completed_epoch is not None:
-            return self._consumed_per_epoch.get(self._last_completed_epoch, 0)
+        core = self._core
+        if core.last_completed_epoch is not None:
+            return core.consumed_per_epoch.get(core.last_completed_epoch, 0)
         return self.batches_consumed
 
     # ------------------------------------------------------------------ introspection

@@ -1,19 +1,24 @@
-"""The producer's protocol core: every connection decision, and no I/O.
+"""The protocol core: every decision of both ends of a connection, and no I/O.
 
-Heartbeat detach (paper Section 3.2.3), buffer flow control and rubberband
-catch-up (Section 3.2.5) and the ack ledger that frees a batch once every
-consumer is done with it (Figure 4, step 6) are decided here, over one table
-of :class:`Peer` rows: a stranger's heartbeat or ack finds no row to change.
-The core is sans-I/O (https://sans-io.readthedocs.io/) — no lock, socket, pool
-or clock; ``now`` is an argument — and answers in plain values that its driver,
-:class:`~repro.core.producer.TensorProducer`, turns into sends and holds.
+Producer side, :class:`ProducerProtocol`: heartbeat detach (paper Section
+3.2.3), buffer flow control and rubberband catch-up (Section 3.2.5) and the
+ack ledger that frees a batch once every consumer is done with it (Figure 4,
+step 6) are decided over one table of :class:`Peer` rows: a stranger's
+heartbeat or ack finds no row to change.  Consumer side,
+:class:`ConsumerProtocol`: registration, which deliveries are trained on,
+dedupe, acknowledgement of duplicates and where the stream ends (Figure 4,
+steps 4-6).  Both are sans-I/O (https://sans-io.readthedocs.io/) — no lock,
+socket, pool or clock; ``now`` is an argument — and answer in plain values
+that their drivers, :class:`~repro.core.producer.TensorProducer` and
+:class:`~repro.core.consumer.TensorConsumer`, turn into sends, holds and
+yields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.core.ack_ledger import AckLedger, BatchKey
 from repro.core.config import ProducerConfig
@@ -31,6 +36,21 @@ ACK_DEADLINE_HEARTBEATS = 4
 PUBLISH = "publish"
 SKIP_EPOCH = "skip-epoch"
 WAIT = "wait"
+
+#: What :meth:`ConsumerProtocol.batch` tells the driver to do with a delivery:
+#: buffer it for training, drop it (published before this consumer's admitted
+#: epoch), drop a duplicate whose original still owes its ack, or drop a
+#: duplicate and acknowledge it again.
+DELIVER = "deliver"
+DROP = "drop"
+DUPLICATE = "duplicate"
+REACK = "re-ack"
+
+#: What :meth:`ConsumerProtocol.take` tells the driver to do with the next
+#: buffered batch (``WAIT``: there is none yet, and the stream goes on).
+TRAIN = "train"
+SKIP = "skip"
+DONE = "done"
 
 #: ``(payload, hold)``: a window batch to re-send to one peer; ``hold`` means
 #: the driver retains its segments once more, for that peer's ack to release.
@@ -302,3 +322,109 @@ class ProducerProtocol:
         if reason != "bye":
             notice = {"consumer_id": consumer_id, "token": peer.token, "reason": reason}
         return Dropped(consumer_id, reason, tuple(releases), notice)
+
+
+
+class ConsumerProtocol:
+    """What one consumer does with each message from its producer, decided
+    in arrival order.
+
+    Owner: the thread that drains the consumer's mailbox — the training
+    thread, or before iteration the caller of ``wait_until_registered`` (a
+    group merge calls it from the thread that then merges).  Two threads
+    never own it at once; others only read its fields, and :meth:`mine`
+    reads only the fixed id and token.
+    """
+
+    def __init__(self, consumer_id: str, token: str, max_epochs: Optional[int] = None) -> None:
+        self.consumer_id, self.token, self.max_epochs = consumer_id, token, max_epochs
+        self.admitted_epoch: Optional[int] = None
+        #: A group's start epoch, above the admitted one: epochs below it are
+        #: acknowledged untrained and do not count toward ``max_epochs``.
+        self.min_epoch: Optional[int] = None
+        self.refusal: Optional[str] = None
+        #: A refusal or SHUTDOWN was processed: the stream is over.
+        self.ended = False
+        #: Dedupe window, keys delivered and acked in open epochs: keys are
+        #: ``(epoch, index)``, so a closed epoch's cannot recur.
+        self.delivered: Set[Tuple[int, int]] = set()
+        self.acknowledged: Set[Tuple[int, int]] = set()
+        self.epochs_ended = 0  # at or above the floor: toward max_epochs
+        #: Batches trained per epoch, for the last completed epoch's length.
+        self.consumed_per_epoch: Dict[int, int] = {}
+        self.last_completed_epoch: Optional[int] = None
+
+    def mine(self, body: Mapping) -> bool:
+        """Whether a REPLY or BYE is for this instance: a token names another
+        consumer sharing the id."""
+        mine = body.get("consumer_id") == self.consumer_id
+        return mine and body.get("token") in (None, self.token)
+
+    def reply(self, body: Mapping) -> Union[int, str, None]:
+        """The admitted epoch, the refusal reason, or ``None``: not mine."""
+        if not self.mine(body):
+            return None
+        if body.get("error"):
+            self.refusal, self.ended = str(body["error"]), True
+            return self.refusal
+        self.admitted_epoch = int(body.get("admitted_epoch", 0))
+        return self.admitted_epoch
+
+    def batch(self, payload: "BatchPayload") -> str:
+        """``DELIVER``, ``DROP``, ``DUPLICATE`` or ``REACK``.  A duplicate
+        (broadcast plus a rubberband replay of one batch) is never trained
+        twice, and is acked only once its original was: that is when the
+        producer took a fresh hold for the re-send.  Acking it while the
+        original still owes its ack would let the producer publish past this
+        consumer's buffer."""
+        admitted = self.admitted_epoch
+        if admitted is None or payload.epoch < admitted:
+            return DROP
+        key = payload.key()
+        if key in self.delivered:
+            return REACK if key in self.acknowledged else DUPLICATE
+        self.delivered.add(key)
+        return DELIVER
+
+    def acked(self, key: Tuple[int, int]) -> None:
+        self.acknowledged.add(key)
+
+    def epoch_end(self, body: Mapping) -> None:
+        """An epoch closed; it counts only at or above the floor (the
+        admitted epoch, raised to ``min_epoch``), where it was trained on."""
+        epoch = int(body.get("epoch", 0))
+        admitted = self.admitted_epoch
+        if admitted is None or epoch < max(admitted, self.min_epoch or 0):
+            return
+        self.epochs_ended += 1
+        self.last_completed_epoch = max(epoch, self.last_completed_epoch or 0)
+        self.delivered = {key for key in self.delivered if key[0] > epoch}
+        self.acknowledged = {key for key in self.acknowledged if key[0] > epoch}
+        self.consumed_per_epoch = {e: n for e, n in self.consumed_per_epoch.items() if e >= epoch}
+
+    def bye(self, body: Mapping) -> Optional[str]:
+        """The producer's reason for detaching this consumer, or ``None``."""
+        return str(body.get("reason")) if self.mine(body) else None
+
+    def shutdown(self) -> None:
+        self.ended = True
+
+    def take(self, payload: Optional["BatchPayload"]) -> str:
+        """For the next buffered batch (``None``: the buffer is empty),
+        ``TRAIN``, ``SKIP`` (ack it untrained: below ``min_epoch``), ``DONE``
+        (ack it and all buffered) or ``WAIT``.  The stream is done after a
+        refusal or SHUTDOWN, and once ``max_epochs`` epochs closed and all
+        their batches were taken."""
+        if self.ended:
+            return DONE
+        limit = self.max_epochs
+        spent = limit is not None and self.epochs_ended >= limit
+        if payload is None:
+            return DONE if spent else WAIT
+        epoch = payload.epoch
+        if spent and epoch >= max(self.admitted_epoch or 0, self.min_epoch or 0) + limit:
+            return DONE
+        if self.min_epoch is not None and epoch < self.min_epoch:
+            return SKIP
+        self.consumed_per_epoch[epoch] = self.consumed_per_epoch.get(epoch, 0) + 1
+        return TRAIN

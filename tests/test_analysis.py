@@ -1297,6 +1297,13 @@ class TestProtocolCoreIsPure:
         assert path.is_file(), "the producer's protocol core, core/protocol.py, is missing"
         assert impure_imports(path.read_text()) == []
 
+    def test_the_consumer_protocol_core_imports_no_io(self):
+        path = SRC / "repro" / "core" / "protocol.py"
+        tree = ast.parse(path.read_text())
+        classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+        assert "ConsumerProtocol" in classes, "the consumer's protocol core left core/protocol.py"
+        assert impure_imports(path.read_text()) == []
+
 
 # ---------------------------------------------------------------------------
 # Regressions: real defects the analyzer found in src/

@@ -7,6 +7,7 @@ indices it has.  Everything here is bounded by a deadline; nothing compares
 wall-clock times."""
 
 import collections
+import gc
 import os
 import sys
 import threading
@@ -16,7 +17,7 @@ import tracemalloc
 import numpy as np
 
 import repro
-from repro.core import ConsumerConfig, EpochRunner, TensorProducer
+from repro.core import ConsumerConfig, EpochRunner, TensorConsumer, TensorProducer
 from repro.data import DataLoader
 from repro.data.dataset import Dataset
 from repro.messaging import InProcHub
@@ -543,6 +544,7 @@ class TestPerBatchControlCost:
 
     ITEMS, BATCH = 64, 8
     FIRST_PUBLISH_CALLS, PUBLISH_CALLS, ACK_CALLS = 46, 44, 21
+    STEP_CALLS, BOUNDARY_STEP_CALLS = 91, 121
 
     def _steady_state_counts(self):
         """``{"publish": [...], "ack": [...]}``: calls per epoch-1 publish and
@@ -601,3 +603,71 @@ class TestPerBatchControlCost:
         assert first <= self.FIRST_PUBLISH_CALLS, counts
         assert max(rest) <= self.PUBLISH_CALLS, counts
         assert max(counts["ack"]) <= self.ACK_CALLS, counts
+
+    def _trainer_step_counts(self):
+        """The calls the training thread makes inside each ``next()`` of
+        ``iter_batches`` that yields an epoch-1 batch, in order: from the
+        generator's resume (which acknowledges the batch before) to its
+        yield."""
+        address = "inproc://delivery-trainer-cost"
+        step = TensorConsumer.iter_batches.__code__
+        counts = []
+        window = {"frame": None, "calls": 0}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                if window["frame"] is not None:
+                    window["calls"] += 1
+                elif frame.f_code is step:
+                    window.update(frame=frame, calls=0)
+            elif event == "return" and frame is window["frame"]:
+                window["frame"] = None
+                if arg is not None:  # a yield, not the generator's end
+                    counts.append((arg[0].epoch, window["calls"]))
+
+        def train():
+            sys.setprofile(profile)
+            try:
+                for _batch in consumer:
+                    pass
+            finally:
+                sys.setprofile(None)
+
+        session = repro.serve(
+            DataLoader(IndexDataset(self.ITEMS), batch_size=self.BATCH),
+            address=address,
+            epochs=2,
+            buffer_size=1,
+            start=False,
+        )
+        consumer = repro.attach(address, max_epochs=2, buffer_size=1, heartbeat_interval=60)
+        trainer = threading.Thread(target=train, name="test-cost-trainer")
+        # A collection on the trainer thread would count other tests'
+        # finalizers as this step's calls.
+        gc.collect()
+        gc.disable()
+        trainer.start()
+        session.start()
+        try:
+            join_all([trainer], timeout=60.0)
+            session.raise_producer_error()
+        finally:
+            gc.enable()
+            consumer.close()
+            session.shutdown()
+        per_epoch = self.ITEMS // self.BATCH
+        assert [epoch for epoch, _calls in counts] == [0] * per_epoch + [1] * per_epoch
+        return [calls for epoch, calls in counts if epoch == 1]
+
+    def test_a_trainer_step_costs_no_more_calls_than_before(self):
+        """The consumer's half of the same count: one ``next()`` on the
+        training thread, the ack of the batch before included.  Measured on
+        the tree before the consumer's decisions moved into
+        ``core/protocol.py``, over 20 runs: 91 calls for every step but an
+        epoch's first and last, always.  Those two may also take an
+        EPOCH_END, and whether it is already queued or is waited for is a
+        race with the producer: they read 91, 104 or 121, and 91 or 105.
+        Neither bound may grow."""
+        first, *steady, last = counts = self._trainer_step_counts()
+        assert max(steady) <= self.STEP_CALLS, counts
+        assert max(first, last) <= self.BOUNDARY_STEP_CALLS, counts

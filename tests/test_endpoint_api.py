@@ -3,6 +3,7 @@ resolution, the ``repro.serve()`` / ``repro.attach()`` API, session lifecycle
 guards, and duplicate-consumer protection."""
 
 import threading
+import time
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.messaging.errors import (
     MessagingError,
     UnknownSchemeError,
 )
+from repro.messaging.message import MessageKind
 from repro.tensor import SharedMemoryPool
 
 
@@ -420,3 +422,62 @@ class TestDuplicateConsumerIds:
         producer = session.producer
         assert list(producer.consumers) == ["worker"]
         session.shutdown()
+
+    def test_a_refused_consumer_stops_sending_hello(self):
+        """The refusal answers the HELLO: retrying it would only earn the
+        same refusal every heartbeat interval until the impostor closes."""
+        session = repro.serve(
+            tiny_loader(size=16), address="inproc://duphello", epochs=1, start=False
+        )
+        owner = repro.attach(
+            "inproc://duphello", consumer_id="worker", max_epochs=1, heartbeat_interval=0.05
+        )
+        impostor = repro.attach(
+            "inproc://duphello", consumer_id="worker", max_epochs=1, heartbeat_interval=0.05
+        )
+        session.start()
+        try:
+            with pytest.raises(DuplicateConsumerError, match="worker"):
+                impostor.wait_until_registered(timeout=10.0)
+            hellos = []
+            send = impostor._push.send
+
+            def counting_send(kind, *args, **kwargs):
+                if kind is MessageKind.HELLO:
+                    hellos.append(time.monotonic())
+                return send(kind, *args, **kwargs)
+
+            impostor._push.send = counting_send
+            time.sleep(0.5)
+            assert hellos == []
+        finally:
+            impostor.close()
+            owner.close()
+            session.shutdown()
+
+
+class TestAnIdleConsumer:
+    def test_an_attached_consumer_that_never_iterates_stays_registered(self):
+        """HELLO retries stop at the producer's answer, not when someone
+        drains the mailbox: an attached consumer that has not started
+        iterating keeps heartbeating, and no REPLY piles up for it."""
+        session = repro.serve(
+            tiny_loader(size=16),
+            address="inproc://idle",
+            epochs=1,
+            heartbeat_timeout=0.5,
+            start=False,
+        )
+        consumer = repro.attach("inproc://idle", heartbeat_interval=0.05)
+        session.start()
+        try:
+            time.sleep(0.4)
+            queued = consumer._mailbox.qsize()
+            time.sleep(0.6)
+            # The ack deadline (4 heartbeat timeouts, 2 s) has not passed; a
+            # consumer that stopped beating would have been dropped at 0.5 s.
+            assert consumer.consumer_id in session.producer.consumers
+            assert consumer._mailbox.qsize() == queued
+        finally:
+            consumer.close()
+            session.shutdown()

@@ -9,11 +9,30 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core import AckLedger, BatchBuffer, ProducerConfig, plan_slices
 from repro.core.flexible_batch import recommend_producer_batch_size
-from repro.core.protocol import PUBLISH, SKIP_EPOCH, ProducerProtocol
+from repro.core.protocol import (
+    DELIVER,
+    DONE,
+    DROP,
+    DUPLICATE,
+    PUBLISH,
+    REACK,
+    SKIP,
+    SKIP_EPOCH,
+    TRAIN,
+    WAIT,
+    ConsumerProtocol,
+    ProducerProtocol,
+)
 from repro.core.rubberband import JoinDecision, RubberbandPolicy
 from repro.data import BatchSampler, RandomSampler, SyntheticImageDataset
 from repro.data import default_collate, plan_collate
@@ -411,6 +430,168 @@ ProducerProtocolModel.TestCase.settings = settings(
     max_examples=100, stateful_step_count=40, deadline=None
 )
 TestProducerProtocolModel = ProducerProtocolModel.TestCase
+
+
+# ---------------------------------------------------------------------------
+# The consumer's protocol core, stepped with no threads: nothing is trained
+# twice or below the floor, and every delivered batch is acked exactly once.
+# ---------------------------------------------------------------------------
+
+
+class ConsumerProtocolModel(RuleBasedStateMachine):
+    """:class:`ConsumerProtocol` fed what a producer may send one consumer,
+    and driven the way :class:`~repro.core.consumer.TensorConsumer` drives
+    it: a FIFO buffer of delivered batches, at most one batch in training,
+    acked when the loop moves past it.
+
+    The model's producer publishes at its own epoch.  A batch arrives
+    before admission when the REPLY is late, and below the admitted epoch
+    when the REPLY parks the consumer for the next epoch; a later epoch's
+    batches follow the EPOCH_END before them; a replay re-sends a key of an
+    open epoch, as rubberband catch-up does alongside ``broadcast``.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.epoch = 0  # the producer's
+        self.next_index = 0
+        self.sent = []  # keys sent in epochs not yet closed
+        self.answer = None  # the producer's answer to this consumer's HELLO
+        self.buffer = collections.deque()
+        self.training = None
+        self.trained = set()
+        self.delivered = set()
+        self.acks = collections.Counter()  # of delivered batches
+        self.reacks = collections.Counter()  # of their duplicates
+
+    @initialize(
+        max_epochs=st.none() | st.integers(min_value=1, max_value=3),
+        min_epoch=st.none() | st.integers(min_value=0, max_value=2),
+    )
+    def attach(self, max_epochs, min_epoch):
+        self.core = ConsumerProtocol("c", "t1", max_epochs)
+        self.core.min_epoch = min_epoch
+
+    def _floor(self):
+        return max(self.core.admitted_epoch, self.core.min_epoch or 0)
+
+    def _ack(self, key):
+        self.core.acked(key)
+        self.acks[key] += 1
+
+    # ------------------------------------------------------------------ producer
+    @rule(
+        kind=st.sampled_from(["admit", "refuse", "foreign"]),
+        later=st.booleans(),
+    )
+    def reply(self, kind, later):
+        if kind == "foreign":
+            # Another instance's answer under the same id, or another id's.
+            body = {"consumer_id": "c", "token": "t2", "admitted_epoch": 0}
+            if later:
+                body = {"consumer_id": "d", "token": "t1", "error": "taken"}
+            before = self.core.admitted_epoch
+            assert self.core.reply(body) is None
+            assert self.core.admitted_epoch == before
+            return
+        if self.answer is None:  # a retry's REPLY repeats the first answer
+            self.answer = "refuse" if kind == "refuse" else self.epoch + later
+        if self.answer == "refuse":
+            body = {"consumer_id": "c", "token": "t1", "error": "c is taken"}
+            assert self.core.reply(body) == "c is taken"
+            assert self.core.ended
+        else:
+            body = {"consumer_id": "c", "token": "t1", "admitted_epoch": self.answer}
+            assert self.core.reply(body) == self.answer == self.core.admitted_epoch
+
+    @rule(replay=st.booleans(), pick=st.integers(min_value=0, max_value=20))
+    def batch(self, replay, pick):
+        if replay and self.sent:
+            key = self.sent[pick % len(self.sent)]
+        else:
+            key = (self.epoch, self.next_index)
+            self.next_index += 1
+            self.sent.append(key)
+        verdict = self.core.batch(FakeBatch(*key))
+        admitted = self.core.admitted_epoch
+        if admitted is None or key[0] < admitted:
+            assert verdict == DROP
+        elif key in self.delivered:
+            # The original's ack is owed until it is trained: only then did
+            # the producer take a fresh hold for the re-send.
+            assert verdict == (REACK if self.acks[key] else DUPLICATE)
+            if verdict == REACK:
+                self.reacks[key] += 1
+        else:
+            assert verdict == DELIVER
+            self.delivered.add(key)
+            self.buffer.append(key)
+
+    @rule()
+    def epoch_end(self):
+        before = self.core.epochs_ended
+        counts = self.core.admitted_epoch is not None and self.epoch >= self._floor()
+        self.core.epoch_end({"epoch": self.epoch})
+        assert self.core.epochs_ended == before + counts
+        self.sent = [key for key in self.sent if key[0] > self.epoch]
+        self.epoch += 1
+        self.next_index = 0
+
+    @rule(own=st.booleans())
+    def bye(self, own):
+        token = "t1" if own else "t2"
+        reason = self.core.bye({"consumer_id": "c", "token": token, "reason": "ack timeout"})
+        assert reason == ("ack timeout" if own else None)
+
+    @rule()
+    def shutdown(self):
+        self.core.shutdown()
+
+    # ------------------------------------------------------------------ trainer
+    @precondition(lambda self: self.training is None)
+    @rule()
+    def take(self):
+        key = self.buffer.popleft() if self.buffer else None
+        verdict = self.core.take(None if key is None else FakeBatch(*key))
+        if self.core.ended:
+            assert verdict == DONE
+        if verdict == TRAIN:
+            assert key not in self.trained, "trained twice"
+            assert key[0] >= self._floor(), "trained below the floor"
+            if self.core.max_epochs is not None:
+                assert key[0] < self._floor() + self.core.max_epochs
+            self.trained.add(key)
+            self.training = key
+        elif verdict == SKIP:
+            assert key[0] < self.core.min_epoch
+            self._ack(key)
+        elif verdict == DONE:
+            for leftover in ([key] if key is not None else []) + list(self.buffer):
+                self._ack(leftover)
+            self.buffer.clear()
+        else:
+            assert verdict == WAIT and key is None
+
+    @precondition(lambda self: self.training is not None)
+    @rule()
+    def ack(self):
+        self._ack(self.training)
+        self.training = None
+
+    # ------------------------------------------------------------------ invariants
+    @invariant()
+    def every_delivered_batch_is_acked_exactly_once(self):
+        owed = set(self.buffer) | {self.training}
+        for key in self.delivered:
+            assert self.acks[key] == (0 if key in owed else 1), key
+        assert set(self.acks) <= self.delivered
+        assert all(self.acks[key] == 1 for key in self.reacks)
+
+
+ConsumerProtocolModel.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None
+)
+TestConsumerProtocolModel = ConsumerProtocolModel.TestCase
 
 
 # ---------------------------------------------------------------------------
