@@ -3,16 +3,17 @@
 Seed behavior (PR <= 9): every tensor of every batch paid a fresh
 ``shm_open`` + ``ftruncate`` + ``mmap`` and a later ``unlink``, with uuid
 names guaranteeing the consumer's attach cache missed on each delivery.  The
-slab allocator recycles freed segments through size-class free lists (same
+slab allocator recycles freed segments through their owner's free list (same
 name, bumped generation) and packs each batch into one segment, so after a
 warm-up pass the hot path allocates nothing.
 
 Two measurements:
 
 * **Allocation microbench** — the same publish/release traffic against a
-  slab pool (``share_batch`` + default free lists) and a seed-shaped pool
-  (``free_list_max_bytes=0`` restores eager unlink, per-tensor
-  ``share_tensor`` restores one segment per tensor).  Headline assertion:
+  slab pool (``share_batch`` + its free list) and the seed regime (a fresh
+  pool per batch, shut down after the release, restores eager unlink;
+  per-tensor ``share_tensor`` restores one segment per tensor).  Headline
+  assertion:
   the seed regime creates **>= 5x more segments** for identical traffic, and
   the slab's steady state (after batch 0) creates **zero** new segments.
 * **End-to-end session** — a short multi-epoch serve: once the free list is
@@ -51,19 +52,33 @@ def _batch():
     }
 
 
-def _drive(pool, *, slab: bool, batches: int) -> float:
-    """Publish/ack ``batches`` batches; returns wall seconds."""
+def _drive(pool, *, batches: int) -> float:
+    """Publish/ack ``batches`` batches through one slab pool; returns wall seconds."""
     started = time.perf_counter()
     for _ in range(batches):
-        if slab:
-            staged = pool.share_batch(_batch())
-            for name in {t.segment.name for t in staged.values()}:
-                pool.release(name)
-        else:
-            staged = {k: pool.share_tensor(t) for k, t in _batch().items()}
-            for tensor in staged.values():
-                pool.release(tensor.segment.name)
+        staged = pool.share_batch(_batch())
+        for name in {t.segment.name for t in staged.values()}:
+            pool.release(name)
     return time.perf_counter() - started
+
+
+def _drive_seed(batches: int):
+    """The seed regime: each batch in a fresh pool, one segment per tensor,
+    every segment unlinked at shutdown after the release.
+
+    Returns ``(wall seconds, segments created, free bytes left behind)``.
+    """
+    created = residue = 0
+    started = time.perf_counter()
+    for _ in range(batches):
+        pool = SharedMemoryPool()
+        staged = {k: pool.share_tensor(t) for k, t in _batch().items()}
+        for tensor in staged.values():
+            pool.release(tensor.segment.name)
+        pool.shutdown()
+        created += pool.segments_created
+        residue += pool.free_bytes
+    return time.perf_counter() - started, created, residue
 
 
 @pytest.mark.overlap_ratio
@@ -75,16 +90,16 @@ def test_slab_vs_seed_allocation(bench_record):
     skips that one assertion) runs it on shared runners.  The creation-count
     assertions hold at any speed and run in both modes.
     """
-    seed_pool = SharedMemoryPool(free_list_max_bytes=0, name_prefix="seed")
-    slab_pool = SharedMemoryPool(name_prefix="slab")
+    slab_pool = SharedMemoryPool()
     try:
-        # Warm both pools with one batch so the timed region is steady state.
-        _drive(seed_pool, slab=False, batches=1)
-        _drive(slab_pool, slab=True, batches=1)
+        # Warm both regimes with one batch so the timed region is steady state.
+        _, warm_seed_creations, seed_residue = _drive_seed(batches=1)
+        _drive(slab_pool, batches=1)
         warm_creations = slab_pool.segments_created
-        seed_seconds = _drive(seed_pool, slab=False, batches=N_BATCHES)
-        slab_seconds = _drive(slab_pool, slab=True, batches=N_BATCHES)
-        seed_creations = seed_pool.segments_created
+        seed_seconds, seed_creations, residue = _drive_seed(batches=N_BATCHES)
+        seed_creations += warm_seed_creations
+        seed_residue += residue
+        slab_seconds = _drive(slab_pool, batches=N_BATCHES)
         slab_creations = slab_pool.segments_created
         ratio = seed_seconds / slab_seconds if slab_seconds else float("inf")
         bench_record(
@@ -95,7 +110,7 @@ def test_slab_vs_seed_allocation(bench_record):
             creation_ratio=seed_creations / max(slab_creations, 1),
             slab_reuse_hits=slab_pool.segment_reuse_hits,
             slab_mmap_total=slab_pool.mmap_total,
-            seed_mmap_total=seed_pool.mmap_total,
+            seed_mmap_total=seed_creations,
             seed_seconds=seed_seconds,
             slab_seconds=slab_seconds,
             wall_ratio=ratio,
@@ -103,7 +118,7 @@ def test_slab_vs_seed_allocation(bench_record):
         print(
             f"\n| regime | segments created | mmap ops | seconds |\n|---|---|---|---|\n"
             f"| seed (fresh per tensor) | {seed_creations} | "
-            f"{seed_pool.mmap_total} | {seed_seconds:.3f} |\n"
+            f"{seed_creations} | {seed_seconds:.3f} |\n"
             f"| slab (reuse + batch packing) | {slab_creations} | "
             f"{slab_pool.mmap_total} | {slab_seconds:.3f} |\n"
             f"creation ratio: {seed_creations / max(slab_creations, 1):.0f}x, "
@@ -121,9 +136,8 @@ def test_slab_vs_seed_allocation(bench_record):
                 f"slab allocation slower than seed regime ({ratio:.2f}x)"
             )
     finally:
-        seed_pool.shutdown()
         slab_pool.shutdown()
-    assert seed_pool.free_bytes == 0 and slab_pool.free_bytes == 0
+    assert seed_residue == 0 and slab_pool.free_bytes == 0
 
 
 def test_end_to_end_session_reuses_segments(bench_record):

@@ -15,7 +15,8 @@ Or run the built-in end-to-end smoke test (used by CI)::
 ``--self-test`` exercises the whole tentpole path in one process: a tcp://
 plane, eager + sharded + lazily mounted datasets, catalog list/describe,
 attach-by-name through the catalog channel, a quota rejection, an explicit
-eviction, and the drain-to-zero accounting check at shutdown.
+eviction that unlinks the dataset's segments, and the drain-to-zero
+accounting check at shutdown.
 ``REPRO_BENCH_TINY=1`` shrinks the dataset sizes further.
 """
 
@@ -34,7 +35,8 @@ from repro.core.config import ConsumerConfig
 from repro.core.group import GroupConsumer, attach_address
 from repro.data import DataLoader
 from repro.data.dataset import Dataset
-from repro.tensor.errors import QuotaExceededError
+from repro.tensor.errors import QuotaExceededError, SharedMemoryError
+from repro.tensor.shared_memory import SharedSegment
 
 TINY = os.environ.get("REPRO_BENCH_TINY") == "1"
 
@@ -89,14 +91,25 @@ def _catalog_request(address: str, body):
         endpoint.release()
 
 
-def _drain(consumer, limit: int) -> int:
+def _drain(consumer, limit: int, names=None) -> int:
+    """Consume up to ``limit`` batches; adds their segment names to ``names``."""
     seen = 0
     with consumer:
-        for _batch in consumer:
+        for batch in consumer:
+            if names is not None:
+                names.update(tensor.segment.name for tensor in batch.values())
             seen += 1
             if seen >= limit:
                 break
     return seen
+
+
+def _segment_exists(name: str) -> bool:
+    try:
+        SharedSegment(name, create=False, backend="posix").close()
+    except SharedMemoryError:
+        return False
+    return True
 
 
 def self_test() -> int:
@@ -133,7 +146,9 @@ def self_test() -> int:
         consumer = attach_address(
             f"{broker.address}/alpha", ConsumerConfig(max_epochs=1, receive_timeout=20)
         )
-        check("attach alpha by name", _drain(consumer, limit=items) >= items // batch)
+        alpha_segments = set()
+        check("attach alpha by name",
+              _drain(consumer, limit=items, names=alpha_segments) >= items // batch)
 
         consumer = attach_address(
             f"{broker.address}/beta", ConsumerConfig(max_epochs=1, receive_timeout=20)
@@ -172,6 +187,9 @@ def self_test() -> int:
 
         leftover = broker.evict("alpha")
         check("evict alpha drains to zero", leftover == 0, f"leftover={leftover}")
+        mapped = sorted(name for name in alpha_segments if _segment_exists(name))
+        check("evict alpha unlinks its free slabs", alpha_segments and not mapped,
+              f"mapped={mapped}")
         check("alpha back to registered",
               broker.stats()["datasets"]["alpha"]["state"] == "registered")
     finally:

@@ -456,10 +456,10 @@ class DatasetBroker:
     def evict(self, name: str, timeout: float = 10.0) -> int:
         """Drain dataset ``name`` back to ``registered``; returns leaked bytes.
 
-        Its producers stop, consumers close, and its shared-memory charge
-        drains back to the pool (the return value is whatever was still
-        charged afterwards — 0 in a clean eviction).  The mount record stays:
-        the next attach mounts the dataset again.
+        Its producers stop, consumers close, its shared-memory charge drains
+        back to the pool (the return value is whatever was still charged
+        afterwards — 0 in a clean eviction) and its free slabs are unlinked.
+        The mount record stays: the next attach mounts the dataset again.
         """
         with self._lock:
             mount = self._mounts.get(name)
@@ -477,6 +477,9 @@ class DatasetBroker:
                 # keeping for raise_dataset_error but not worth failing the
                 # idle sweep over.
                 mount.error = exc
+            # The tenant view unlinks the dataset's free slabs (and any
+            # segment it still has live, once that frees).
+            session.pool.shutdown()
             # Only flip to registered once the drain is complete, so an
             # attacher that sees "registered" never reaches the dying
             # session through the directory.
@@ -525,10 +528,10 @@ class DatasetBroker:
                     "bytes_in_flight": self.pool.bytes_in_flight,
                     "cached_bytes": self.pool.cached_bytes,
                     "peak_bytes": self.pool.peak_bytes,
-                    # Slab free lists are shared across tenants and charged to
-                    # none of them: a dataset's quota bounds its *live* bytes,
-                    # and segments it frees become warm capacity any tenant may
-                    # recycle.  Drains to zero on shutdown with the rest.
+                    # Free slabs are charged to no quota (a dataset's quota
+                    # bounds its *live* bytes) and only ever recycled by the
+                    # dataset that freed them.  Eviction unlinks a dataset's
+                    # free slabs; shutdown drains the rest to zero.
                     "free_bytes": self.pool.free_bytes,
                 },
             }

@@ -106,8 +106,11 @@ def run_ablation_delivery_mode(fast: bool = False) -> ExperimentResult:
         for batch_size in batch_sizes:
             images = np.zeros((batch_size, 3, 224, 224), dtype=np.float32)
             labels = np.zeros(batch_size, dtype=np.int64)
-            shared_img = pool.share_tensor(from_numpy(images))
-            shared_lbl = pool.share_tensor(from_numpy(labels))
+            # One segment per batch, as the data plane stages it.
+            staged = pool.share_batch(
+                {"image": from_numpy(images), "label": from_numpy(labels)}
+            )
+            shared_img, shared_lbl = staged["image"], staged["label"]
             pointer_bytes = (
                 TensorPayload.from_shared(shared_img).payload_nbytes
                 + TensorPayload.from_shared(shared_lbl).payload_nbytes
@@ -123,7 +126,6 @@ def run_ablation_delivery_mode(fast: bool = False) -> ExperimentResult:
                 reduction_factor=round(copy_bytes / pointer_bytes, 1),
             )
             pool.release(shared_img.segment.name)
-            pool.release(shared_lbl.segment.name)
     finally:
         pool.shutdown()
     return result

@@ -23,13 +23,14 @@ the paper).  This module provides the storage side of that protocol:
 Slab allocation
 ---------------
 
-Freed segments are not unlinked eagerly: they return to per-size-class free
-lists (power-of-two classes with quarter subdivisions, exact class preferred)
-and are recycled under the *same name* on the next allocation of a matching
-size.  After a warm-up epoch the steady-state hot path therefore performs
-zero ``shm_open``/``mmap`` on either side: the producer pops a warm segment
-off the free list and the consumer's attach-by-name cache hits on the
-recycled name.  Every tensor of one batch is packed into a *single* segment
+Freed segments are not unlinked eagerly: each parks on its *owner's* free
+list (the tenant it was staged for, or ``None``) and is recycled under the
+*same name* by that owner's next allocation.  An owner has one slab size,
+which only grows: a larger batch raises it to its 64-byte-aligned size and
+unlinks the free slabs it outgrew.  After a warm-up epoch the steady-state
+hot path therefore performs zero ``shm_open``/``mmap`` on either side: the
+producer pops a warm slab and the consumer's attach-by-name cache hits on
+the recycled name.  Every tensor of one batch is packed into a *single* segment
 at 64-byte-aligned offsets, so the per-batch handle count (and cross-process
 attach count) is one.  One routine lays a batch out and commits it, and a
 batch's bytes are written exactly once, by one of two fills:
@@ -42,10 +43,11 @@ holding a **generation** counter that the pool bumps on every recycle.
 Payload handles carry ``(name, generation)`` and :meth:`attach` rejects a
 stale pair with :class:`~repro.tensor.errors.StaleHandleError` — a rubberband
 replay or late duplicate ack can never silently alias a recycled segment.
-Retained-free memory is bounded by a hard cap (``free_list_max_bytes``) and
-an idle trim (``free_idle_seconds``); free-listed segments belong to no
-tenant (quotas charge *live* logical bytes only) and surface through the
-``repro.pool.free_bytes`` gauge, which drains to zero on :meth:`shutdown`.
+A slab is created only when every slab of its owner is live, so an owner
+keeps at most as many slabs as it ever had batches live at once.  Free slabs
+are charged to no quota, are never handed to another owner, and surface
+through the ``repro.pool.free_bytes`` gauge; ``TenantPool.shutdown()``,
+``drop_tenant`` and ``shutdown`` unlink the free slabs they own.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from __future__ import annotations
 import math
 import struct
 import threading
-import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -96,10 +97,10 @@ _SLAB_HEADER = struct.Struct("<IHHQ")
 #: tensor inside a batch segment is aligned to this quantum.
 _SLAB_HEADER_SIZE = 64
 _SLAB_ALIGN = 64
-#: Smallest data capacity a segment is created with; tiny label tensors and
-#: the batch they belong to land in the same few classes instead of one
-#: class per odd byte count.
-_SLAB_MIN_CLASS = 4096
+#: Every segment a pool creates is named ``tsock-<12 hex digits>``.
+_NAME_PREFIX = "tsock"
+#: Cached by-name attach handles kept open (beyond ones still viewed).
+_ATTACH_CACHE_LIMIT = 32
 
 _REUSE_HITS = counter("repro.pool.segment_reuse_hits")
 _REUSE_MISSES = counter("repro.pool.segment_reuse_misses")
@@ -109,25 +110,6 @@ _MMAP_TOTAL = counter("repro.pool.mmap_total")
 
 def _align_up(value: int, align: int) -> int:
     return (value + align - 1) // align * align
-
-
-def _size_class(nbytes: int) -> int:
-    """Round a data size up to its slab class (jemalloc-style).
-
-    Classes are powers of two subdivided into quarters: between ``2^k`` and
-    ``2^(k+1)`` the steps are ``2^k + i * 2^(k-2)``, bounding internal waste
-    at 25% while keeping the number of distinct classes (and therefore free
-    lists) small.
-    """
-    if nbytes <= _SLAB_MIN_CLASS:
-        return _SLAB_MIN_CLASS
-    power = 1 << (int(nbytes) - 1).bit_length()
-    half = power >> 1
-    if nbytes == power:
-        return power
-    quarter = half >> 2
-    steps = -(-(nbytes - half) // quarter)
-    return half + steps * quarter
 
 
 def _open_posix_untracked(name: str):
@@ -156,8 +138,8 @@ def _open_posix_untracked(name: str):
             resource_tracker.register = original
 
 
-def _new_segment_name(prefix: str) -> str:
-    return f"{prefix}-{uuid.uuid4().hex[:12]}"
+def _new_segment_name() -> str:
+    return f"{_NAME_PREFIX}-{uuid.uuid4().hex[:12]}"
 
 
 class SharedSegment:
@@ -304,7 +286,7 @@ class _SegmentRecord:
     refcount: int
     #: Logical data bytes charged to the accounting buckets and tenant
     #: quotas — the tensor bytes the caller asked for, not the (larger)
-    #: size-class capacity the slab actually reserved.
+    #: aligned slab capacity the segment actually reserved.
     nbytes: int
     #: Allocator generation of this incarnation of the segment's name.
     generation: int = 0
@@ -315,16 +297,6 @@ class _SegmentRecord:
     metadata: dict = field(default_factory=dict)
 
 
-@dataclass
-class _FreeSegment:
-    """One recycled segment parked on a size-class free list."""
-
-    segment: SharedSegment
-    #: Data capacity (segment size minus the slab header) — the free-list key.
-    capacity: int
-    freed_at: float
-
-
 class SharedMemoryPool:
     """Allocates tensors in shared segments and reference-counts their lifetime.
 
@@ -333,12 +305,11 @@ class SharedMemoryPool:
     consumer has acknowledged (step 6).  ``bytes_in_flight`` and
     ``peak_bytes`` give the memory-overhead numbers reported in Tables 3 and 4.
 
-    Allocation is slab-based: freed segments return to per-size-class free
-    lists and are recycled (same name, bumped generation) by later
+    Allocation is slab-based: freed segments return to their owner's free
+    list and are recycled (same name, bumped generation) by the owner's later
     allocations, so the steady-state epoch loop creates no new segments.  See
-    the module docstring for the layout, the ABA protection and the trim
-    policy; ``free_list_max_bytes=0`` disables retention entirely (every free
-    unlinks eagerly, the pre-slab behaviour).
+    the module docstring for the layout, the ABA protection and the one slab
+    size per owner.
 
     Thread-safety: every mutation and every accounting read takes the pool
     lock, so a background stage worker may ``share_batch``/``allocate_tensor``
@@ -353,18 +324,8 @@ class SharedMemoryPool:
     held while tensor bytes are copied.
     """
 
-    def __init__(
-        self,
-        backend: str = "inproc",
-        name_prefix: str = "tsock",
-        *,
-        attach_by_name: bool = False,
-        attach_cache_limit: int = 32,
-        free_list_max_bytes: Optional[int] = 256 * 1024 * 1024,
-        free_idle_seconds: Optional[float] = 30.0,
-    ) -> None:
+    def __init__(self, backend: str = "inproc", *, attach_by_name: bool = False) -> None:
         self._backend = backend
-        self._prefix = name_prefix
         self._lock = threading.Lock()
         self._records: Dict[str, _SegmentRecord] = {}  #: guarded by _lock
         self._bytes_in_flight = 0  #: guarded by _lock
@@ -372,15 +333,12 @@ class SharedMemoryPool:
         self._peak_bytes = 0  #: guarded by _lock
         self._total_allocated = 0  #: guarded by _lock
         self._total_released = 0  #: guarded by _lock
-        # Slab free lists: size-class capacity -> recycled segments, newest
-        # last (reuse pops LIFO — the most recently freed segment is the
-        # warmest).  ``_free_bytes`` tracks the real retained memory (capacity
-        # plus header) and is bounded by the hard cap; the idle trim unlinks
-        # entries that sat unused past ``free_idle_seconds``.
-        self._free_lists: Dict[int, List[_FreeSegment]] = {}  #: guarded by _lock
+        # Per owner (tenant, or None): its slab size, which only grows, and
+        # its free slabs, warmest last.  An owner without a slab size is
+        # gone.  ``_free_bytes`` counts free slabs' capacity plus headers.
+        self._slab_sizes: Dict[Optional[str], int] = {}  #: guarded by _lock
+        self._free: Dict[Optional[str], List[SharedSegment]] = {}  #: guarded by _lock
         self._free_bytes = 0  #: guarded by _lock
-        self._free_list_max_bytes = free_list_max_bytes
-        self._free_idle_seconds = free_idle_seconds
         self._reuse_hits = 0  #: guarded by _lock
         self._reuse_misses = 0  #: guarded by _lock
         self._segments_created = 0  #: guarded by _lock
@@ -391,13 +349,12 @@ class SharedMemoryPool:
         # process).  Opened handles are cached and trimmed once the training
         # loop has moved past them; the creator still owns unlinking.
         self._attach_by_name = attach_by_name
-        self._attach_cache_limit = max(1, int(attach_cache_limit))
         self._attached: "OrderedDict[str, SharedSegment]" = OrderedDict()  #: guarded by _lock
         # Multi-tenant accounting (the broker's per-dataset quotas): segments
         # allocated through a tenant view are tagged with the tenant name and
         # counted against its quota until freed.  A tenant without a quota
-        # entry is unlimited; its usage is still tracked.  Free-listed
-        # segments belong to no tenant: quotas bound *live* logical bytes.
+        # entry is unlimited; its usage is still tracked.  Free slabs are
+        # charged to no quota: quotas bound *live* logical bytes.
         self._tenant_quotas: Dict[str, Optional[int]] = {}  #: guarded by _lock
         self._tenant_bytes: Dict[str, int] = {}  #: guarded by _lock
         # Accounting surfaces as process-wide gauges, summed over live pools.
@@ -419,89 +376,48 @@ class SharedMemoryPool:
                 f"{used} + {nbytes} bytes > quota {quota}"
             )
 
-    def _pop_free_locked(self, size_class: int) -> Optional[_FreeSegment]:
-        """Pop a recyclable segment: exact class preferred, else the smallest
-        larger class within 2x (bounding internal waste on a fallback fit)."""
-        bucket = self._free_lists.get(size_class)
-        chosen = size_class if bucket else None
-        if chosen is None:
-            for capacity in sorted(self._free_lists):
-                if capacity <= size_class:
-                    continue
-                if capacity > 2 * size_class:
-                    break
-                chosen = capacity
-                bucket = self._free_lists[capacity]
-                break
-        if bucket is None or chosen is None:
-            return None
-        entry = bucket.pop()
-        if not bucket:
-            del self._free_lists[chosen]
-        self._free_bytes -= entry.segment.size
-        return entry
+    def _unlink_free_locked(self, owner: Optional[str]) -> None:
+        """Unlink every free slab ``owner`` holds."""
+        for segment in self._free.pop(owner, ()):
+            self._free_bytes -= segment.size
+            segment.unlink()
 
-    def _pool_segment_locked(self, segment: SharedSegment) -> None:
-        """Return a dead segment to its size-class free list (or retire it).
-
-        The hard cap bounds retained-free memory: past it the segment is
-        unlinked instead, and its uuid name is never reused.
-        """
-        capacity = segment.size - _SLAB_HEADER_SIZE
-        if (
-            capacity <= 0
-            or self._free_list_max_bytes is not None
-            and self._free_bytes + segment.size > self._free_list_max_bytes
-        ):
+    def _pool_segment_locked(self, segment: SharedSegment, owner: Optional[str]) -> None:
+        """Park a dead segment on its owner's free list, or unlink it when
+        the owner is gone or its slab size has outgrown the segment."""
+        slab_size = self._slab_sizes.get(owner)
+        if slab_size is None or segment.size - _SLAB_HEADER_SIZE < slab_size:
             segment.unlink()
             return
-        self._free_lists.setdefault(capacity, []).append(
-            _FreeSegment(segment, capacity, time.monotonic())
-        )
+        self._free.setdefault(owner, []).append(segment)
         self._free_bytes += segment.size
 
-    def _trim_idle_free_locked(self, now: float) -> None:
-        """Unlink free-listed segments that sat unused past the idle window."""
-        if self._free_idle_seconds is None or not self._free_lists:
-            return
-        cutoff = now - self._free_idle_seconds
-        for capacity in list(self._free_lists):
-            kept = []
-            for entry in self._free_lists[capacity]:
-                if entry.freed_at < cutoff:
-                    self._free_bytes -= entry.segment.size
-                    entry.segment.unlink()
-                else:
-                    kept.append(entry)
-            if kept:
-                self._free_lists[capacity] = kept
-            else:
-                del self._free_lists[capacity]
+    def _acquire_segment(self, data_nbytes: int, owner: Optional[str]) -> Tuple[SharedSegment, int]:
+        """A segment of ``owner``'s slab size, raised to fit ``data_nbytes``.
 
-    def _acquire_segment(self, data_nbytes: int) -> Tuple[SharedSegment, int, bool]:
-        """A segment with at least ``data_nbytes`` of data capacity.
-
-        Recycles from the free lists when possible (bumping the generation
-        and restamping the slab header); creates a fresh segment otherwise.
-        Returns ``(segment, generation, reused)``; the caller owns the
+        Recycles the owner's warmest free slab when it has one (bumping the
+        generation and restamping the slab header); creates a fresh segment
+        otherwise.  Returns ``(segment, generation)``; the caller owns the
         segment exclusively until it commits a record for it.
         """
-        size_class = _size_class(data_nbytes)
+        needed = _align_up(data_nbytes, _SLAB_ALIGN)
         with self._lock:
-            self._trim_idle_free_locked(time.monotonic())
-            entry = self._pop_free_locked(size_class)
-            if entry is not None:
+            slab_size = self._slab_sizes.get(owner, 0)
+            if needed > slab_size:
+                self._slab_sizes[owner] = slab_size = needed
+                self._unlink_free_locked(owner)
+            free = self._free.get(owner)
+            segment = free.pop() if free else None
+            if segment is not None:
+                self._free_bytes -= segment.size
                 self._reuse_hits += 1
-        if entry is not None:
-            segment = entry.segment
+        if segment is not None:
             segment.generation += 1
             _write_slab_header(segment)
             _REUSE_HITS.inc()
-            return segment, segment.generation, True
-        name = _new_segment_name(self._prefix)
-        segment = SharedSegment(
-            name, _SLAB_HEADER_SIZE + size_class, create=True, backend=self._backend
-        )
+            return segment, segment.generation
+        size = _SLAB_HEADER_SIZE + slab_size
+        segment = SharedSegment(_new_segment_name(), size, create=True, backend=self._backend)
         segment.generation = 1
         _write_slab_header(segment)
         with self._lock:
@@ -509,7 +425,7 @@ class SharedMemoryPool:
             self._segments_created += 1
         _REUSE_MISSES.inc()
         _MMAP_TOTAL.inc()
-        return segment, 1, False
+        return segment, 1
 
     def _commit_segment(
         self,
@@ -525,11 +441,11 @@ class SharedMemoryPool:
                 # Re-check under the same lock that commits the record: two
                 # tenant allocations racing past the pre-check must not
                 # overshoot the quota together.  The rejected segment goes
-                # straight back to the free list.
+                # straight back to the tenant's free list.
                 try:
                     self._check_quota_locked(tenant, nbytes)
                 except QuotaExceededError:
-                    self._pool_segment_locked(segment)
+                    self._pool_segment_locked(segment, tenant)
                     raise
                 self._tenant_bytes[tenant] = self._tenant_bytes.get(tenant, 0) + nbytes
             record = _SegmentRecord(
@@ -578,7 +494,7 @@ class SharedMemoryPool:
         if tenant is not None:
             with self._lock:
                 self._check_quota_locked(tenant, logical)
-        segment, generation, _reused = self._acquire_segment(cursor - _SLAB_HEADER_SIZE)
+        segment, generation = self._acquire_segment(cursor - _SLAB_HEADER_SIZE, tenant)
         try:
             shared = {
                 key: Tensor(
@@ -593,7 +509,7 @@ class SharedMemoryPool:
                 fill({key: tensor.numpy() for key, tensor in shared.items()})
         except BaseException:
             with self._lock:
-                self._pool_segment_locked(segment)
+                self._pool_segment_locked(segment, tenant)
             raise
         self._commit_segment(segment, generation, logical, initial_refcount, tenant)
         return shared
@@ -676,8 +592,8 @@ class SharedMemoryPool:
         and the trainer.  Layout: the slab header, then each tensor at the
         next 64-byte-aligned offset.  Accounting charges the batch's logical
         tensor bytes (the refcounted record and any tenant quota); the slab's
-        size-class rounding only shows up in ``free_bytes`` once the segment
-        is recycled.  If ``fill`` raises, the reserved segment returns to the
+        alignment padding only shows up in ``free_bytes`` once the segment
+        is freed.  If ``fill`` raises, the reserved segment returns to the
         free list uncharged and the exception propagates.
         """
         specs = [(key, shape, dtype, device) for key, (shape, dtype) in layout.items()]
@@ -749,10 +665,10 @@ class SharedMemoryPool:
 
         ``cached`` names the bucket the segment's bytes are currently counted
         in (a segment sits in ``cached_bytes`` while it has cache holds,
-        ``bytes_in_flight`` otherwise).  The segment goes to the free list
-        (its name will be reused at a bumped generation) unless the hard cap
-        retires it; the tenant's charge ends here either way — free-listed
-        bytes belong to no tenant.
+        ``bytes_in_flight`` otherwise).  The segment goes to its owner's free
+        list (its name will be reused at a bumped generation) or is unlinked;
+        the tenant's charge ends here either way — free slabs are charged to
+        no quota.
         """
         self._records.pop(name)
         if cached:
@@ -764,7 +680,7 @@ class SharedMemoryPool:
             remaining = self._tenant_bytes.get(tenant, 0) - record.nbytes
             self._tenant_bytes[tenant] = max(0, remaining)
         self._total_released += record.nbytes
-        self._pool_segment_locked(record.segment)
+        self._pool_segment_locked(record.segment, tenant)
 
     # -- cache holds -----------------------------------------------------------------
     def retain_cached(self, name: str, count: int = 1) -> int:
@@ -878,9 +794,9 @@ class SharedMemoryPool:
         (BufferError); it is *skipped* — kept at its place in the cache and
         retried on a later trim — and trimming continues with the next-oldest
         candidate, so one pinned view cannot let the cache grow without
-        bound past ``attach_cache_limit``.
+        bound past ``_ATTACH_CACHE_LIMIT``.
         """
-        excess = len(self._attached) - self._attach_cache_limit
+        excess = len(self._attached) - _ATTACH_CACHE_LIMIT
         if excess <= 0:
             return
         for name in list(self._attached):
@@ -955,35 +871,6 @@ class SharedMemoryPool:
         array = segment.ndarray(tuple(shape), as_dtype(dtype), offset=offset)
         return Tensor(array, device, segment=segment, segment_offset=offset)
 
-    # -- free-list maintenance ------------------------------------------------------
-    def trim_free(self, max_bytes: int = 0) -> int:
-        """Unlink free-listed segments (oldest first) down to ``max_bytes``.
-
-        Returns the number of bytes released.  ``trim_free()`` with the
-        default empties the free lists entirely — the explicit way to drain
-        ``free_bytes`` to zero without shutting the pool down.
-        """
-        released = 0
-        with self._lock:
-            while self._free_bytes > max_bytes and self._free_lists:
-                oldest_capacity = None
-                oldest_index = None
-                oldest: Optional[_FreeSegment] = None
-                for capacity, bucket in self._free_lists.items():
-                    for index, entry in enumerate(bucket):
-                        if oldest is None or entry.freed_at < oldest.freed_at:
-                            oldest_capacity, oldest_index, oldest = capacity, index, entry
-                if oldest is None:
-                    break
-                bucket = self._free_lists[oldest_capacity]
-                bucket.pop(oldest_index)
-                if not bucket:
-                    del self._free_lists[oldest_capacity]
-                self._free_bytes -= oldest.segment.size
-                released += oldest.segment.size
-                oldest.segment.unlink()
-        return released
-
     # -- accounting ----------------------------------------------------------------
     @property
     def bytes_in_flight(self) -> int:
@@ -1004,18 +891,18 @@ class SharedMemoryPool:
 
     @property
     def free_bytes(self) -> int:
-        """Real memory retained on the slab free lists (capacity + headers)."""
+        """Real memory retained in free slabs (capacity + headers)."""
         with self._lock:
             return self._free_bytes
 
     @property
     def free_segments(self) -> int:
         with self._lock:
-            return sum(len(bucket) for bucket in self._free_lists.values())
+            return sum(len(free) for free in self._free.values())
 
     @property
     def segment_reuse_hits(self) -> int:
-        """Allocations served by recycling a free-listed segment."""
+        """Allocations served by recycling a free slab."""
         with self._lock:
             return self._reuse_hits
 
@@ -1068,15 +955,22 @@ class SharedMemoryPool:
             self._tenant_quotas[tenant] = quota_bytes
             self._tenant_bytes.setdefault(tenant, 0)
 
-    def drop_tenant(self, tenant: str) -> int:
-        """Forget a tenant's quota entry; returns the bytes it still held.
+    def _retire_owner(self, owner: Optional[str]) -> None:
+        """Unlink ``owner``'s free slabs and forget its slab size, so the
+        segments it still has live are unlinked as they free."""
+        with self._lock:
+            self._slab_sizes.pop(owner, None)
+            self._unlink_free_locked(owner)
 
-        Live segments stay tagged and keep decrementing the (now orphaned)
-        usage counter as they free, so a non-zero return flags an eviction
-        that ran before the tenant's session finished draining.  Segments
-        the tenant already freed sit on the shared free lists untagged —
-        eviction does not (and must not) reclaim them from other tenants.
+    def drop_tenant(self, tenant: str) -> int:
+        """Forget a tenant; returns the bytes it still held.
+
+        The tenant's free slabs are unlinked with its quota entry.  Live
+        segments stay tagged and keep decrementing the (now orphaned) usage
+        counter as they free, then unlink, so a non-zero return flags an
+        eviction that ran before the tenant's session finished draining.
         """
+        self._retire_owner(tenant)
         with self._lock:
             self._tenant_quotas.pop(tenant, None)
             return self._tenant_bytes.pop(tenant, 0)
@@ -1084,9 +978,9 @@ class SharedMemoryPool:
     def tenant_bytes(self, tenant: str) -> int:
         """Live bytes currently charged to ``tenant`` (in-flight + cached).
 
-        Free-listed bytes are never charged here: a segment's tenant charge
-        ends the moment its last hold is released, even while the slab keeps
-        the segment warm for the next allocation.
+        Free slabs are never charged here: a segment's tenant charge ends
+        the moment its last hold is released, even while the tenant keeps
+        the slab warm for its next allocation.
         """
         with self._lock:
             return self._tenant_bytes.get(tenant, 0)
@@ -1101,7 +995,7 @@ class SharedMemoryPool:
         return TenantPool(self, tenant)
 
     def shutdown(self) -> None:
-        """Free every live and free-listed segment regardless of refcount
+        """Free every live segment regardless of refcount and every free slab
         (end-of-run cleanup); ``free_bytes`` drains to zero here too."""
         with self._lock:
             for record in self._records.values():
@@ -1109,11 +1003,9 @@ class SharedMemoryPool:
             self._records.clear()
             self._bytes_in_flight = 0
             self._cached_bytes = 0
-            for bucket in self._free_lists.values():
-                for entry in bucket:
-                    entry.segment.unlink()
-            self._free_lists.clear()
-            self._free_bytes = 0
+            for owner in list(self._free):
+                self._unlink_free_locked(owner)
+            self._slab_sizes.clear()
             for segment in self._attached.values():
                 try:
                     segment.close()
@@ -1143,13 +1035,15 @@ class TenantPool:
     :class:`~repro.tensor.errors.QuotaExceededError` past its quota, while
     every other operation — refcounting, cache holds, attach, accounting
     reads — passes straight through to the shared pool, so payloads staged by
-    one tenant stay reachable to every consumer of the same transport.  The
-    slab free lists are likewise shared: a segment freed by one tenant is
-    uncharged from it immediately and may be recycled by any other.
+    one tenant stay reachable to every consumer of the same transport.  A
+    segment freed by the tenant is uncharged from it immediately and parks
+    on the tenant's own free list: no other tenant is ever handed it.
 
-    ``shutdown()`` is deliberately a no-op: the shared pool outlives any one
-    tenant, and a tenant's bytes drain through ordinary releases when its
-    session shuts down (the broker asserts they reach zero).
+    ``shutdown()`` unlinks the tenant's free slabs, and the segments it
+    still has live as they free, but leaves the shared pool and the
+    tenant's quota alone: the pool outlives any one tenant, and a tenant's
+    live bytes drain through ordinary releases when its session shuts down
+    (the broker asserts they reach zero).
     """
 
     def __init__(self, pool: SharedMemoryPool, tenant: str) -> None:
@@ -1210,7 +1104,8 @@ class TenantPool:
         return self._pool.tenant_quota(self.tenant)
 
     def shutdown(self) -> None:
-        """No-op: only the transport owner may shut the shared pool down."""
+        """Unlink this tenant's free slabs; the shared pool lives on."""
+        self._pool._retire_owner(self.tenant)
 
     def __getattr__(self, name: str):
         # Everything not overridden (retain/release/cache holds/attach/

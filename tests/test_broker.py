@@ -353,6 +353,17 @@ class TestLifecycle:
             assert broker.evict("ds") == 0
             assert broker.stats()["datasets"]["ds"]["state"] == "registered"
 
+    def test_evict_unlinks_the_datasets_free_slabs(self):
+        with repro.broker("inproc://plane-evict-free") as broker:
+            broker.publish("ds", tagged_loader(11))
+            drain(repro.attach(f"{broker.address}/ds", max_epochs=1))
+            assert broker.evict("ds") == 0
+            assert broker.pool.free_bytes == 0
+            assert broker.stats()["pool"]["free_bytes"] == 0
+            # Remounting starts the dataset's slabs afresh.
+            rows = drain(repro.attach(f"{broker.address}/ds", max_epochs=1))
+            assert sorted(i for _, idx in rows for i in idx) == list(range(12))
+
     def test_unpublish_removes_from_catalog(self):
         with repro.broker("inproc://plane-unpub") as broker:
             broker.publish("gone", tagged_loader(12))

@@ -223,7 +223,7 @@ class TestFillBatch:
         assert pool.total_allocated_bytes == 0  # the books never saw it
         assert view.bytes_used == 0
         assert pool.free_segments == 1  # ...and the segment is back on the free list
-        again = pool.fill_batch({"x": ((8,), "float32")}, lambda out: out["x"].fill(2.0))
+        again = view.fill_batch({"x": ((8,), "float32")}, lambda out: out["x"].fill(2.0))
         assert pool.segments_created == 1  # recycled, under a bumped generation
         assert again["x"].segment.generation == 2
         assert again["x"].numpy().tolist() == [2.0] * 8

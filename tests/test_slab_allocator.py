@@ -1,22 +1,27 @@
-"""The slab allocator: size-class reuse, generations/ABA, trim, quotas.
+"""The slab allocator: per-owner reuse, generations/ABA, bounds, quotas.
 
-PR 10's tentpole: ``SharedMemoryPool`` recycles freed segments through
-per-size-class free lists (same name, bumped generation) and packs a whole
-batch into one segment.  These tests pin down the allocator's contracts:
+``SharedMemoryPool`` recycles freed segments through their owner's free list
+(same name, bumped generation) and packs a whole batch into one segment.
+These tests pin down the allocator's contracts:
 
-* exact-class reuse preferred, larger classes only within the 2x waste bound,
+* an owner (tenant, or ``None``) has one slab size, which only grows; a
+  smaller batch takes a full-size slab, a larger one unlinks the free slabs
+  it outgrew,
 * steady-state allocation creates zero new segments once the list is warm,
+  and a serving session creates a slab only when every slab it has is live,
 * a (name, generation) handle packed before a recycle is *rejected* — it
   must never alias the segment's new occupant (the ABA hazard),
-* retained-free bytes respect the hard cap and the idle trim, and drain to
-  zero on shutdown,
-* tenant quotas charge live bytes only — free-listed segments are unowned,
+* free slabs are unlinked when their owner goes and drain to zero on
+  shutdown,
+* tenant quotas charge live bytes only, and a tenant's free slab is never
+  handed to another tenant,
 * cache holds pin the generation until the last hold is gone,
 * ``share_batch`` lays every tensor of a batch into one aligned segment.
 """
 
 import multiprocessing
-import time
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -31,13 +36,9 @@ from repro.tensor import (
     TensorPayload,
     from_numpy,
 )
+from repro.tensor import shared_memory
 from repro.tensor.errors import StaleHandleError
-from repro.tensor.shared_memory import (
-    _SLAB_ALIGN,
-    _SLAB_HEADER_SIZE,
-    _SLAB_MIN_CLASS,
-    _size_class,
-)
+from repro.tensor.shared_memory import _SLAB_ALIGN, _SLAB_HEADER_SIZE
 
 
 @pytest.fixture
@@ -45,34 +46,6 @@ def pool():
     pool = SharedMemoryPool()
     yield pool
     pool.shutdown()
-
-
-# ---------------------------------------------------------------------------
-# size classes
-# ---------------------------------------------------------------------------
-
-
-class TestSizeClasses:
-    def test_minimum_class_floor(self):
-        assert _size_class(1) == _SLAB_MIN_CLASS
-        assert _size_class(_SLAB_MIN_CLASS) == _SLAB_MIN_CLASS
-
-    def test_powers_of_two_are_their_own_class(self):
-        for power in (8192, 16384, 1 << 20):
-            assert _size_class(power) == power
-
-    def test_quarter_subdivisions_bound_waste(self):
-        # Between 4096 and 8192 the classes step by 1024 (quarter of 4096).
-        assert _size_class(4097) == 5120
-        assert _size_class(5000) == 5120
-        assert _size_class(5121) == 6144
-        assert _size_class(8191) == 8192
-        # Internal waste never exceeds 25% above the floor class (four
-        # subdivisions per power-of-two doubling, jemalloc-style).
-        for nbytes in (4097, 5000, 9000, 100_000, 1_000_001):
-            cls = _size_class(nbytes)
-            assert cls >= nbytes
-            assert cls - nbytes <= max(nbytes * 0.25, _SLAB_MIN_CLASS)
 
 
 # ---------------------------------------------------------------------------
@@ -101,32 +74,14 @@ class TestSegmentReuse:
         assert pool.segment_reuse_misses == 1
         assert pool.mmap_total == 1
 
-    def test_exact_class_preferred_over_larger(self, pool):
-        small = pool.allocate_tensor((_SLAB_MIN_CLASS,), "uint8")
-        large = pool.allocate_tensor((8192,), "uint8")
-        small_name, large_name = small.segment.name, large.segment.name
-        pool.release(large_name)  # freed first: without exact-fit it would win
-        pool.release(small_name)
-        reused = pool.allocate_tensor((_SLAB_MIN_CLASS,), "uint8")
-        assert reused.segment.name == small_name
-
     def test_larger_class_fallback_within_2x(self, pool):
         big = pool.allocate_tensor((8192,), "uint8")
         big_name = big.segment.name
         pool.release(big_name)
-        # 4097 bytes -> class 5120; the free 8192 segment is within 2x.
+        # A smaller batch takes the owner's (larger) slab.
         fallback = pool.allocate_tensor((4097,), "uint8")
         assert fallback.segment.name == big_name
         assert pool.segment_reuse_hits == 1
-
-    def test_no_fallback_past_2x_waste_bound(self, pool):
-        huge = pool.allocate_tensor((1 << 20,), "uint8")
-        huge_name = huge.segment.name
-        pool.release(huge_name)
-        small = pool.allocate_tensor((8,), "float32")
-        assert small.segment.name != huge_name
-        assert pool.segment_reuse_hits == 0
-        assert pool.segments_created == 2
 
     def test_reuse_pops_warmest_segment_first(self, pool):
         a = pool.allocate_tensor((8,), "float32")
@@ -141,8 +96,8 @@ class TestSegmentReuse:
         assert pool.bytes_in_flight == 64
         pool.release(tensor.segment.name)
         assert pool.bytes_in_flight == 0
-        # The free list holds the real segment (class capacity + header).
-        assert pool.free_bytes == _SLAB_MIN_CLASS + _SLAB_HEADER_SIZE
+        # The free list holds the real segment (aligned capacity + header).
+        assert pool.free_bytes == 64 + _SLAB_HEADER_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +139,7 @@ class TestGenerationABA:
         # Two pools sharing the inproc registry model producer + consumer
         # processes: the consumer-side check reads the segment's in-band
         # header, not the producer pool's books.
-        producer = SharedMemoryPool(name_prefix="aba-prod")
+        producer = SharedMemoryPool()
         consumer = SharedMemoryPool(attach_by_name=True)
         try:
             tensor = producer.allocate_tensor((8,), "float32")
@@ -218,64 +173,95 @@ class TestGenerationABA:
 
 
 # ---------------------------------------------------------------------------
-# free-list bounds: hard cap, idle trim, explicit trim, shutdown
+# free-list bounds: one growing slab size per owner, owners going, shutdown
 # ---------------------------------------------------------------------------
 
 
 class TestFreeListBounds:
-    def test_zero_cap_restores_eager_unlink(self):
-        pool = SharedMemoryPool(free_list_max_bytes=0)
-        try:
-            tensor = pool.allocate_tensor((8,), "float32")
-            pool.release(tensor.segment.name)
-            assert pool.free_bytes == 0
-            assert pool.free_segments == 0
-            again = pool.allocate_tensor((8,), "float32")
-            assert again.segment.name != tensor.segment.name
-            assert pool.segment_reuse_hits == 0
-        finally:
-            pool.shutdown()
-
-    def test_hard_cap_retires_overflow(self):
-        segment_size = _SLAB_MIN_CLASS + _SLAB_HEADER_SIZE
-        pool = SharedMemoryPool(free_list_max_bytes=segment_size)
-        try:
-            a = pool.allocate_tensor((8,), "float32")
-            b = pool.allocate_tensor((8,), "float32")
-            pool.release(a.segment.name)
-            assert pool.free_bytes == segment_size
-            pool.release(b.segment.name)  # would exceed the cap: unlinked
-            assert pool.free_bytes == segment_size
-            assert pool.free_segments == 1
-        finally:
-            pool.shutdown()
-
-    def test_idle_trim_unlinks_stale_entries(self):
-        pool = SharedMemoryPool(free_idle_seconds=0.01)
-        try:
-            tensor = pool.allocate_tensor((8,), "float32")
-            pool.release(tensor.segment.name)
-            assert pool.free_segments == 1
-            time.sleep(0.05)
-            # The trim runs on the allocation path; ask for a class the stale
-            # entry cannot serve so the miss proves it was unlinked, not used.
-            pool.allocate_tensor((1 << 20,), "uint8")
-            assert pool.free_segments == 0
-            assert pool.free_bytes == 0
-        finally:
-            pool.shutdown()
-
-    def test_explicit_trim_free_empties_oldest_first(self, pool):
+    def test_a_larger_batch_grows_the_slab_and_unlinks_outgrown_slabs(self, pool):
         small = pool.allocate_tensor((8,), "float32")
-        big = pool.allocate_tensor((8192,), "uint8")
-        pool.release(small.segment.name)  # older free entry
+        live_small = pool.allocate_tensor((8,), "float32")
+        pool.release(small.segment.name)
+        assert pool.free_segments == 1
+        big = pool.allocate_tensor((1000,), "float32")  # 4000 -> 4032 aligned
+        assert pool.free_segments == 0  # the outgrown free slab is unlinked
+        assert big.segment.size == _SLAB_HEADER_SIZE + 4032
+        pool.release(live_small.segment.name)  # outgrown while live: unlinked
+        assert pool.free_segments == 0 and pool.free_bytes == 0
+        # A small batch now takes a full-size slab.
+        again = pool.allocate_tensor((8,), "float32")
+        assert again.segment.size == _SLAB_HEADER_SIZE + 4032
         pool.release(big.segment.name)
-        big_size = _size_class(8192) + _SLAB_HEADER_SIZE
-        released = pool.trim_free(max_bytes=big_size)
-        assert released == _SLAB_MIN_CLASS + _SLAB_HEADER_SIZE  # oldest went
-        assert pool.free_bytes == big_size
-        assert pool.trim_free() == big_size
-        assert pool.free_bytes == 0
+        pool.release(again.segment.name)
+        assert pool.free_bytes == 2 * (_SLAB_HEADER_SIZE + 4032)
+
+    def test_tenant_shutdown_unlinks_only_its_own_free_slabs(self, pool):
+        a = pool.tenant_view("team-x", quota_bytes=1 << 20)
+        b = pool.tenant_view("team-y")
+        freed_a = a.allocate_tensor((8,), "float32")
+        live_a = a.allocate_tensor((8,), "float32")
+        freed_b = b.allocate_tensor((8,), "float32")
+        pool.release(freed_a.segment.name)
+        pool.release(freed_b.segment.name)
+        assert pool.free_segments == 2
+        a.shutdown()
+        assert pool.free_segments == 1  # b's slab stays warm
+        assert a.quota_bytes == 1 << 20  # the quota outlives the view
+        pool.release(live_a.segment.name)  # its owner is gone: unlinked
+        assert pool.free_segments == 1
+        assert b.allocate_tensor((8,), "float32").segment.name == freed_b.segment.name
+
+    def test_drop_tenant_unlinks_its_free_slabs(self, pool):
+        view = pool.tenant_view("team-z")
+        pool.release(view.allocate_tensor((8,), "float32").segment.name)
+        assert pool.free_bytes > 0
+        assert pool.drop_tenant("team-z") == 0
+        assert pool.free_bytes == 0 and pool.free_segments == 0
+
+    def test_racing_owners_keep_the_books_and_leak_no_segment(self, pool):
+        """More threads than cores over three owners and two batch sizes,
+        with a short switch interval: every free slab is of its owner's
+        final size, ``free_bytes`` is their sum, and shutdown unlinks every
+        segment the run created."""
+        owners = [pool, pool.tenant_view("team-r1"), pool.tenant_view("team-r2")]
+        seen, errors = set(), []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(300):
+                    owner = owners[rng.integers(len(owners))]
+                    held = [
+                        owner.allocate_tensor((int(rng.choice([8, 1000])),), "float32")
+                        for _ in range(2)
+                    ]
+                    for tensor in held:
+                        seen.add(tensor.segment.name)
+                        pool.release(tensor.segment.name)
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        assert pool.live_segments == 0 and pool.bytes_in_flight == 0
+        sizes = [
+            (segment.size, _SLAB_HEADER_SIZE + pool._slab_sizes[owner])
+            for owner, free in pool._free.items()
+            for segment in free
+        ]
+        assert all(size == wanted for size, wanted in sizes)
+        assert pool.free_bytes == sum(size for size, _ in sizes)
+        pool.shutdown()
+        assert not seen & set(shared_memory._INPROC_REGISTRY)
 
     def test_shutdown_drains_free_bytes(self):
         pool = SharedMemoryPool()
@@ -312,15 +298,18 @@ class TestTenantQuotaAccounting:
         # The recycled segment: quota headroom came back with the free.
         assert second.segment.name == first.segment.name
 
-    def test_one_tenants_free_segment_serves_another(self, pool):
+    def test_a_tenants_free_slab_is_never_handed_to_another(self, pool):
         a = pool.tenant_view("team-c", quota_bytes=1 << 20)
         b = pool.tenant_view("team-d", quota_bytes=1 << 20)
         tensor = a.allocate_tensor((512,), "uint8")
         pool.release(tensor.segment.name)
-        reused = b.allocate_tensor((512,), "uint8")
-        assert reused.segment.name == tensor.segment.name
+        other = b.allocate_tensor((512,), "uint8")
+        assert other.segment.name != tensor.segment.name
+        assert pool.segments_created == 2
         assert a.bytes_used == 0
         assert b.bytes_used == 512
+        # ...while the tenant that freed it gets its own slab back.
+        assert a.allocate_tensor((512,), "uint8").segment.name == tensor.segment.name
 
     def test_share_batch_charges_tenant_once(self, pool):
         view = pool.tenant_view("team-e", quota_bytes=4096)
@@ -450,9 +439,10 @@ class TestShareBatch:
 
 
 class TestAttachCacheTrim:
-    def test_pinned_view_does_not_stop_the_trim(self):
-        producer = SharedMemoryPool(name_prefix="trim-prod")
-        consumer = SharedMemoryPool(attach_by_name=True, attach_cache_limit=2)
+    def test_pinned_view_does_not_stop_the_trim(self, monkeypatch):
+        monkeypatch.setattr(shared_memory, "_ATTACH_CACHE_LIMIT", 2)
+        producer = SharedMemoryPool()
+        consumer = SharedMemoryPool(attach_by_name=True)
         try:
             tensors = [producer.allocate_tensor((8,), "float32") for _ in range(4)]
             names = [t.segment.name for t in tensors]
@@ -482,7 +472,7 @@ class TestAttachCacheTrim:
             producer.shutdown()
 
     def test_attach_counters_track_hits_and_opens(self):
-        producer = SharedMemoryPool(name_prefix="cnt-prod")
+        producer = SharedMemoryPool()
         consumer = SharedMemoryPool(attach_by_name=True)
         try:
             tensor = producer.allocate_tensor((8,), "float32")
@@ -591,3 +581,74 @@ class TestTcpAttachCacheReuse:
         assert session.pool.segment_reuse_hits > 0
         assert session.pool.bytes_in_flight == 0
         assert session.pool.free_bytes == 0  # shutdown drained the free list
+
+
+# ---------------------------------------------------------------------------
+# the bound: a serving session creates a slab only when every slab is live
+# ---------------------------------------------------------------------------
+
+
+class _RowDataset:
+    """128 items of one int64 each: 32 equal batches of 4, 32 bytes apiece."""
+
+    def __len__(self):
+        return 128
+
+    def __getitem__(self, index):
+        return {"index": np.array([index], dtype=np.int64)}
+
+
+_BATCH_NBYTES = 4 * 8
+
+
+@pytest.mark.parametrize(
+    "consumers, serve_kwargs",
+    [
+        (1, {}),
+        (2, {}),
+        (1, {"pipeline_depth": 4}),
+        (1, {"buffer_size": 4}),
+        (2, {"shards": 2}),
+        (1, {"cache": "all"}),
+        (1, {"cache": "lru", "cache_bytes": 8 * _BATCH_NBYTES}),
+    ],
+    ids=["one-consumer", "two-consumers", "pipeline-depth-4", "buffer-size-4",
+         "two-shards", "cache-all", "lru-8-batches"],
+)
+def test_a_session_creates_a_slab_only_when_every_slab_is_live(consumers, serve_kwargs):
+    from repro.data import DataLoader
+
+    session = repro.serve(
+        DataLoader(_RowDataset(), batch_size=4),
+        address=f"inproc://slab-bound-{len(serve_kwargs)}-{consumers}-{id(serve_kwargs)}",
+        epochs=3,
+        start=False,
+        **serve_kwargs,
+    )
+    counts = []
+    attached = [
+        session.consumer(
+            ConsumerConfig(consumer_id=f"c{k}", max_epochs=3, receive_timeout=60)
+        )
+        for k in range(consumers)
+    ]
+
+    def drain(consumer):
+        counts.append(sum(1 for _ in consumer))
+        consumer.close()
+
+    threads = [threading.Thread(target=drain, args=(c,)) for c in attached]
+    for thread in threads:
+        thread.start()
+    try:
+        session.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert counts == [3 * 32] * consumers
+        pool = session.pool
+        # Every batch is the same size, so the slabs ever created are the
+        # batches ever live at once: a slab is made only when none is free.
+        assert pool.segments_created * _BATCH_NBYTES == pool.peak_bytes
+    finally:
+        session.shutdown()
+    assert session.pool.free_bytes == 0
