@@ -27,7 +27,7 @@ import pytest
 
 import repro
 from repro.core import ConsumerConfig
-from repro.core.consumer import TensorConsumer
+from repro.core.group import attach_address
 from repro.data import DataLoader, SyntheticImageDataset
 from repro.data.transforms import Compose, DecodeJpeg, Normalize, SleepTransform, ToTensor
 from repro.experiments.harness import measure_epoch_throughput
@@ -142,9 +142,9 @@ def test_epoch_cache_tcp_with_late_attacher():
     results = {}
 
     def consume(name, max_epochs):
-        consumer = TensorConsumer(
-            address=session.address,
-            config=ConsumerConfig(consumer_id=name, max_epochs=max_epochs, receive_timeout=60),
+        consumer = attach_address(
+            session.address,
+            ConsumerConfig(consumer_id=name, max_epochs=max_epochs, receive_timeout=60),
         )
         results[name] = [tuple(batch["index"].tolist()) for batch in consumer]
         consumer.close()

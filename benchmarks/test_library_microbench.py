@@ -9,7 +9,7 @@ import numpy as np
 
 import repro
 from repro.core import ConsumerConfig
-from repro.core.consumer import TensorConsumer
+from repro.core.group import attach_address
 from repro.data import DataLoader, SyntheticImageDataset
 from repro.data.transforms import Compose, DecodeJpeg, Normalize, ToTensor
 from repro.tensor import BatchPayload, SharedMemoryPool, from_numpy
@@ -60,7 +60,7 @@ def test_shared_loader_tcp_end_to_end_throughput(benchmark, bench_record):
     inproc:// number above: envelopes cross a real loopback socket through the
     broker while tensor bytes stay in posix shared memory.
 
-    The consumer is built directly (not via ``repro.attach``) so it dials the
+    The consumer attaches through ``attach_address`` (not ``repro.attach``) so it dials the
     broker instead of taking the same-process session shortcut.
     """
 
@@ -72,9 +72,8 @@ def test_shared_loader_tcp_end_to_end_throughput(benchmark, bench_record):
             loader, address="tcp://127.0.0.1:0", epochs=1,
             start=False,
         )
-        consumer = TensorConsumer(
-            address=session.address,
-            config=ConsumerConfig(max_epochs=1, receive_timeout=20),
+        consumer = attach_address(
+            session.address, ConsumerConfig(max_epochs=1, receive_timeout=20)
         )
         session.start()
         batches = sum(1 for _ in consumer)

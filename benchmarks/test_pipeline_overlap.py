@@ -25,7 +25,7 @@ import pytest
 
 import repro
 from repro.core import ConsumerConfig, ProducerConfig
-from repro.core.consumer import TensorConsumer
+from repro.core.group import attach_address
 from repro.data import DataLoader, SyntheticImageDataset
 from repro.data.transforms import Compose, DecodeJpeg, Normalize, SleepTransform, ToTensor
 
@@ -65,7 +65,7 @@ def run_epoch(address, depth, *, direct_consumer=False):
     def consume(name):
         config = ConsumerConfig(consumer_id=name, max_epochs=1, receive_timeout=30)
         if direct_consumer:
-            consumer = TensorConsumer(address=session.address, config=config)
+            consumer = attach_address(session.address, config)
         else:
             consumer = session.consumer(config)
         counts[name] = sum(1 for _ in consumer)

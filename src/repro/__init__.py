@@ -17,16 +17,18 @@ knows how to bind (serve) and connect (attach) an address.  ``inproc://``
 (threads of one process) and ``tcp://`` (separate OS processes: a broker
 thread for the message envelopes, posix shared memory for zero-copy tensor
 hand-off) are built in; new transports plug into the same registry without
-touching producer or consumer code.  Explicit ``hub=`` / ``pool=`` object
-wiring remains supported everywhere for tests and embedded uses.
+touching producer or consumer code.  ``serve`` is the one place that binds
+an address and ``attach`` the one that connects: ``TensorProducer`` and
+``TensorConsumer`` take the resolved ``hub=`` / ``pool=``.
 
 The package is organised as the paper's system plus every substrate it relies
 on:
 
 * :mod:`repro.tensor` — numpy-backed tensors, shared-memory pools and the
   ``TensorPayload`` zero-copy handle mechanism.
-* :mod:`repro.messaging` — the ZeroMQ-style PUB/SUB, PUSH/PULL and heartbeat
-  channels, plus the URI endpoint layer and transport registry.
+* :mod:`repro.messaging` — the ZeroMQ-style hub (PUB/SUB publish, PUSH/PULL
+  push), the reactor, the REQ/REP service channels, plus the URI endpoint
+  layer and transport registry.
 * :mod:`repro.data` — datasets, samplers, transforms and the multi-worker
   ``DataLoader`` the producer wraps.
 * :mod:`repro.core` — TensorSocket itself: ``TensorProducer``,
@@ -39,8 +41,7 @@ on:
   hardware models (GPUs, NVLink/PCIe, vCPUs, storage, cloud instances) used
   to reproduce the paper's multi-GPU and cloud experiments.
 * :mod:`repro.training` — calibrated model cost profiles and the simulated
-  training loop / collocation runner; simulated pipelines are served at
-  ``sim://`` addresses through the same registry.
+  training loop / collocation runner.
 * :mod:`repro.baselines` — conventional per-process loading, CoorDL and
   Joader re-implementations.
 * :mod:`repro.experiments` — one driver per figure/table of the evaluation.

@@ -20,10 +20,6 @@ process in the job group.  Relative to TensorSocket the paper highlights
 
 The per-consumer coordination cost below is calibrated so that a 4-way
 collocation costs ≈1.5x the single-job CPU, matching Figure 14a.
-
-Like the real CoorDL cache (a MinIO endpoint jobs connect to), the simulated
-pipeline can be served at a ``sim://`` URI and attached by address — pass
-``address=`` or call :meth:`~repro.training.loading.LoadingPipeline.serve`.
 """
 
 from __future__ import annotations
@@ -57,9 +53,8 @@ class CoorDLLoading(LoadingPipeline):
         machine: Machine,
         *,
         loader_workers: int = 4,
-        address: Optional[str] = None,
     ) -> None:
-        super().__init__(sim, machine, address=address)
+        super().__init__(sim, machine)
         self.loader_workers = max(1, int(loader_workers))
         self._workloads: List[TrainingWorkload] = []
         self._staging: Optional[Store] = None

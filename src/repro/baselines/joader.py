@@ -20,10 +20,6 @@ constants are fitted to the Joader curve of the paper's Figure 15
 The shared read/decode pipeline itself uses the configured worker pool and is
 rarely the binding constraint, matching the paper's analysis that the sampler
 overhead, not raw decoding, is what limits Joader.
-
-Like the real Joader loading server (which jobs register with over RPC), the
-simulated pipeline can be served at a ``sim://`` URI and attached by address —
-pass ``address=`` or call :meth:`~repro.training.loading.LoadingPipeline.serve`.
 """
 
 from __future__ import annotations
@@ -58,9 +54,8 @@ class JoaderLoading(LoadingPipeline):
         machine: Machine,
         *,
         loader_workers: int = 8,
-        address: Optional[str] = None,
     ) -> None:
-        super().__init__(sim, machine, address=address)
+        super().__init__(sim, machine)
         self.loader_workers = max(1, int(loader_workers))
         self._workloads: List[TrainingWorkload] = []
         self._staging: Optional[Store] = None

@@ -78,15 +78,11 @@ def _parse_synthetic(spec: str):
 def _catalog_request(address: str, body):
     """One request on a broker's catalog channel over a fresh connection."""
     from repro.messaging import endpoint as endpoints
-    from repro.messaging.sockets import ReqSocket
+    from repro.messaging.sockets import request_once
 
     endpoint = endpoints.connect(address)
     try:
-        req = ReqSocket(endpoint.hub, f"{address}/catalog")
-        try:
-            return req.request(body, timeout=5.0)
-        finally:
-            req.close()
+        return request_once(endpoint.hub, f"{address}/catalog", body, timeout=5.0)
     finally:
         endpoint.release()
 

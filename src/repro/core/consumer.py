@@ -11,7 +11,9 @@ Internally the consumer registers with the producer (HELLO), receives pointer
 payloads over the PUB/SUB data channel, rebuilds tensors zero-copy (step 4 in
 Figure 4), buffers up to N pending batches, acknowledges each batch once the
 training loop moves past it (step 6), emits heartbeats, and departs cleanly
-with BYE.
+with BYE.  It resolves no address: :func:`repro.attach` (or a session's
+:meth:`~repro.core.session.SharedLoaderSession.consumer`) hands it the hub,
+the pool and, for a remote attach, the connection it must release.
 
 Message reception rides the per-process :class:`~repro.messaging.reactor.
 Reactor` rather than a private blocking receive loop: the reactor fans the
@@ -27,7 +29,6 @@ mailbox; this class carries out its answers.
 
 from __future__ import annotations
 
-import dataclasses
 import queue
 import time
 import uuid
@@ -36,12 +37,10 @@ from typing import Dict, Iterator, Optional, Tuple
 from repro.core.batch_buffer import BatchBuffer
 from repro.core.config import ConsumerConfig
 from repro.core.protocol import DELIVER, DONE, DROP, REACK, SKIP, TRAIN, ConsumerProtocol
-from repro.messaging import endpoint as endpoints
+from repro.messaging.endpoint import Endpoint
 from repro.messaging.errors import DuplicateConsumerError, MessagingError, TimeoutError_
-from repro.messaging.heartbeat import HeartbeatSender
 from repro.messaging.message import Message, MessageKind
 from repro.messaging.reactor import get_reactor, reactor_only
-from repro.messaging.sockets import PushSocket
 from repro.messaging.transport import InProcHub
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import counter, histogram
@@ -60,6 +59,7 @@ _TRAIN_SECONDS = counter("repro.consumer.stall.train_seconds")
 _ACK_SECONDS = counter("repro.consumer.stall.ack_seconds")
 _LOOP_SECONDS = counter("repro.consumer.loop_seconds")
 _LATENCY = histogram("repro.consumer.batch_latency_seconds")
+_BEATS_SENT = counter("repro.heartbeat.sent")
 
 
 #: Sentinels returned by the non-blocking :meth:`TensorConsumer._try_take`
@@ -78,27 +78,17 @@ class TensorConsumer:
 
     def __init__(
         self,
-        address: Optional[str] = None,
         *,
-        hub: Optional[InProcHub] = None,
-        pool: Optional[SharedMemoryPool] = None,
+        hub: InProcHub,
+        pool: SharedMemoryPool,
         config: Optional[ConsumerConfig] = None,
+        endpoint: Optional[Endpoint] = None,
     ) -> None:
+        """``config.address`` names the producer's channels on ``hub``;
+        ``endpoint`` is the attach connection this consumer adopts and
+        releases in :meth:`close` (none for a session's own consumers)."""
         self.config = config or ConsumerConfig()
-        if address is not None and address != self.config.address:
-            self.config = dataclasses.replace(self.config, address=address)
-        # URI addresses resolve hub and pool through the transport registry;
-        # explicit hub=/pool= arguments override the endpoint's resources.
-        self._endpoint: Optional[endpoints.Endpoint] = None
-        if hub is None:
-            if not endpoints.is_uri(self.config.address):
-                raise MessagingError(
-                    "TensorConsumer needs either an explicit hub= or a URI address "
-                    f"(e.g. 'inproc://demo'); got address={self.config.address!r}"
-                )
-            self._endpoint = endpoints.connect(self.config.address)
-            hub = self._endpoint.hub
-            pool = pool or self._endpoint.pool
+        self._endpoint = endpoint
         self.consumer_id = self.config.consumer_id or f"consumer-{uuid.uuid4().hex[:8]}"
         self.pool = pool
         self.hub = hub
@@ -134,39 +124,32 @@ class TensorConsumer:
         self.duplicates_dropped = 0
 
         self._reactor = get_reactor()
-        self._subscription = None
-        self._timer = None
+        self._subscription = self._reactor.subscribe(
+            hub,
+            self.config.data_address,
+            ("broadcast", f"consumer/{self.consumer_id}"),
+            self._on_reactor_message,
+        )
         try:
-            self._subscription = self._reactor.subscribe(
-                hub,
-                self.config.data_address,
-                ("broadcast", f"consumer/{self.consumer_id}"),
-                self._on_reactor_message,
-            )
-            self._push = PushSocket(hub, self.config.control_address, identity=self.consumer_id)
-            self._heartbeat = HeartbeatSender(
-                self._push, self.consumer_id, interval=self.config.heartbeat_interval
-            )
             # Heartbeats and registration retries have one owner, the reactor's
             # timer wheel: no heartbeat thread, none sent from the training loop.
             self._timer = self._reactor.every(
                 self.config.heartbeat_interval, self._on_reactor_timer
             )
         except BaseException:
-            # A socket failing mid-construction (e.g. the broker died after
-            # the endpoint connected) must not leak the endpoint's client
-            # connections, subscriptions, or attach pool.
-            if self._timer is not None:
-                self._timer.cancel()
-            if self._subscription is not None:
-                self._subscription.unsubscribe()
-            if self._endpoint is not None:
-                self._endpoint.release()
+            self._subscription.unsubscribe()
             raise
 
         self._register()
 
     # ------------------------------------------------------------------ registration
+    def _push(self, kind: MessageKind, body=None) -> None:
+        """Push one message to the producer's control inbox."""
+        self.hub.push(
+            self.config.control_address,
+            Message(topic="", kind=kind, sender=self.consumer_id, body=body),
+        )
+
     def _register(self) -> None:
         """Announce this consumer to the producer.
 
@@ -175,16 +158,15 @@ class TensorConsumer:
         registration is retried from the reactor's timer until it succeeds.
         """
         try:
-            self._push.send(
+            self._push(
                 MessageKind.HELLO,
-                body={
+                {
                     "consumer_id": self.consumer_id,
                     "token": self._token,
                     "batch_size": self.config.batch_size,
                     "buffer_size": self.config.buffer_size,
                 },
             )
-            self._heartbeat.send()
             self._registered = True
         except MessagingError:
             self._registered = False
@@ -261,8 +243,9 @@ class TensorConsumer:
 
     @reactor_only
     def _on_reactor_timer(self) -> None:
-        """Reactor timer wheel: HELLO until the producer answers, heartbeats
-        after; nothing once a refusal or SHUTDOWN has been processed."""
+        """Reactor timer wheel, every ``heartbeat_interval``: HELLO until the
+        producer answers, one HEARTBEAT per tick after; nothing once closed or
+        a refusal or SHUTDOWN has been processed."""
         if self._closed or self._core.ended:
             return
         if not self._registered or not self._answered:
@@ -271,9 +254,11 @@ class TensorConsumer:
             self._register()
             return
         try:
-            self._heartbeat.maybe_send()
+            self._push(MessageKind.HEARTBEAT, {"consumer_id": self.consumer_id})
         except MessagingError:
             self._registered = False
+            return
+        _BEATS_SENT.inc()
 
     def _add_mailbox_listener(self, wakeup) -> None:
         self._wakeups.append(wakeup)
@@ -355,7 +340,7 @@ class TensorConsumer:
             # The producer aggregates the full span on its side of the plane.
             body["trace"] = trace
         try:
-            self._push.send(MessageKind.ACK, body=body)
+            self._push(MessageKind.ACK, body)
         except MessagingError:
             # The producer is gone; there is nobody left to account the ack.
             pass
@@ -533,22 +518,17 @@ class TensorConsumer:
         return self._closed
 
     def close(self) -> None:
-        """Deregister from the producer and close the sockets."""
+        """Deregister from the producer and release the subscription and
+        the attach connection."""
         if self._closed:
             return
         self._closed = True
-        if self._timer is not None:
-            self._timer.cancel()
+        self._timer.cancel()
         try:
-            self._push.send(
-                MessageKind.BYE,
-                body={"consumer_id": self.consumer_id, "token": self._token},
-            )
+            self._push(MessageKind.BYE, {"consumer_id": self.consumer_id, "token": self._token})
         except Exception:
             pass
-        if self._subscription is not None:
-            self._subscription.unsubscribe()
-        self._push.close()
+        self._subscription.unsubscribe()
         if self._endpoint is not None:
             # Connect-side release: a no-op for inproc://, but tcp:// drops
             # this consumer's refcount on the shared broker connection.

@@ -75,10 +75,15 @@ def build_consumer(
     adopts it and releases it in ``close()``.
     """
     consumer_id = config.consumer_id or f"consumer-{uuid.uuid4().hex[:8]}"
+    member_configs = [
+        dataclasses.replace(config, address=member, consumer_id=consumer_id)
+        for member in SessionManifest(address=address, shards=shards).members()
+    ]
+    if len(member_configs) == 1:
+        return TensorConsumer(hub=hub, pool=pool, config=member_configs[0], endpoint=endpoint)
     members: List[TensorConsumer] = []
     try:
-        for member in SessionManifest(address=address, shards=shards).members():
-            member_config = dataclasses.replace(config, address=member, consumer_id=consumer_id)
+        for member_config in member_configs:
             members.append(TensorConsumer(hub=hub, pool=pool, config=member_config))
     except BaseException:
         for member in members:
@@ -87,9 +92,6 @@ def build_consumer(
             except Exception:
                 pass
         raise
-    if len(members) == 1:
-        members[0]._endpoint = endpoint
-        return members[0]
     return GroupConsumer(members, interleave=config.interleave, address=address, endpoint=endpoint)
 
 

@@ -9,25 +9,26 @@ and the acknowledgement ledger that releases shared memory once every
 consumer has acknowledged a batch (Figure 4, steps 3 and 6) — are decided by
 a :class:`~repro.core.protocol.ProducerProtocol`.  The producer is that
 core's driver: it reads the clock, feeds the core what arrives on the control
-inbox, and does the socket sends and pool ``retain``/``release`` for the
+inbox, and does the hub sends and pool ``retain``/``release`` for the
 names the core returns.
 
 It is exposed as an iterator over the nested loader, exactly like the paper's
 ``producer.py`` example::
 
-    producer = TensorProducer(loader, hub=hub, config=ProducerConfig(epochs=2))
+    producer = TensorProducer(loader, hub=hub, pool=pool, config=ProducerConfig(epochs=2))
     for _ in producer:      # drives loading, publishing and acknowledgements
         pass
     producer.join()         # drain acks, announce shutdown
 
 A sharded session (:mod:`repro.core.session`) instantiates several
 producers — each with its own runner over one shard of the dataset — behind a
-single logical address; nothing in this class is shard-aware.
+single logical address; nothing in this class is shard-aware.  Nor does it
+resolve addresses: the session binds one and hands each member its hub,
+pool and channel prefix (``config.address``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 import uuid
@@ -38,10 +39,8 @@ from repro.core.config import ProducerConfig
 from repro.core.epoch_runner import EpochRunner, SkipEpoch
 from repro.core.protocol import PUBLISH, SKIP_EPOCH, Dropped, Peer, ProducerProtocol, Replay
 from repro.core.rubberband import RubberbandPolicy
-from repro.messaging import endpoint as endpoints
 from repro.messaging.errors import EndpointClosedError, MessagingError, TimeoutError_
 from repro.messaging.message import Message, MessageKind
-from repro.messaging.sockets import PubSocket, PullSocket, PushSocket
 from repro.messaging.transport import InProcHub
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import counter, histogram
@@ -70,55 +69,33 @@ class TensorProducer:
         self,
         data_loader,
         *,
-        address: Optional[str] = None,
         hub: Optional[InProcHub] = None,
         config: Optional[ProducerConfig] = None,
         pool: Optional[SharedMemoryPool] = None,
     ) -> None:
         self.loader = data_loader
         self.config = config or ProducerConfig()
-        if address is not None and address != self.config.address:
-            self.config = dataclasses.replace(self.config, address=address)
-        # URI addresses resolve hub and pool through the transport registry;
-        # explicit hub=/pool= arguments override the endpoint's resources.
-        self._endpoint: Optional[endpoints.Endpoint] = None
-        if hub is None and endpoints.is_uri(self.config.address):
-            self._endpoint = endpoints.bind(self.config.address)
-            if self._endpoint.address != self.config.address:
-                # The transport resolved the address (tcp://host:0 picked a
-                # real port); surface it so consumers can attach to it.
-                self.config = dataclasses.replace(self.config, address=self._endpoint.address)
-            hub = self._endpoint.hub
-            pool = pool or self._endpoint.pool
+        self.hub = hub or InProcHub()
+        self.pool = pool or SharedMemoryPool()
+        self.identity = f"producer-{uuid.uuid4().hex[:8]}"
+
+        # The epoch cache (repro.cache); None when the policy is "none".
+        cache_policy = CachePolicy.parse(self.config.cache_policy)
+        self.cache: Optional[BatchCache] = None
+        if cache_policy is not CachePolicy.NONE:
+            self.cache = BatchCache(
+                self.pool,
+                policy=cache_policy,
+                budget_bytes=self.config.cache_bytes,
+            )
+
+        self.rubberband = RubberbandPolicy(self.config.rubberband_fraction)
         try:
-            self.hub = hub or InProcHub()
-            self.pool = pool or SharedMemoryPool()
-            self.identity = f"producer-{uuid.uuid4().hex[:8]}"
-
-            # The epoch cache (repro.cache); None when the policy is "none".
-            cache_policy = CachePolicy.parse(self.config.cache_policy)
-            self.cache: Optional[BatchCache] = None
-            if cache_policy is not CachePolicy.NONE:
-                self.cache = BatchCache(
-                    self.pool,
-                    policy=cache_policy,
-                    budget_bytes=self.config.cache_bytes,
-                )
-
-            self._pub = PubSocket(self.hub, self.config.data_address, identity=self.identity)
-            self._control = PullSocket(self.hub, self.config.control_address, identity=self.identity)
-            self.rubberband = RubberbandPolicy(self.config.rubberband_fraction)
-            try:
-                self.rubberband.set_epoch_length(len(data_loader))
-            except TypeError:
-                pass
-            self.protocol = ProducerProtocol(self.config, self.rubberband)
-            self.ledger = self.protocol.ledger
-        except BaseException:
-            # A failure after the bind must not leave the address registered
-            # (or the tcp:// broker running) with no owner to release it.
-            self.close_endpoint()
-            raise
+            self.rubberband.set_epoch_length(len(data_loader))
+        except TypeError:
+            pass
+        self.protocol = ProducerProtocol(self.config, self.rubberband)
+        self.ledger = self.protocol.ledger
 
         #: stop() calls so far: any ends the loading, one during join() its drain.
         self._stops = 0
@@ -136,11 +113,13 @@ class TensorProducer:
         self.payloads_published = 0
         #: ``(epoch, when its send returned)`` of the latest publish.
         self._last_publish: Optional[Tuple[int, float]] = None
+        # Bound last: nothing above can fail with the control address taken.
+        self._control = self.hub.bind(self.config.control_address, name=self.identity)
 
     # ------------------------------------------------------------------ registration
     @property
     def address(self) -> str:
-        """The address this producer serves (a URI when endpoint-resolved)."""
+        """The channel prefix this producer serves on (its config's address)."""
         return self.config.address
 
     @property
@@ -171,7 +150,7 @@ class TensorProducer:
         if "error" not in reply:
             _BEATS_RECEIVED.inc()
         # Tell the consumer which epoch it starts in (or why it may not).
-        self._pub.send(MessageKind.REPLY, body=reply, topic=f"consumer/{reply['consumer_id']}")
+        self._send(MessageKind.REPLY, reply, f"consumer/{reply['consumer_id']}")
         self._send_replays(reply["consumer_id"], replays)
 
     def _send_replays(self, consumer_id: str, replays: List[Replay]) -> None:
@@ -181,7 +160,7 @@ class TensorProducer:
             if hold:
                 for name in payload.segment_names:
                     self.pool.retain(name)
-            self._pub.send(MessageKind.BATCH, body=payload, topic=f"consumer/{consumer_id}")
+            self._send(MessageKind.BATCH, payload, f"consumer/{consumer_id}")
 
     def _apply_drops(self, dropped: Iterable[Dropped]) -> None:
         for consumer_id, reason, releases, notice in dropped:
@@ -193,7 +172,14 @@ class TensorProducer:
                 # It may still be iterating: told, its next step fails with
                 # the reason instead of overrunning its buffer with
                 # broadcasts it is no longer paced for.
-                self._pub.send(MessageKind.BYE, body=notice, topic=f"consumer/{consumer_id}")
+                self._send(MessageKind.BYE, notice, f"consumer/{consumer_id}")
+
+    def _send(self, kind: MessageKind, body, topic: str) -> None:
+        """Publish one message on the data channel."""
+        self.hub.publish(
+            self.config.data_address,
+            Message(topic=topic, kind=kind, sender=self.identity, body=body),
+        )
 
     def _release(self, names: Iterable[str]) -> None:
         for name in names:
@@ -201,7 +187,7 @@ class TensorProducer:
 
     # ------------------------------------------------------------------ control plane
     def _process_control(self, wait_until: Optional[float] = None) -> float:
-        """Drain the control socket (registrations, acks, byes, heartbeats),
+        """Drain the control inbox (registrations, acks, byes, heartbeats),
         then detach whoever has been silent past the heartbeat timeout.
         Returns the clock reading the messages were handled at.
 
@@ -210,11 +196,11 @@ class TensorProducer:
         message arrives, that deadline or the quietest consumer's heartbeat
         expiry passes, or :meth:`stop` / a closed inbox ends the wait.
         """
-        message = self._control.try_recv()
+        message = self._control.try_receive()
         if message is None and wait_until is not None:
             timeout = min(wait_until, self.protocol.next_expiry) - time.monotonic()
             try:
-                message = self._control.recv(
+                message = self._control.receive(
                     timeout=None if timeout == math.inf else max(0.0, timeout)
                 )
             except TimeoutError_:
@@ -224,7 +210,7 @@ class TensorProducer:
         now = time.monotonic()
         while message is not None:
             self._handle_control_message(message, now)
-            message = self._control.try_recv()
+            message = self._control.try_receive()
         if now >= self.protocol.next_expiry:
             self._apply_drops(self.protocol.expire(now))
         return now
@@ -325,7 +311,10 @@ class TensorProducer:
         if isinstance(trace, dict):
             # Stamped before the send so the stamp travels with the payload.
             trace["published"] = time.monotonic()
-        self._pub.send(MessageKind.BATCH, body=payload, topic=topic)
+        self.hub.publish(
+            self.config.data_address,
+            Message(topic=topic, kind=MessageKind.BATCH, sender=self.identity, body=payload),
+        )
         self.payloads_published += 1
         _PUBLISHES.inc()
         finished = time.monotonic()
@@ -366,10 +355,10 @@ class TensorProducer:
     def _finish_epoch(self) -> None:
         finished_epoch = self.epoch
         self._release(self.protocol.end_epoch())
-        self._pub.send(
+        self._send(
             MessageKind.EPOCH_END,
-            body={"epoch": finished_epoch, "batches": self.runner.batches_published_this_epoch},
-            topic="broadcast",
+            {"epoch": finished_epoch, "batches": self.runner.batches_published_this_epoch},
+            "broadcast",
         )
 
     # ------------------------------------------------------------------ shutdown
@@ -379,7 +368,10 @@ class TensorProducer:
         already draining in :meth:`join` gives the drain up."""
         self._stops += 1
         try:
-            PushSocket(self.hub, self.config.control_address).send(MessageKind.SHUTDOWN)
+            self.hub.push(
+                self.config.control_address,
+                Message(topic="", kind=MessageKind.SHUTDOWN, sender=self.identity),
+            )
         except MessagingError:
             pass  # already joined: nothing is bound there, nobody is waiting
 
@@ -395,21 +387,14 @@ class TensorProducer:
         while self.ledger.pending_batches and self._stops == stops and time.monotonic() < deadline:
             self._process_control(wait_until=deadline)
         if not self._shutdown_sent:
-            self._pub.send(MessageKind.SHUTDOWN, body={"epochs": self.epoch}, topic="broadcast")
+            self._send(MessageKind.SHUTDOWN, {"epochs": self.epoch}, "broadcast")
             self._shutdown_sent = True
         self._release(self.protocol.drain())
         # Cache holds are distinct from in-flight holds; release them last so
         # both buckets read zero after join() on every exit path.
         if self.cache is not None:
             self.cache.clear()
-        self._control.close()
-        self._pub.close()
-        self.close_endpoint()
-
-    def close_endpoint(self) -> None:
-        """Release the bound address so it can be served again (idempotent)."""
-        if self._endpoint is not None:
-            self._endpoint.release()
+        self.hub.disconnect(self._control)
 
     # ------------------------------------------------------------------ introspection
     def metrics(self) -> Dict[str, object]:

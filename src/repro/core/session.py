@@ -176,7 +176,10 @@ class SharedLoaderSession:
             for loader, member_address in zip(loaders, self._manifest.members()):
                 self.members.append(
                     TensorProducer(
-                        loader, address=member_address, hub=self.hub, pool=self.pool, config=config
+                        loader,
+                        hub=self.hub,
+                        pool=self.pool,
+                        config=dataclasses.replace(config, address=member_address),
                     )
                 )
             if self._endpoint is not None or embedded:

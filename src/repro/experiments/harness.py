@@ -58,14 +58,8 @@ def run_collocation(
     producer_gpu: int = 0,
     buffer_size: int = 2,
     flexible_batching: bool = False,
-    address: Optional[str] = None,
 ) -> CollocationResult:
-    """Run one configuration with experiment-standard durations and dataset sizing.
-
-    The run's loading pipeline is served at a ``sim://`` endpoint and trainers
-    attach by address; pass ``address=`` to pin it, otherwise a unique one is
-    generated per run.
-    """
+    """Run one configuration with experiment-standard durations and dataset sizing."""
     dataset = workloads[0].model.dataset
     runner = CollocationRunner(
         spec,
@@ -76,7 +70,6 @@ def run_collocation(
         buffer_size=buffer_size,
         flexible_batching=flexible_batching,
         dataset_bytes=DATASET_BYTES.get(dataset, 100 * GB),
-        address=address,
         **durations(fast),
     )
     return runner.run(list(workloads))

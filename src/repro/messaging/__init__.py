@@ -1,10 +1,12 @@
-"""Messaging layer: a small ZeroMQ-style socket library.
+"""Messaging layer: a small ZeroMQ-style hub library.
 
 TensorSocket uses ZeroMQ PUB/SUB sockets for the data channel (producer
 multicasts batch payloads to all consumers), a PUSH/PULL-style channel for
-acknowledgements, and a separate heartbeat channel for liveness (paper
-Section 3.2.3).  ZeroMQ is not available offline, so this subpackage provides
-the same patterns:
+acknowledgements, and heartbeats for liveness (paper Section 3.2.3).  ZeroMQ
+is not available offline, so this subpackage provides the same patterns as
+one hub surface — ``publish`` fans out to connected inboxes, ``push``
+delivers to the one bound inbox — that the producer and consumer call
+directly:
 
 * :class:`~repro.messaging.message.Message` — a typed envelope (topic, kind,
   sender, body) with a stable wire encoding.
@@ -14,25 +16,21 @@ the same patterns:
 * :class:`~repro.messaging.transport.TcpServerHub` /
   :class:`~repro.messaging.transport.TcpHubClient` — the same surface for
   true multi-process runs: the serving process's hub also listens on a port,
-  an attaching process reaches it through the client, and the socket
-  wrappers run unchanged on either side.
+  an attaching process reaches it through the client, and the same calls
+  run unchanged on either side.
 * :mod:`~repro.messaging.reactor` — the one event loop per process that
   every ``tcp://`` socket, shared subscription and timer rides on.
-* :mod:`~repro.messaging.sockets` — ``PubSocket``, ``PushSocket`` /
-  ``PullSocket`` and ``ReqSocket`` / ``RepSocket`` pattern wrappers, plus
-  ``Responder`` / ``request_once``, the two ends of a service channel.
-* :class:`~repro.messaging.heartbeat.HeartbeatSender` — the consumer's
-  liveness ping; the producer's side (detach after a silence) is a field of
-  its peer table in :mod:`repro.core.protocol`, no messaging object.
+* :mod:`~repro.messaging.sockets` — ``Responder`` / ``request_once``, the
+  two ends of a service channel (describe, metrics, catalog).
 * :mod:`~repro.messaging.endpoint` — URI-addressed endpoints: a process-wide
   registry mapping schemes (``inproc://`` and ``tcp://`` built in; new
-  schemes plug in the same way) to transports, so producers serve and
-  consumers attach by address string instead of by shared hub/pool objects.
+  schemes plug in the same way) to transports.  A session binds its address
+  there and an attach connects to it; the producer and consumer only ever
+  see the resolved hub and pool.
 """
 
 from repro.messaging.endpoint import (
     InProcTransport,
-    LocalObjectTransport,
     TcpTransport,
     Transport,
     TransportRegistry,
@@ -63,16 +61,7 @@ from repro.messaging.transport import (
     TcpServerHub,
     channel_key,
 )
-from repro.messaging.sockets import (
-    PubSocket,
-    PullSocket,
-    PushSocket,
-    RepSocket,
-    ReqSocket,
-    Responder,
-    request_once,
-)
-from repro.messaging.heartbeat import HeartbeatSender
+from repro.messaging.sockets import Responder, request_once
 
 __all__ = [
     "Message",
@@ -82,14 +71,8 @@ __all__ = [
     "TcpHubClient",
     "TcpServerHub",
     "channel_key",
-    "PubSocket",
-    "PushSocket",
-    "PullSocket",
-    "ReqSocket",
-    "RepSocket",
     "Responder",
     "request_once",
-    "HeartbeatSender",
     "MessagingError",
     "EndpointClosedError",
     "TimeoutError_",
@@ -98,7 +81,6 @@ __all__ = [
     "TransportRegistry",
     "InProcTransport",
     "TcpTransport",
-    "LocalObjectTransport",
     "register_transport",
     "available_schemes",
     "default_registry",

@@ -22,21 +22,20 @@ makes that literal for the reproduction:
   auto-assigns) and a ``posix`` shared-memory pool; connecting from any OS
   process dials it and attaches the producer's segments by name, so batches
   stay zero-copy while only the small pointer envelopes cross the socket.
-* :class:`LocalObjectTransport` — a generic transport serving arbitrary
-  Python objects at addresses; the simulation layer registers it under
-  ``sim://`` so simulated loading pipelines are attached by URI too.
 
-Typical flow (what :func:`repro.serve` / :func:`repro.attach` do internally)::
+Typical flow — the only two places that resolve an address are
+:class:`~repro.core.session.SharedLoaderSession` (what :func:`repro.serve`
+builds; a broker binds the same way) and
+:func:`~repro.core.group.attach_address` (what :func:`repro.attach` falls
+back to)::
 
-    endpoint = bind("inproc://demo")          # producer side: hub + pool created
-    producer = TensorProducer(loader, hub=endpoint.hub, pool=endpoint.pool)
+    served = bind("inproc://demo")            # serving side: hub + pool created
+    producer = TensorProducer(loader, hub=served.hub, pool=served.pool,
+                              config=ProducerConfig(address=served.address))
 
-    endpoint = connect("inproc://demo")       # consumer side, any thread
-    consumer = TensorConsumer(hub=endpoint.hub, pool=endpoint.pool)
-
-``TensorProducer(loader, address="inproc://demo")`` and
-``TensorConsumer(address="inproc://demo")`` run exactly this resolution when
-no explicit ``hub=``/``pool=`` override is passed.
+    attached = connect("inproc://demo")       # attaching side, any thread
+    consumer = TensorConsumer(hub=attached.hub, pool=attached.pool, endpoint=attached,
+                              config=ConsumerConfig(address="inproc://demo"))
 """
 
 from __future__ import annotations
@@ -85,10 +84,9 @@ def is_uri(address: str) -> bool:
 class Endpoint:
     """A resolved address: the transport resources living behind a URI.
 
-    ``hub`` and ``pool`` are set by messaging transports (``inproc``); object
-    transports (``sim``) populate ``resource`` instead.  Bind-side endpoints
-    own the address registration and release it with :meth:`release`;
-    connect-side endpoints are passive references and release is a no-op.
+    Bind-side endpoints own the address registration and release it with
+    :meth:`release`; connect-side endpoints are passive references, and
+    release closes only what the attachment itself opened.
     """
 
     def __init__(
@@ -99,7 +97,6 @@ class Endpoint:
         role: str,
         hub: Optional[Any] = None,
         pool: Optional[Any] = None,
-        resource: Optional[Any] = None,
         closer: Optional[Callable[[], None]] = None,
     ) -> None:
         if role not in ("bind", "connect"):
@@ -110,7 +107,6 @@ class Endpoint:
         self.role = role
         self.hub = hub
         self.pool = pool
-        self.resource = resource
         self._closer = closer
         self._released = False
 
@@ -147,7 +143,7 @@ class Transport(ABC):
     scheme: str = ""
 
     @abstractmethod
-    def bind(self, address: str, resource: Optional[Any] = None) -> Endpoint:
+    def bind(self, address: str) -> Endpoint:
         """Serve ``address``; raises :class:`AddressInUseError` on collision."""
 
     @abstractmethod
@@ -177,12 +173,10 @@ class InProcTransport(Transport):
         self._lock = threading.Lock()
         self._served: Dict[str, Tuple[InProcHub, Any]] = {}  #: guarded by _lock
 
-    def bind(self, address: str, resource: Optional[Any] = None) -> Endpoint:
+    def bind(self, address: str) -> Endpoint:
         from repro.tensor.shared_memory import SharedMemoryPool
 
         _, locator = parse_address(address)
-        if resource is not None:
-            raise AddressError("inproc:// endpoints create their own hub and pool")
         with self._lock:
             if locator in self._served:
                 raise AddressInUseError(
@@ -284,11 +278,9 @@ class TcpTransport(Transport):
         self._lock = threading.Lock()
         self._served: Dict[str, TcpServerHub] = {}  #: guarded by _lock
 
-    def bind(self, address: str, resource: Optional[Any] = None) -> Endpoint:
+    def bind(self, address: str) -> Endpoint:
         from repro.tensor.shared_memory import SharedMemoryPool
 
-        if resource is not None:
-            raise AddressError("tcp:// endpoints create their own broker and pool")
         host, port, path = _split_host_port(address)
         if path:
             raise AddressError(
@@ -348,53 +340,6 @@ class TcpTransport(Transport):
             return sorted(self._served)
 
 
-class LocalObjectTransport(Transport):
-    """Serve arbitrary Python objects at URI addresses inside this process.
-
-    Generic glue for layers whose "server" is not a hub/pool pair: the
-    simulation layer registers an instance under ``sim://`` so that simulated
-    loading pipelines (TensorSocket, CoorDL, Joader) can be attached by
-    address, mirroring how the real systems are reached by endpoint.
-    """
-
-    def __init__(self, scheme: str) -> None:
-        self.scheme = scheme
-        self._lock = threading.Lock()
-        self._served: Dict[str, Any] = {}  #: guarded by _lock
-
-    def bind(self, address: str, resource: Optional[Any] = None) -> Endpoint:
-        _, locator = parse_address(address)
-        if resource is None:
-            raise AddressError(
-                f"{self.scheme}:// endpoints serve an existing object; pass resource="
-            )
-        with self._lock:
-            if locator in self._served:
-                raise AddressInUseError(f"address {address!r} is already being served")
-            self._served[locator] = resource
-        return Endpoint(address, transport=self, role="bind", resource=resource)
-
-    def connect(self, address: str) -> Endpoint:
-        _, locator = parse_address(address)
-        with self._lock:
-            if locator not in self._served:
-                served = ", ".join(sorted(self._served)) or "none"
-                raise AddressNotServedError(
-                    f"nothing is serving {address!r} "
-                    f"(served {self.scheme} addresses: {served})"
-                )
-            resource = self._served[locator]
-        return Endpoint(address, transport=self, role="connect", resource=resource)
-
-    def release(self, locator: str) -> None:
-        with self._lock:
-            self._served.pop(locator, None)
-
-    def locators(self) -> List[str]:
-        with self._lock:
-            return sorted(self._served)
-
-
 class TransportRegistry:
     """Thread-safe mapping from URI scheme to :class:`Transport`."""
 
@@ -437,9 +382,9 @@ class TransportRegistry:
             return sorted(self._transports)
 
     # -- address-level helpers ---------------------------------------------------------
-    def bind(self, address: str, resource: Optional[Any] = None) -> Endpoint:
+    def bind(self, address: str) -> Endpoint:
         scheme, _ = parse_address(address)
-        return self.get(scheme).bind(address, resource=resource)
+        return self.get(scheme).bind(address)
 
     def connect(self, address: str) -> Endpoint:
         scheme, _ = parse_address(address)
@@ -468,9 +413,9 @@ def available_schemes() -> List[str]:
     return _default_registry.schemes()
 
 
-def bind(address: str, resource: Optional[Any] = None) -> Endpoint:
+def bind(address: str) -> Endpoint:
     """Serve ``address`` through the process-wide registry."""
-    return _default_registry.bind(address, resource=resource)
+    return _default_registry.bind(address)
 
 
 def connect(address: str) -> Endpoint:

@@ -1,24 +1,21 @@
-"""ZeroMQ-style socket pattern wrappers over a hub transport.
+"""Service channels: one request, one reply, over a hub.
 
-Three patterns are provided, matching the channels TensorSocket uses:
-
-* **PUB/SUB** — the data channel.  The producer's :class:`PubSocket`
-  multicasts :class:`BatchPayload` messages at the data address; consumers
-  subscribe through the reactor
-  (:meth:`repro.messaging.reactor.Reactor.subscribe`), which shares one hub
-  endpoint per channel and filters on topic prefixes.
-* **PUSH/PULL** — the acknowledgement and registration channel.  Consumers
-  push ``ACK`` / ``HELLO`` / ``BYE`` messages toward the producer's single
-  :class:`PullSocket`.
-* **REQ/REP** — a small synchronous control channel (describe, metrics and
-  catalog queries); :class:`Responder` is the serving end, answered on the
-  process's one service thread, and :func:`request_once` the asking end.
-
-All sockets work over anything with the hub surface
-(``bind/connect/publish/push``): an
+The describe, metrics and catalog queries ride a small REQ/REP pattern on
+top of any object with the hub surface (``bind/disconnect/push``): an
 :class:`~repro.messaging.transport.InProcHub`, the serving process's
 :class:`~repro.messaging.transport.TcpServerHub`, or a remote process's
 :class:`~repro.messaging.transport.TcpHubClient`.
+
+* :class:`Responder` — the serving end: binds the service address and
+  answers every request on the process's one service thread
+  (:func:`run_on_services`), pushing the reply to the address the request
+  names in ``reply_to``.
+* :func:`request_once` — the asking end: binds a private reply address,
+  pushes one ``REQUEST`` and waits for the ``REPLY``.
+
+The data and control channels need no wrapper: the producer calls
+``hub.publish`` / ``hub.push`` and reads its bound inbox, and consumers
+subscribe through the reactor (:meth:`repro.messaging.reactor.Reactor.subscribe`).
 """
 
 from __future__ import annotations
@@ -27,136 +24,14 @@ import os
 import queue
 import threading
 import uuid
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.messaging.errors import MessagingError
 from repro.messaging.message import Message, MessageKind
-from repro.messaging.transport import Inbox, InProcHub
+from repro.messaging.transport import InProcHub
 from repro.obs.metrics import counter
 
 _SERVICE_ERRORS = counter("repro.services.errors")
-
-
-class _HubSocket:
-    """Shared plumbing for sockets living on an in-process hub."""
-
-    def __init__(self, hub: InProcHub, address: str, identity: Optional[str] = None) -> None:
-        self._hub = hub
-        self._address = address
-        self.identity = identity or f"sock-{uuid.uuid4().hex[:8]}"
-        self._endpoint: Optional[Inbox] = None
-
-    @property
-    def address(self) -> str:
-        return self._address
-
-    def close(self) -> None:
-        if self._endpoint is not None:
-            self._hub.disconnect(self._endpoint)
-            self._endpoint = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class PubSocket(_HubSocket):
-    """Publisher end of PUB/SUB: multicast to all connected subscribers."""
-
-    def send(self, kind: MessageKind, body=None, topic: str = "") -> int:
-        """Publish a message; returns the number of subscribers it reached."""
-        message = Message(topic=topic, kind=kind, sender=self.identity, body=body)
-        return self._hub.publish(self._address, message)
-
-
-class PushSocket(_HubSocket):
-    """Push end of PUSH/PULL: deliver to the single bound pull socket."""
-
-    def send(self, kind: MessageKind, body=None, topic: str = "") -> None:
-        message = Message(topic=topic, kind=kind, sender=self.identity, body=body)
-        self._hub.push(self._address, message)
-
-
-class PullSocket(_HubSocket):
-    """Pull end of PUSH/PULL: owns the bound endpoint at the address."""
-
-    def __init__(self, hub: InProcHub, address: str, identity: Optional[str] = None) -> None:
-        super().__init__(hub, address, identity)
-        self._endpoint = hub.bind(address, name=self.identity)
-
-    def recv(self, timeout: Optional[float] = None) -> Message:
-        return self._endpoint.receive(timeout=timeout)
-
-    def try_recv(self) -> Optional[Message]:
-        return self._endpoint.try_receive()
-
-    def drain(self) -> List[Message]:
-        """Receive every message currently queued without blocking."""
-        messages = []
-        while True:
-            message = self._endpoint.try_receive()
-            if message is None:
-                return messages
-            messages.append(message)
-
-    def pending(self) -> int:
-        return self._endpoint.pending()
-
-
-class ReqSocket(_HubSocket):
-    """Synchronous request socket: send one request, wait for its reply."""
-
-    def __init__(self, hub: InProcHub, address: str, identity: Optional[str] = None) -> None:
-        super().__init__(hub, address, identity)
-        self._reply_address = f"{address}/reply/{self.identity}"
-        self._endpoint = hub.bind(self._reply_address, name=self.identity)
-
-    def request(self, body, timeout: Optional[float] = None):
-        message = Message(
-            topic="",
-            kind=MessageKind.REQUEST,
-            sender=self.identity,
-            body={"reply_to": self._reply_address, "payload": body},
-        )
-        self._hub.push(self._address, message)
-        reply = self._endpoint.receive(timeout=timeout)
-        if reply.kind is not MessageKind.REPLY:
-            raise MessagingError(f"expected a REPLY, got {reply.kind}")
-        return reply.body
-
-
-class RepSocket(_HubSocket):
-    """Reply socket: receive requests and route replies back to the requester."""
-
-    def __init__(self, hub: InProcHub, address: str, identity: Optional[str] = None) -> None:
-        super().__init__(hub, address, identity)
-        self._endpoint = hub.bind(address, name=self.identity)
-
-    def recv(self, timeout: Optional[float] = None) -> Message:
-        return self._endpoint.receive(timeout=timeout)
-
-    def try_recv(self) -> Optional[Message]:
-        return self._endpoint.try_receive()
-
-    def reply(self, request: Message, body) -> None:
-        reply_to = request.body.get("reply_to") if isinstance(request.body, dict) else None
-        if not reply_to:
-            raise MessagingError("request carries no reply_to address")
-        message = Message(topic="", kind=MessageKind.REPLY, sender=self.identity, body=body)
-        self._hub.push(reply_to, message)
-
-    def serve_pending(self, handler) -> int:
-        """Answer every queued request with ``handler(payload)``; returns count."""
-        served = 0
-        while True:
-            request = self.try_recv()
-            if request is None:
-                return served
-            payload = request.body.get("payload") if isinstance(request.body, dict) else None
-            self.reply(request, handler(payload))
-            served += 1
 
 
 class Responder:
@@ -169,16 +44,20 @@ class Responder:
     is never answered where it is delivered — that is the reactor thread for
     a ``tcp://`` peer, a caller's thread for ``inproc://``, and under the
     inbox's sink lock either way.  The sink only hands it to the process's
-    one service thread (:func:`run_on_services`).
+    one service thread (:func:`run_on_services`).  A request naming no
+    ``reply_to`` is not run at all (nobody could read the answer), and it or
+    a reply that cannot be pushed counts in ``repro.services.errors``.
     """
 
     def __init__(
         self, hub: InProcHub, address: str, handler: Callable[[object], object], name: str
     ) -> None:
-        self._rep = RepSocket(hub, address, identity=name)
+        self._hub = hub
+        self._name = name
         self._handler = handler
         self._stopped = False
-        self._rep._endpoint.set_sink(self._enqueue)
+        self._inbox = hub.bind(address, name=name)
+        self._inbox.set_sink(self._enqueue)
 
     def _enqueue(self, request: Message) -> None:
         run_on_services(lambda: self._answer(request))
@@ -187,20 +66,26 @@ class Responder:
         """Service thread: run the handler, route the reply; never raises."""
         if self._stopped:
             return  # unbound while the request waited: dropped, as a late push would be
-        payload = request.body.get("payload") if isinstance(request.body, dict) else None
+        body = request.body if isinstance(request.body, dict) else {}
+        reply_to = body.get("reply_to")
+        if not reply_to:
+            _SERVICE_ERRORS.inc()
+            return
         try:
-            reply = self._handler(payload)
+            reply = self._handler(body.get("payload"))
         except Exception as exc:  # a handler bug must not kill the channel
             reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
         try:
-            self._rep.reply(request, reply)
+            self._hub.push(
+                reply_to, Message(topic="", kind=MessageKind.REPLY, sender=self._name, body=reply)
+            )
         except Exception:
-            pass  # requester vanished; keep serving others
+            _SERVICE_ERRORS.inc()  # requester vanished; keep serving others
 
     def stop(self) -> None:
         """Unbind the channel (idempotent); returns at once."""
         self._stopped = True
-        self._rep.close()
+        self._hub.disconnect(self._inbox)
 
 
 _services_lock = threading.Lock()
@@ -247,15 +132,29 @@ def run_on_services(work: Callable[[], None]) -> None:
 def request_once(hub: InProcHub, address: str, body, *, timeout: float) -> dict:
     """One request/reply on the REQ/REP channel at ``address``.
 
-    Opens a :class:`ReqSocket`, asks, closes.  Raises :class:`MessagingError`
-    when nothing answers in time or the reply is not a dict (every service
-    in the tree answers with one).
+    Binds a private reply address, pushes the ``REQUEST``, waits for the
+    answer and unbinds.  Raises :class:`MessagingError` when nothing answers
+    in time, the answer is not a ``REPLY``, or its body is not a dict (every
+    service in the tree answers with one).
     """
-    req = ReqSocket(hub, address)
+    identity = f"req-{uuid.uuid4().hex[:8]}"
+    reply_to = f"{address}/reply/{identity}"
+    inbox = hub.bind(reply_to, name=identity)
     try:
-        reply = req.request(body, timeout=timeout)
+        hub.push(
+            address,
+            Message(
+                topic="",
+                kind=MessageKind.REQUEST,
+                sender=identity,
+                body={"reply_to": reply_to, "payload": body},
+            ),
+        )
+        reply = inbox.receive(timeout=timeout)
     finally:
-        req.close()
-    if not isinstance(reply, dict):
-        raise MessagingError(f"malformed reply from {address!r}: {reply!r}")
-    return reply
+        hub.disconnect(inbox)
+    if reply.kind is not MessageKind.REPLY:
+        raise MessagingError(f"expected a REPLY from {address!r}, got {reply.kind}")
+    if not isinstance(reply.body, dict):
+        raise MessagingError(f"malformed reply from {address!r}: {reply.body!r}")
+    return reply.body

@@ -9,7 +9,6 @@ workloads for that figure, runs once per sharing strategy, and formats rows.
 from __future__ import annotations
 
 import enum
-import uuid
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,7 +18,7 @@ from repro.hardware.gpu import GpuSharingMode
 from repro.hardware.instances import MachineSpec
 from repro.hardware.machine import Machine
 from repro.simulation.engine import Simulator
-from repro.training.loading import ConventionalLoading, TensorSocketLoading, attach_by_address
+from repro.training.loading import ConventionalLoading, TensorSocketLoading
 from repro.training.trainer import TrainerStats, trainer_process
 from repro.training.workload import TrainingWorkload
 
@@ -120,7 +119,6 @@ class CollocationRunner:
         buffer_size: int = 2,
         flexible_batching: bool = False,
         dataset_bytes: Optional[float] = None,
-        address: Optional[str] = None,
     ) -> None:
         if duration_s <= warmup_s:
             raise ValueError("duration_s must exceed warmup_s")
@@ -134,9 +132,6 @@ class CollocationRunner:
         self.buffer_size = int(buffer_size)
         self.flexible_batching = bool(flexible_batching)
         self.dataset_bytes = dataset_bytes
-        #: ``sim://`` address the run's pipeline is served at; auto-generated
-        #: per run when not given so concurrent runners never collide.
-        self.address = address
 
     # -- worker allocation --------------------------------------------------------------
     def _allocate_workers(self, workloads: Sequence[TrainingWorkload]) -> Dict[str, int]:
@@ -202,44 +197,35 @@ class CollocationRunner:
                 workload.loader_workers = allocation[workload.name]
 
         pipeline = self._build_pipeline(sim, machine, allocation)
-        # Serve the pipeline at a sim:// endpoint; trainers attach by address,
-        # mirroring how the real systems are reached (paper Section 3.3.1).
-        address = self.address or (
-            f"sim://collocation/{self.strategy}/{uuid.uuid4().hex[:8]}"
-        )
-        pipeline.serve(address)
-        try:
-            all_stats: List[Tuple[TrainingWorkload, TrainerStats]] = []
-            for workload in workloads:
-                source = attach_by_address(address, workload)
-                stats = TrainerStats(
-                    name=workload.name,
-                    batch_size=workload.batch_size,
-                    warmup_s=self.warmup_s,
-                )
-                all_stats.append((workload, stats))
-                sim.process(
-                    trainer_process(
-                        sim,
-                        machine,
-                        workload,
-                        source,
-                        stats,
-                        duration_s=self.duration_s,
-                        aux_offloaded=self.strategy is SharingStrategy.TENSORSOCKET,
-                    ),
-                    name=f"trainer-{workload.name}",
-                )
-            pipeline.start(self.duration_s)
+        all_stats: List[Tuple[TrainingWorkload, TrainerStats]] = []
+        for workload in workloads:
+            source = pipeline.attach(workload)
+            stats = TrainerStats(
+                name=workload.name,
+                batch_size=workload.batch_size,
+                warmup_s=self.warmup_s,
+            )
+            all_stats.append((workload, stats))
+            sim.process(
+                trainer_process(
+                    sim,
+                    machine,
+                    workload,
+                    source,
+                    stats,
+                    duration_s=self.duration_s,
+                    aux_offloaded=self.strategy is SharingStrategy.TENSORSOCKET,
+                ),
+                name=f"trainer-{workload.name}",
+            )
+        pipeline.start(self.duration_s)
 
-            def _end_warmup():
-                yield sim.timeout(self.warmup_s)
-                machine.reset_utilization()
+        def _end_warmup():
+            yield sim.timeout(self.warmup_s)
+            machine.reset_utilization()
 
-            sim.process(_end_warmup(), name="warmup-marker")
-            sim.run(until=self.duration_s)
-        finally:
-            pipeline.close()
+        sim.process(_end_warmup(), name="warmup-marker")
+        sim.run(until=self.duration_s)
 
         return self._collect(machine, workloads, all_stats, allocation)
 

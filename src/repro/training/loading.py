@@ -26,25 +26,9 @@ from typing import Callable, Dict, List, Optional
 
 from repro.hardware.machine import Machine
 from repro.hardware.metrics import GB
-from repro.messaging import endpoint as endpoints
 from repro.simulation.engine import Simulator
 from repro.simulation.resources import Store
 from repro.training.workload import TrainingWorkload
-
-# Simulated loading pipelines are reachable by URI like the real systems they
-# model (TensorSocket's server, CoorDL's cache, Joader's loader server): the
-# ``sim://`` scheme plugs a plain object transport into the same process-wide
-# registry the ``inproc://`` producer/consumer path uses.
-SIM_SCHEME = "sim"
-if not endpoints.default_registry().registered(SIM_SCHEME):
-    endpoints.register_transport(SIM_SCHEME, endpoints.LocalObjectTransport(SIM_SCHEME))
-
-
-def attach_by_address(address: str, workload: TrainingWorkload) -> "BatchSource":
-    """Attach a workload to the pipeline served at a ``sim://`` address."""
-    pipeline = endpoints.connect(address).resource
-    return pipeline.attach(workload)
-
 
 @dataclass
 class BatchTicket:
@@ -84,38 +68,12 @@ class BatchSource:
 
 
 class LoadingPipeline:
-    """Base class: owns worker processes and hands out batch sources.
+    """Base class: owns worker processes and hands out batch sources."""
 
-    A pipeline can optionally be *served* at a ``sim://`` URI so that
-    trainers attach by address (:func:`attach_by_address`) instead of holding
-    the pipeline object — the simulation-side mirror of
-    :func:`repro.serve` / :func:`repro.attach`.
-    """
-
-    def __init__(
-        self, sim: Simulator, machine: Machine, *, address: Optional[str] = None
-    ) -> None:
+    def __init__(self, sim: Simulator, machine: Machine) -> None:
         self.sim = sim
         self.machine = machine
         self.sources: Dict[str, BatchSource] = {}
-        self.address: Optional[str] = None
-        self._endpoint: Optional[endpoints.Endpoint] = None
-        if address is not None:
-            self.serve(address)
-
-    def serve(self, address: str) -> "LoadingPipeline":
-        """Register this pipeline at ``address`` (releases on :meth:`close`)."""
-        if self._endpoint is not None:
-            raise RuntimeError(f"pipeline is already served at {self.address!r}")
-        self._endpoint = endpoints.bind(address, resource=self)
-        self.address = address
-        return self
-
-    def close(self) -> None:
-        """Release the pipeline's address registration (idempotent)."""
-        if self._endpoint is not None:
-            self._endpoint.release()
-            self._endpoint = None
 
     def attach(self, workload: TrainingWorkload) -> BatchSource:
         raise NotImplementedError
@@ -140,9 +98,8 @@ class ConventionalLoading(LoadingPipeline):
         machine: Machine,
         *,
         prefetch_batches: int = 2,
-        address: Optional[str] = None,
     ) -> None:
-        super().__init__(sim, machine, address=address)
+        super().__init__(sim, machine)
         self.prefetch_batches = int(prefetch_batches)
         self._workloads: List[TrainingWorkload] = []
 
@@ -214,9 +171,8 @@ class TensorSocketLoading(LoadingPipeline):
         buffer_size: int = 2,
         flexible_batching: bool = False,
         stage_on_gpu: bool = True,
-        address: Optional[str] = None,
     ) -> None:
-        super().__init__(sim, machine, address=address)
+        super().__init__(sim, machine)
         self.producer_gpu = int(producer_gpu)
         self.loader_workers = max(1, int(loader_workers))
         self.buffer_size = max(1, int(buffer_size))

@@ -18,7 +18,7 @@ from repro.data import DataLoader
 from repro.data.dataset import Dataset
 from repro.messaging import endpoint as endpoints
 from repro.messaging.errors import AddressError, AddressNotServedError
-from repro.messaging.sockets import ReqSocket
+from repro.messaging.sockets import request_once
 from repro.tensor.errors import QuotaExceededError
 
 
@@ -117,27 +117,30 @@ class TestCatalog:
             broker.publish("alpha", tagged_loader(1))
             broker.publish("beta", tagged_loader(2), shards=2)
             endpoint = endpoints.connect(broker.address)
-            req = ReqSocket(endpoint.hub, f"{broker.address}/catalog")
+            catalog = f"{broker.address}/catalog"
+
+            def ask(body):
+                return request_once(endpoint.hub, catalog, body, timeout=5)
+
             try:
-                reply = req.request({"op": "list"}, timeout=5)
+                reply = ask({"op": "list"})
                 assert reply["ok"]
                 assert [row["name"] for row in reply["datasets"]] == ["alpha", "beta"]
 
-                reply = req.request({"op": "describe", "dataset": "beta"}, timeout=5)
+                reply = ask({"op": "describe", "dataset": "beta"})
                 manifest = SessionManifest.from_dict(reply["manifest"])
                 assert manifest.shards == 2
                 assert manifest.dataset == "beta"
                 assert manifest.kind == "dataset"
                 assert manifest.state == "mounted"
 
-                reply = req.request({"op": "describe", "dataset": "nope"}, timeout=5)
+                reply = ask({"op": "describe", "dataset": "nope"})
                 assert not reply["ok"]
                 assert "unknown dataset" in reply["error"]
 
-                reply = req.request({"op": "frobnicate"}, timeout=5)
+                reply = ask({"op": "frobnicate"})
                 assert not reply["ok"]
             finally:
-                req.close()
                 endpoint.release()
 
     def test_catalog_resolve_helper(self):

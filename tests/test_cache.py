@@ -326,7 +326,7 @@ class TestCacheConfig:
             )
 
     def test_producer_without_cache_has_none(self):
-        producer = TensorProducer(small_loader(), address="inproc://cache-none")
+        producer = TensorProducer(small_loader())
         try:
             assert producer.cache is None
             metrics = producer.metrics()

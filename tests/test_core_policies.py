@@ -48,6 +48,8 @@ class TestConfigs:
             ConsumerConfig(max_epochs=0)
         with pytest.raises(ValueError):
             ConsumerConfig(receive_timeout=0)
+        with pytest.raises(ValueError):
+            ConsumerConfig(heartbeat_interval=0)
 
 
 class TestAckLedger:

@@ -16,7 +16,6 @@ from repro.data.transforms import Compose, DecodeJpeg, Normalize, ToTensor
 from repro.messaging import InProcHub
 from repro.messaging.endpoint import (
     InProcTransport,
-    LocalObjectTransport,
     TransportRegistry,
     bind,
     connect,
@@ -29,7 +28,6 @@ from repro.messaging.errors import (
     AddressInUseError,
     AddressNotServedError,
     DuplicateConsumerError,
-    MessagingError,
     UnknownSchemeError,
 )
 from repro.messaging.message import MessageKind
@@ -92,12 +90,9 @@ class TestTransportRegistry:
         with pytest.raises(UnknownSchemeError, match="inproc"):
             registry.get("mp")
 
-    def test_default_registry_serves_inproc_and_sim(self):
-        # sim:// is registered by the training layer at import time.
-        import repro.training.loading  # noqa: F401
-
+    def test_default_registry_serves_inproc_and_tcp(self):
         schemes = default_registry().schemes()
-        assert "inproc" in schemes and "sim" in schemes
+        assert "inproc" in schemes and "tcp" in schemes
 
 
 class TestInProcTransport:
@@ -130,24 +125,6 @@ class TestInProcTransport:
             assert connect("inproc://keep").hub is endpoint.hub
         finally:
             endpoint.release()
-
-
-class TestLocalObjectTransport:
-    def test_serves_arbitrary_objects(self):
-        transport = LocalObjectTransport("obj")
-        registry = TransportRegistry()
-        registry.register("obj", transport)
-        resource = object()
-        endpoint = registry.bind("obj://thing", resource=resource)
-        assert registry.connect("obj://thing").resource is resource
-        endpoint.release()
-        with pytest.raises(AddressNotServedError):
-            registry.connect("obj://thing")
-
-    def test_bind_requires_a_resource(self):
-        transport = LocalObjectTransport("obj")
-        with pytest.raises(AddressError):
-            transport.bind("obj://thing")
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +226,23 @@ class TestServeAttach:
         session.shutdown()
 
     def test_attach_falls_back_to_endpoint_without_a_session(self):
-        """A bare TensorProducer served by address is attachable too."""
+        """A bare TensorProducer hand-wired on a bound address is attachable too."""
+        endpoint = bind("inproc://bare-producer")
         producer = TensorProducer(
-            tiny_loader(size=8), address="inproc://bare-producer", config=ProducerConfig(epochs=1)
+            tiny_loader(size=8),
+            hub=endpoint.hub,
+            pool=endpoint.pool,
+            config=ProducerConfig(address="inproc://bare-producer", epochs=1),
         )
-        consumer = repro.attach("inproc://bare-producer", max_epochs=1, receive_timeout=20)
-        thread = threading.Thread(target=lambda: (list(producer), producer.join()))
-        thread.start()
-        assert sum(1 for _ in consumer) == 2
-        thread.join(timeout=30)
-        consumer.close()
+        try:
+            consumer = repro.attach("inproc://bare-producer", max_epochs=1, receive_timeout=20)
+            thread = threading.Thread(target=lambda: (list(producer), producer.join()))
+            thread.start()
+            assert sum(1 for _ in consumer) == 2
+            thread.join(timeout=30)
+            consumer.close()
+        finally:
+            endpoint.release()
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +273,16 @@ class TestExplicitWiringCompat:
         session.shutdown()
 
     def test_consumer_without_hub_or_uri_address_is_an_error(self):
-        with pytest.raises(MessagingError, match="hub"):
+        with pytest.raises(TypeError, match="hub"):
             TensorConsumer(config=ConsumerConfig(address="tensorsocket"))
 
     def test_explicit_hub_overrides_uri_resolution(self):
         hub, pool = InProcHub(), SharedMemoryPool()
         producer = TensorProducer(
             tiny_loader(size=8),
-            address="inproc://override-me",
             hub=hub,
             pool=pool,
-            config=ProducerConfig(epochs=1),
+            config=ProducerConfig(address="inproc://override-me", epochs=1),
         )
         # The explicit hub wins and the address is not bound in the registry.
         assert producer.hub is hub
@@ -440,14 +423,14 @@ class TestDuplicateConsumerIds:
             with pytest.raises(DuplicateConsumerError, match="worker"):
                 impostor.wait_until_registered(timeout=10.0)
             hellos = []
-            send = impostor._push.send
+            push = impostor._push
 
-            def counting_send(kind, *args, **kwargs):
+            def counting_push(kind, *args, **kwargs):
                 if kind is MessageKind.HELLO:
                     hellos.append(time.monotonic())
-                return send(kind, *args, **kwargs)
+                return push(kind, *args, **kwargs)
 
-            impostor._push.send = counting_send
+            impostor._push = counting_push
             time.sleep(0.5)
             assert hellos == []
         finally:

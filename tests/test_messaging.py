@@ -1,24 +1,39 @@
-"""Unit tests for the messaging layer (envelopes, hubs, sockets, heartbeats)."""
+"""Unit tests for the messaging layer (envelopes, hubs, service channels,
+heartbeats)."""
+
+import threading
 
 import pytest
 
-from repro.core.config import ProducerConfig
+from repro.core.config import ConsumerConfig, ProducerConfig
+from repro.core.consumer import TensorConsumer
 from repro.core.protocol import ProducerProtocol
 from repro.core.rubberband import RubberbandPolicy
 from repro.messaging import (
     EndpointClosedError,
-    HeartbeatSender,
     InProcHub,
     Message,
     MessageKind,
     MessagingError,
-    PubSocket,
-    PullSocket,
-    PushSocket,
-    RepSocket,
-    ReqSocket,
+    Responder,
     TimeoutError_,
+    request_once,
 )
+from repro.obs.metrics import counter
+from repro.tensor.shared_memory import SharedMemoryPool
+
+SERVICE_ERRORS = counter("repro.services.errors")
+
+
+def _msg(kind, body=None, topic=""):
+    return Message(topic=topic, kind=kind, sender="test", body=body)
+
+
+def _drain(inbox):
+    messages = []
+    while (message := inbox.try_receive()) is not None:
+        messages.append(message)
+    return messages
 
 
 class TestMessage:
@@ -45,37 +60,34 @@ class TestMessage:
 class TestInProcHub:
     def test_publish_reaches_all_matching_subscribers(self):
         hub = InProcHub()
-        pub = PubSocket(hub, "data")
         sub_all = hub.connect("data", subscriptions=("",))
         sub_personal = hub.connect("data", subscriptions=("consumer/c1",))
-        delivered = pub.send(MessageKind.BATCH, body=1, topic="broadcast")
+        delivered = hub.publish("data", _msg(MessageKind.BATCH, 1, "broadcast"))
         assert delivered == 1
         assert sub_all.receive(timeout=1).body == 1
         assert sub_personal.try_receive() is None
-        pub.send(MessageKind.BATCH, body=2, topic="consumer/c1")
+        hub.publish("data", _msg(MessageKind.BATCH, 2, "consumer/c1"))
         assert sub_personal.receive(timeout=1).body == 2
 
     def test_push_requires_bound_pull(self):
         hub = InProcHub()
-        push = PushSocket(hub, "control")
         with pytest.raises(MessagingError):
-            push.send(MessageKind.ACK, body={})
-        pull = PullSocket(hub, "control")
-        push.send(MessageKind.ACK, body={"ok": True})
-        assert pull.recv(timeout=1).body == {"ok": True}
+            hub.push("control", _msg(MessageKind.ACK, {}))
+        pull = hub.bind("control")
+        hub.push("control", _msg(MessageKind.ACK, {"ok": True}))
+        assert pull.receive(timeout=1).body == {"ok": True}
 
     def test_double_bind_rejected(self):
         hub = InProcHub()
-        PullSocket(hub, "control")
+        hub.bind("control")
         with pytest.raises(MessagingError):
-            PullSocket(hub, "control")
+            hub.bind("control")
 
     def test_disconnect_stops_delivery(self):
         hub = InProcHub()
-        pub = PubSocket(hub, "data")
         sub = hub.connect("data")
         hub.disconnect(sub)
-        assert pub.send(MessageKind.BATCH, body=1) == 0
+        assert hub.publish("data", _msg(MessageKind.BATCH, 1)) == 0
 
     def test_recv_timeout_raises(self):
         hub = InProcHub()
@@ -85,21 +97,18 @@ class TestInProcHub:
 
     def test_pull_drain_returns_everything_pending(self):
         hub = InProcHub()
-        pull = PullSocket(hub, "control")
-        push = PushSocket(hub, "control")
+        pull = hub.bind("control")
         for index in range(5):
-            push.send(MessageKind.ACK, body=index)
-        drained = pull.drain()
-        assert [m.body for m in drained] == list(range(5))
-        assert pull.drain() == []
+            hub.push("control", _msg(MessageKind.ACK, index))
+        assert [m.body for m in _drain(pull)] == list(range(5))
+        assert _drain(pull) == []
 
     def test_hub_counts_traffic(self):
         hub = InProcHub()
-        pub = PubSocket(hub, "data")
         hub.connect("data")
-        pull = PullSocket(hub, "ack")
-        PushSocket(hub, "ack").send(MessageKind.ACK)
-        pub.send(MessageKind.BATCH)
+        pull = hub.bind("ack")
+        hub.push("ack", _msg(MessageKind.ACK))
+        hub.publish("data", _msg(MessageKind.BATCH))
         assert hub.messages_published == 1
         assert hub.messages_pushed == 1
         assert pull.pending() == 1
@@ -108,40 +117,86 @@ class TestInProcHub:
 class TestReqRep:
     def test_request_reply_roundtrip(self):
         hub = InProcHub()
-        rep = RepSocket(hub, "status")
-        req = ReqSocket(hub, "status")
-
-        import threading
+        rep = hub.bind("status")
 
         def server():
-            request = rep.recv(timeout=2)
-            rep.reply(request, {"echo": request.body["payload"]})
+            request = rep.receive(timeout=2)
+            hub.push(
+                request.body["reply_to"],
+                _msg(MessageKind.REPLY, {"echo": request.body["payload"]}),
+            )
 
         thread = threading.Thread(target=server)
         thread.start()
-        reply = req.request({"value": 41}, timeout=2)
+        reply = request_once(hub, "status", {"value": 41}, timeout=2)
         thread.join()
         assert reply == {"echo": {"value": 41}}
 
     def test_serve_pending_handles_queued_requests(self):
         hub = InProcHub()
-        rep = RepSocket(hub, "status")
-        req_a = ReqSocket(hub, "status", identity="a")
-        req_b = ReqSocket(hub, "status", identity="b")
-        # Queue both requests before serving.
-        hub.push("status", Message(topic="", kind=MessageKind.REQUEST, sender="a",
-                                   body={"reply_to": f"status/reply/a", "payload": 1}))
-        hub.push("status", Message(topic="", kind=MessageKind.REQUEST, sender="b",
-                                   body={"reply_to": f"status/reply/b", "payload": 2}))
-        served = rep.serve_pending(lambda payload: payload * 10)
-        assert served == 2
+        inboxes = {name: hub.bind(f"status/reply/{name}") for name in ("a", "b")}
+        responder = Responder(hub, "status", lambda payload: {"x": payload * 10}, "status")
+        try:
+            # Both requests queue on the service thread before either is answered.
+            for name, payload in (("a", 1), ("b", 2)):
+                hub.push(
+                    "status",
+                    _msg(MessageKind.REQUEST, {"reply_to": f"status/reply/{name}", "payload": payload}),
+                )
+            assert inboxes["a"].receive(timeout=5).body == {"x": 10}
+            assert inboxes["b"].receive(timeout=5).body == {"x": 20}
+        finally:
+            responder.stop()
 
     def test_reply_requires_reply_to(self):
+        # A reply to an address nobody binds (the requester vanished) is
+        # counted, and the channel keeps serving.
         hub = InProcHub()
-        rep = RepSocket(hub, "status")
-        bogus = Message(topic="", kind=MessageKind.REQUEST, sender="x", body={})
-        with pytest.raises(MessagingError):
-            rep.reply(bogus, {})
+        responder = Responder(hub, "status", lambda payload: {"echo": payload}, "status")
+        try:
+            errors = SERVICE_ERRORS.value()
+            hub.push(
+                "status",
+                _msg(MessageKind.REQUEST, {"reply_to": "status/reply/gone", "payload": 1}),
+            )
+            assert request_once(hub, "status", 2, timeout=5) == {"echo": 2}
+            assert SERVICE_ERRORS.value() == errors + 1
+        finally:
+            responder.stop()
+
+    def test_request_without_reply_to_does_not_run_handler(self):
+        hub = InProcHub()
+        calls = []
+
+        def handler(payload):
+            calls.append(payload)
+            return {"echo": payload}
+
+        responder = Responder(hub, "status", handler, "status")
+        try:
+            errors = SERVICE_ERRORS.value()
+            hub.push("status", _msg(MessageKind.REQUEST, {"payload": 1}))
+            # One service thread, first in first out: once the good request
+            # is answered, the bad one has been handled.
+            assert request_once(hub, "status", 2, timeout=5) == {"echo": 2}
+            assert calls == [2]
+            assert SERVICE_ERRORS.value() == errors + 1
+        finally:
+            responder.stop()
+
+    def test_request_once_rejects_a_non_reply(self):
+        hub = InProcHub()
+        rep = hub.bind("status")
+
+        def server():
+            request = rep.receive(timeout=2)
+            hub.push(request.body["reply_to"], _msg(MessageKind.ACK, {}))
+
+        thread = threading.Thread(target=server)
+        thread.start()
+        with pytest.raises(MessagingError, match="expected a REPLY"):
+            request_once(hub, "status", {}, timeout=2)
+        thread.join()
 
 
 def _protocol(heartbeat_timeout):
@@ -198,26 +253,35 @@ class TestHeartbeats:
         with pytest.raises(ValueError):
             ProducerConfig(heartbeat_timeout=0)
 
-    def test_sender_sends_on_interval_only(self):
+    def test_consumer_timer_sends_one_heartbeat_per_tick(self):
+        # The reactor's own timer fires every 60 s, so only these calls tick.
         hub = InProcHub()
-        pull = PullSocket(hub, "control")
-        push = PushSocket(hub, "control")
-        clock = {"now": 0.0}
-        sender = HeartbeatSender(push, "c1", interval=1.0, clock=lambda: clock["now"])
-        assert sender.maybe_send() is True
-        assert sender.maybe_send() is False
-        clock["now"] = 1.5
-        assert sender.maybe_send() is True
-        assert sender.beats_sent == 2
-        beats = pull.drain()
-        assert all(m.kind is MessageKind.HEARTBEAT for m in beats)
-        assert all(m.body["consumer_id"] == "c1" for m in beats)
-
-    def test_sender_rejects_bad_interval(self):
-        hub = InProcHub()
-        push = PushSocket(hub, "control")
-        with pytest.raises(ValueError):
-            HeartbeatSender(push, "c1", interval=0)
+        config = ConsumerConfig(address="hb", consumer_id="c1", heartbeat_interval=60)
+        control = hub.bind(config.control_address)
+        consumer = TensorConsumer(hub=hub, pool=SharedMemoryPool(), config=config)
+        try:
+            assert [m.kind for m in _drain(control)] == [MessageKind.HELLO]
+            consumer._on_reactor_timer()
+            consumer._on_reactor_timer()
+            # Unanswered: each tick repeats the registration.
+            assert [m.kind for m in _drain(control)] == [MessageKind.HELLO] * 2
+            hub.publish(
+                config.data_address,
+                _msg(MessageKind.REPLY, {"consumer_id": "c1", "admitted_epoch": 0}, "consumer/c1"),
+            )
+            assert consumer.wait_until_registered(timeout=5) == 0
+            sent = counter("repro.heartbeat.sent").value()
+            consumer._on_reactor_timer()
+            consumer._on_reactor_timer()
+            beats = _drain(control)
+            assert [m.kind for m in beats] == [MessageKind.HEARTBEAT] * 2
+            assert all(m.body == {"consumer_id": "c1"} for m in beats)
+            assert counter("repro.heartbeat.sent").value() >= sent + 2
+        finally:
+            consumer.close()
+        assert [m.kind for m in _drain(control)] == [MessageKind.BYE]
+        consumer._on_reactor_timer()
+        assert _drain(control) == []
 
 
 class TestTcpTransport:
@@ -230,11 +294,11 @@ class TestTcpTransport:
             # Registration is acknowledged before connect()/bind() return, so
             # the subscriber is live server-side without any settling sleep.
             sub = client.connect("data", subscriptions=("",))
-            pull = PullSocket(client, "control")
-            PubSocket(client, "data").send(MessageKind.BATCH, body={"n": 1}, topic="broadcast")
-            PushSocket(client, "control").send(MessageKind.ACK, body={"n": 2})
+            pull = client.bind("control")
+            client.publish("data", _msg(MessageKind.BATCH, {"n": 1}, "broadcast"))
+            client.push("control", _msg(MessageKind.ACK, {"n": 2}))
             assert sub.receive(timeout=5).body == {"n": 1}
-            assert pull.recv(timeout=5).body == {"n": 2}
+            assert pull.receive(timeout=5).body == {"n": 2}
         finally:
             client.close()
             hub.close()

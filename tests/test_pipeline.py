@@ -29,9 +29,25 @@ from repro.data.transforms import Compose, DecodeJpeg, Normalize, ToTensor
 import numpy as np
 
 from repro.messaging import InProcHub
-from repro.messaging.message import MessageKind
-from repro.messaging.sockets import PubSocket, PullSocket
+from repro.messaging.message import Message, MessageKind
 from repro.tensor import BatchPayload, SharedMemoryPool, from_numpy
+
+
+def _publisher(hub, address):
+    """A fake producer's data channel: publishes straight through the hub."""
+
+    def send(kind, body=None, topic=""):
+        return hub.publish(address, Message(topic=topic, kind=kind, sender="test", body=body))
+
+    return send
+
+
+def _drain(inbox):
+    """Every message queued on ``inbox``, without blocking."""
+    messages = []
+    while (message := inbox.try_receive()) is not None:
+        messages.append(message)
+    return messages
 
 
 def small_loader(size=48, batch_size=8, image_size=16, num_workers=0):
@@ -494,10 +510,11 @@ class TestDuplicateDeliveryRegression:
 
     @staticmethod
     def _manual_channel(pool):
-        """A hand-driven producer side: raw pub + control sockets."""
+        """A hand-driven producer side: the hub's data channel and a bound
+        control inbox."""
         hub = InProcHub()
-        pub = PubSocket(hub, "tensorsocket/data")
-        control = PullSocket(hub, "tensorsocket/control")
+        pub = _publisher(hub, "tensorsocket/data")
+        control = hub.bind("tensorsocket/control")
 
         def payload_for(index):
             staged = {
@@ -518,16 +535,16 @@ class TestDuplicateDeliveryRegression:
             hub=hub, pool=pool,
             config=ConsumerConfig(consumer_id="d", max_epochs=1, buffer_size=2),
         )
-        pub.send(
+        pub(
             MessageKind.REPLY,
             body={"consumer_id": "d", "admitted_epoch": 0},
             topic="consumer/d",
         )
         p0, p1 = payload_for(0), payload_for(1)
-        pub.send(MessageKind.BATCH, body=p0, topic="broadcast")
-        pub.send(MessageKind.BATCH, body=p0, topic="consumer/d")  # dup, un-trained
-        pub.send(MessageKind.BATCH, body=p1, topic="broadcast")
-        pub.send(MessageKind.EPOCH_END, body={"epoch": 0, "batches": 2}, topic="broadcast")
+        pub(MessageKind.BATCH, body=p0, topic="broadcast")
+        pub(MessageKind.BATCH, body=p0, topic="consumer/d")  # dup, un-trained
+        pub(MessageKind.BATCH, body=p1, topic="broadcast")
+        pub(MessageKind.EPOCH_END, body={"epoch": 0, "batches": 2}, topic="broadcast")
         # The reactor fans deliveries into the mailbox concurrently with this
         # thread; wait for all of them so the duplicate is provably ingested
         # while the original sits un-trained in the buffer (the case under
@@ -542,7 +559,7 @@ class TestDuplicateDeliveryRegression:
         assert consumer.duplicates_dropped == 1
         ack_keys = [
             (m.body["epoch"], m.body["batch_index"])
-            for m in control.drain()
+            for m in _drain(control)
             if m.kind is MessageKind.ACK
         ]
         assert ack_keys.count((0, 0)) == 1  # exactly the training ack, no early dup ack
@@ -560,23 +577,23 @@ class TestDuplicateDeliveryRegression:
             hub=hub, pool=pool,
             config=ConsumerConfig(consumer_id="d", max_epochs=1, buffer_size=2),
         )
-        pub.send(
+        pub(
             MessageKind.REPLY,
             body={"consumer_id": "d", "admitted_epoch": 0},
             topic="consumer/d",
         )
         p0, p1 = payload_for(0), payload_for(1)
-        pub.send(MessageKind.BATCH, body=p0, topic="broadcast")
+        pub(MessageKind.BATCH, body=p0, topic="broadcast")
         iterator = iter(consumer)
         next(iterator)  # trains p0 (its ack is sent when iteration resumes)
-        pub.send(MessageKind.BATCH, body=p0, topic="consumer/d")  # dup, post-training
-        pub.send(MessageKind.BATCH, body=p1, topic="broadcast")
-        pub.send(MessageKind.EPOCH_END, body={"epoch": 0, "batches": 2}, topic="broadcast")
+        pub(MessageKind.BATCH, body=p0, topic="consumer/d")  # dup, post-training
+        pub(MessageKind.BATCH, body=p1, topic="broadcast")
+        pub(MessageKind.EPOCH_END, body={"epoch": 0, "batches": 2}, topic="broadcast")
         assert sum(1 for _ in iterator) == 1
         assert consumer.duplicates_dropped == 1
         ack_keys = [
             (m.body["epoch"], m.body["batch_index"])
-            for m in control.drain()
+            for m in _drain(control)
             if m.kind is MessageKind.ACK
         ]
         assert ack_keys.count((0, 0)) == 2  # training ack + duplicate ack

@@ -17,9 +17,25 @@ from repro.data import BatchSampler, DataLoader, SequentialSampler
 from repro.data.dataset import Dataset
 from repro.messaging import InProcHub
 from repro.messaging import endpoint as endpoints
-from repro.messaging.message import MessageKind
-from repro.messaging.sockets import PubSocket, PullSocket
+from repro.messaging.message import Message, MessageKind
 from repro.tensor import BatchPayload, SharedMemoryPool, from_numpy
+
+
+def _publisher(hub, address):
+    """A fake producer's data channel: publishes straight through the hub."""
+
+    def send(kind, body=None, topic=""):
+        return hub.publish(address, Message(topic=topic, kind=kind, sender="test", body=body))
+
+    return send
+
+
+def _drain(inbox):
+    """Every message queued on ``inbox``, without blocking."""
+    messages = []
+    while (message := inbox.try_receive()) is not None:
+        messages.append(message)
+    return messages
 
 
 class IndexDataset(Dataset):
@@ -225,8 +241,8 @@ class TestAnyInterleave:
 
         pool = SharedMemoryPool()
         hub = InProcHub()
-        pubs = [PubSocket(hub, f"m{k}/data") for k in (0, 1)]
-        controls = [PullSocket(hub, f"m{k}/control") for k in (0, 1)]
+        pubs = [_publisher(hub, f"m{k}/data") for k in (0, 1)]
+        controls = [hub.bind(f"m{k}/control") for k in (0, 1)]
         members = [
             TensorConsumer(
                 hub=hub,
@@ -238,19 +254,19 @@ class TestAnyInterleave:
             for k in (0, 1)
         ]
         for k, pub in enumerate(pubs):
-            pub.send(
+            pub(
                 MessageKind.REPLY,
                 body={"consumer_id": "c", "admitted_epoch": 0},
                 topic="consumer/c",
             )
             staged = {"x": pool.share_tensor(from_numpy(np.full(2, k, dtype=np.float32)))}
-            pub.send(
+            pub(
                 MessageKind.BATCH,
                 body=BatchPayload.pack(staged, batch_index=0, epoch=0),
                 topic="broadcast",
             )
         # Member 0 finishes its epoch cleanly; member 1 goes silent mid-epoch.
-        pubs[0].send(MessageKind.EPOCH_END, body={"epoch": 0, "batches": 1}, topic="broadcast")
+        pubs[0](MessageKind.EPOCH_END, body={"epoch": 0, "batches": 1}, topic="broadcast")
         group = GroupConsumer(members, interleave="any")
         delivered = []
         with pytest.raises(TimeoutError_):
@@ -259,8 +275,8 @@ class TestAnyInterleave:
         assert len(delivered) == 2  # both members' batches arrived first
         # Both delivered batches were trained on and acknowledged before the
         # failure surfaced.
-        assert controls[0].drain()
-        assert controls[1].drain()
+        assert _drain(controls[0])
+        assert _drain(controls[1])
         group.close()
         pool.shutdown()
 
@@ -346,31 +362,31 @@ class TestMinEpochLimit:
         stream early and leave later epochs served by a subset of shards."""
         pool = SharedMemoryPool()
         hub = InProcHub()
-        pub = PubSocket(hub, "tensorsocket/data")
-        control = PullSocket(hub, "tensorsocket/control")
+        pub = _publisher(hub, "tensorsocket/data")
+        control = hub.bind("tensorsocket/control")
         consumer = TensorConsumer(
             hub=hub,
             pool=pool,
             config=ConsumerConfig(consumer_id="m", max_epochs=1, receive_timeout=5),
         )
         # The producer admitted this member at epoch 0...
-        pub.send(
+        pub(
             MessageKind.REPLY,
             body={"consumer_id": "m", "admitted_epoch": 0},
             topic="consumer/m",
         )
         # ...but the group starts at epoch 1: epoch 0 closes without batches.
-        pub.send(MessageKind.EPOCH_END, body={"epoch": 0, "batches": 0}, topic="broadcast")
+        pub(MessageKind.EPOCH_END, body={"epoch": 0, "batches": 0}, topic="broadcast")
         staged = {"x": pool.share_tensor(from_numpy(np.zeros(4, dtype=np.float32)))}
         payload = BatchPayload.pack(staged, batch_index=0, epoch=1)
-        pub.send(MessageKind.BATCH, body=payload, topic="broadcast")
-        pub.send(MessageKind.EPOCH_END, body={"epoch": 1, "batches": 1}, topic="broadcast")
+        pub(MessageKind.BATCH, body=payload, topic="broadcast")
+        pub(MessageKind.EPOCH_END, body={"epoch": 1, "batches": 1}, topic="broadcast")
         got = [batch for _payload, batch in consumer.iter_batches(min_epoch=1)]
         # Without the min_epoch floor on epoch counting, EPOCH_END(0) eats the
         # one-epoch budget and this list is empty.
         assert len(got) == 1
         assert consumer.batches_consumed == 1
-        assert control.drain()  # the epoch-1 batch was acknowledged
+        assert _drain(control)  # the epoch-1 batch was acknowledged
         consumer.close()
         pool.shutdown()
 

@@ -14,6 +14,7 @@ import repro
 from repro.core import ConsumerConfig, ProducerConfig
 from repro.core.ack_ledger import AckLedger
 from repro.core.consumer import TensorConsumer
+from repro.core.group import attach_address
 from repro.core.producer import TensorProducer
 from repro.data import DataLoader, SyntheticImageDataset
 from repro.data.transforms import Compose, DecodeJpeg, Normalize, ToTensor
@@ -25,7 +26,6 @@ from repro.messaging.errors import (
     AddressNotServedError,
     MessagingError,
 )
-from repro.messaging.sockets import PubSocket, PushSocket
 from repro.messaging.transport import TcpClientEndpoint, TcpServerHub, channel_key
 
 
@@ -84,9 +84,8 @@ class TestTcpRoundTrip:
             assert not session.address.endswith(":0")
             # Bypass the in-process session directory so the consumer really
             # dials the broker and attaches segments by name.
-            consumer = TensorConsumer(
-                address=session.address,
-                config=ConsumerConfig(max_epochs=1, receive_timeout=20),
+            consumer = attach_address(
+                session.address, ConsumerConfig(max_epochs=1, receive_timeout=20)
             )
             session.start()
             batches = 0
@@ -180,9 +179,7 @@ class TestBrokerRobustness:
             tiny_loader(size=8), address="tcp://127.0.0.1:0", epochs=1, start=False
         )
         address = session.address
-        consumer = TensorConsumer(
-            address=address, config=ConsumerConfig(max_epochs=1, receive_timeout=20)
-        )
+        consumer = attach_address(address, ConsumerConfig(max_epochs=1, receive_timeout=20))
         session.start()
         assert sum(1 for _ in consumer) == 2
         consumer.close()
@@ -270,12 +267,11 @@ class TestReplayWindowLedgerAccounting:
 class TestHubEndpointPruning:
     def test_publish_purges_closed_endpoints(self):
         hub = InProcHub()
-        pub = PubSocket(hub, "data")
         keep = hub.connect("data")
         for _ in range(5):
             # close() without disconnect(), as a dying consumer would.
             hub.connect("data").close()
-        assert pub.send(MessageKind.BATCH, body=1) == 1
+        assert hub.publish("data", Message(topic="", kind=MessageKind.BATCH, sender="p", body=1)) == 1
         assert len(hub._connected["data"]) == 1  # the closed ones are gone
         assert keep.receive(timeout=1).body == 1
 
@@ -303,14 +299,20 @@ class TestHubEndpointPruning:
 # ---------------------------------------------------------------------------
 
 
+def _push(producer, kind, body):
+    """What a peer's push does: one message on the producer's control inbox."""
+    producer.hub.push(
+        producer.config.control_address, Message(topic="", kind=kind, sender="peer", body=body)
+    )
+
+
 class TestPhantomHeartbeats:
     def test_stray_sender_not_tracked_as_live_peer(self):
         hub = InProcHub()
         producer = TensorProducer(tiny_loader(size=8), hub=hub,
                                   config=ProducerConfig(epochs=1))
-        push = PushSocket(hub, producer.config.control_address)
-        push.send(MessageKind.HEARTBEAT, body={"consumer_id": "ghost"})
-        push.send(MessageKind.ACK, body={"consumer_id": "ghost", "epoch": 0, "batch_index": 0})
+        _push(producer, MessageKind.HEARTBEAT, {"consumer_id": "ghost"})
+        _push(producer, MessageKind.ACK, {"consumer_id": "ghost", "epoch": 0, "batch_index": 0})
         producer._process_control()
         assert producer.protocol.peers == {}
         producer.stop()
@@ -326,9 +328,7 @@ class TestPhantomHeartbeats:
         assert list(producer.protocol.peers) == ["real"]
         seen_before = producer.protocol.peers["real"].last_seen
         time.sleep(0.01)
-        PushSocket(hub, producer.config.control_address).send(
-            MessageKind.HEARTBEAT, body={"consumer_id": "real"}
-        )
+        _push(producer, MessageKind.HEARTBEAT, {"consumer_id": "real"})
         producer._process_control()
         assert producer.protocol.peers["real"].last_seen > seen_before
         consumer.close()
@@ -340,15 +340,14 @@ class TestPhantomHeartbeats:
         hub = InProcHub()
         producer = TensorProducer(tiny_loader(size=8), hub=hub,
                                   config=ProducerConfig(epochs=1))
-        push = PushSocket(hub, producer.config.control_address)
-        push.send(MessageKind.HELLO, body={"consumer_id": "worker", "token": "t1"})
+        _push(producer, MessageKind.HELLO, {"consumer_id": "worker", "token": "t1"})
         producer._process_control()
         peers = producer.protocol.peers
         first_seen = peers["worker"].last_seen
         time.sleep(0.01)
         # A different instance squatting on the same id is rejected and must
         # not refresh (or create) liveness for anyone.
-        push.send(MessageKind.HELLO, body={"consumer_id": "worker", "token": "t2"})
+        _push(producer, MessageKind.HELLO, {"consumer_id": "worker", "token": "t2"})
         producer._process_control()
         assert list(peers) == ["worker"]
         assert peers["worker"].last_seen == first_seen

@@ -24,8 +24,7 @@ from repro.data import DataLoader
 from repro.data.dataset import Dataset
 from repro.messaging import InProcHub
 from repro.messaging.errors import EndpointClosedError, MessagingError
-from repro.messaging.message import MessageKind
-from repro.messaging.sockets import PushSocket
+from repro.messaging.message import Message, MessageKind
 from repro.obs.metrics import counter
 from repro.tensor import SharedMemoryPool
 
@@ -56,11 +55,14 @@ class Peer:
         self.inbox = producer.hub.connect(
             producer.config.data_address, subscriptions=("broadcast", f"consumer/{name}")
         )
-        self.push = PushSocket(producer.hub, producer.config.control_address, identity=name)
+        self.hub, self.control = producer.hub, producer.config.control_address
         self.send(MessageKind.HELLO, token=name, batch_size=None, buffer_size=buffer_size)
 
     def send(self, kind, **body):
-        self.push.send(kind, body={"consumer_id": self.name, **body})
+        self.hub.push(
+            self.control,
+            Message(topic="", kind=kind, sender=self.name, body={"consumer_id": self.name, **body}),
+        )
 
     def next_batch(self, timeout=5.0):
         """The next BATCH payload delivered to this peer (other kinds skipped)."""
@@ -155,9 +157,8 @@ class TestInboxClose:
     def test_what_arrived_before_the_close_is_still_read_in_order(self):
         hub = InProcHub()
         inbox = hub.bind("waiting/control")
-        push = PushSocket(hub, "waiting/control")
         for body in (1, 2):
-            push.send(MessageKind.ACK, body=body)
+            hub.push("waiting/control", Message(topic="", kind=MessageKind.ACK, sender="t", body=body))
         inbox.close()
         assert [inbox.receive(timeout=1).body, inbox.try_receive().body] == [1, 2]
         assert inbox.try_receive() is None
@@ -226,7 +227,7 @@ class TestIdleProducerMakesNoCalls:
         )
         waiter.start()
         wait_for(lambda: turns)  # it looked once, found no room, and blocked
-        producer.hub.disconnect(producer._control._endpoint)
+        producer.hub.disconnect(producer._control)
         waiter.join(timeout=5.0)
         assert not waiter.is_alive()
         assert len(turns) <= 3
