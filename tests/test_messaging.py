@@ -2,6 +2,7 @@
 heartbeats)."""
 
 import threading
+import time
 
 import pytest
 
@@ -281,6 +282,45 @@ class TestHeartbeats:
             consumer.close()
         assert [m.kind for m in _drain(control)] == [MessageKind.BYE]
         consumer._on_reactor_timer()
+        assert _drain(control) == []
+
+    def test_sender_sends_on_interval_only(self):
+        # The reactor's timer is the only sender: it beats at the configured
+        # interval, and never more often.
+        interval = 0.1
+        hub = InProcHub()
+        config = ConsumerConfig(address="hb-timer", consumer_id="c1", heartbeat_interval=interval)
+        control = hub.bind(config.control_address)
+        consumer = TensorConsumer(hub=hub, pool=SharedMemoryPool(), config=config)
+        try:
+            assert consumer._timer.interval == interval
+            hub.publish(
+                config.data_address,
+                _msg(MessageKind.REPLY, {"consumer_id": "c1", "admitted_epoch": 0}, "consumer/c1"),
+            )
+            assert consumer.wait_until_registered(timeout=5) == 0
+            _drain(control)
+            start = time.monotonic()
+            time.sleep(5 * interval)
+            beats = [m for m in _drain(control) if m.kind is MessageKind.HEARTBEAT]
+            elapsed = time.monotonic() - start
+        finally:
+            consumer.close()
+        assert beats, "no heartbeat in five intervals"
+        assert len(beats) <= elapsed / interval + 2
+        assert all(m.body == {"consumer_id": "c1"} for m in beats)
+
+    def test_sender_rejects_bad_interval(self):
+        # A config mutated past its own validation still fails when the
+        # consumer arms its timer, and the consumer leaves nothing behind:
+        # no data subscription and no HELLO.
+        hub = InProcHub()
+        config = ConsumerConfig(address="hb-bad", consumer_id="c1")
+        config.heartbeat_interval = 0
+        control = hub.bind(config.control_address)
+        with pytest.raises(ValueError, match="interval"):
+            TensorConsumer(hub=hub, pool=SharedMemoryPool(), config=config)
+        assert hub.publish(config.data_address, _msg(MessageKind.BATCH, 1, "broadcast")) == 0
         assert _drain(control) == []
 
 
