@@ -28,15 +28,18 @@ def consume(name, batch_size, observations):
     )
     sizes = Counter()
     rows = 0
+    samples = set()
     for batch in consumer:
         sizes[batch["image"].shape[0]] += 1
         rows += batch["image"].shape[0]
-    observations[name] = {"batch_sizes_seen": dict(sizes), "rows": rows}
+        samples.update(batch["index"].tolist())
+    observations[name] = {"batch_sizes_seen": dict(sizes), "rows": rows, "samples": samples}
     consumer.close()
 
 
 def main() -> None:
-    dataset = SyntheticImageDataset(size=256, image_size=24, payload_bytes=128)
+    # Six producer batches of 48: no short last batch.
+    dataset = SyntheticImageDataset(size=288, image_size=24, payload_bytes=128)
     pipeline = Compose([DecodeJpeg(height=24, width=24), Normalize(), ToTensor()])
     loader = DataLoader(dataset, batch_size=32, transform=pipeline)
 
@@ -83,6 +86,12 @@ def main() -> None:
     for name, row in sorted(observations.items()):
         print(f"  {name}: batch sizes {row['batch_sizes_seen']}, {row['rows']} rows consumed "
               f"(dataset has {len(dataset)})")
+    if all(
+        set(observations[name]["batch_sizes_seen"]) == {size}
+        and observations[name]["samples"] == set(range(len(dataset)))
+        for name, size in consumer_batches.items()
+    ):
+        print("every consumer saw only its own batch size and every sample")
 
 
 if __name__ == "__main__":

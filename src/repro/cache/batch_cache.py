@@ -103,10 +103,9 @@ class CacheStats:
 class _CacheEntry:
     """One retained batch: the staged value plus what the holds cover."""
 
-    value: object  # BatchPayload (default mode) or Dict[str, Tensor] (flexible)
+    value: BatchPayload
     segment_names: Tuple[str, ...]
     nbytes: int
-    rows: Optional[int] = None  # producer-batch rows, flexible mode only
 
 
 class BatchCache:
@@ -141,10 +140,6 @@ class BatchCache:
         # Insertion/recency order: last entry = most recently used.
         self._entries: "OrderedDict[int, _CacheEntry]" = OrderedDict()  #: guarded by _lock
         self._bytes = 0  #: guarded by _lock
-        # Number of producer batches in the last fully-inserted epoch, for
-        # flexible-mode replay (where the epoch length is only known after
-        # the FlexibleBatcher has re-chunked the loader's output).
-        self._complete_epoch_len: Optional[int] = None  #: guarded by _lock
         # Indices the current epoch planned as hits but has not served yet.
         # Protected from eviction: evicting them would turn every planned
         # hit into a fallback load (the LRU cyclic-access thrash).
@@ -226,43 +221,11 @@ class BatchCache:
         with self._lock:
             self._protected.clear()
 
-    def replayable_epoch_length(self, *, rows: Optional[int] = None) -> Optional[int]:
-        """Length of a fully-cached epoch that can replay end-to-end, else ``None``.
-
-        Used by flexible batching, which cannot load *selected* producer
-        batches (they are re-chunked from a sequential stream), so replay is
-        all-or-nothing.  ``rows`` guards geometry: if the current
-        ``FlexibleBatcher`` produces differently-sized producer batches than
-        the cached ones, the cached epoch is unusable and is flushed.
-        """
-        with self._lock:
-            n = self._complete_epoch_len
-            if n is None:
-                return None
-            if any(i not in self._entries for i in range(n)):
-                return None
-            if rows is not None:
-                if any(self._entries[i].rows not in (None, rows) for i in range(n)):
-                    return None
-            return n
-
-    def mark_epoch_complete(self, length: int) -> None:
-        """Record that batches ``0..length-1`` of one epoch were all offered.
-
-        Only marks the epoch replayable when every index actually stayed
-        resident (budgeted policies may have refused or evicted some).
-        """
-        with self._lock:
-            if length > 0 and all(i in self._entries for i in range(length)):
-                self._complete_epoch_len = length
-            else:
-                self._complete_epoch_len = None
-
     # ------------------------------------------------------------------ hits
     def republish(
         self, index: int, *, epoch: int, is_last_in_epoch: bool = False
     ) -> Optional[BatchPayload]:
-        """Serve batch ``index`` from cache for a new epoch (default mode).
+        """Serve batch ``index`` from cache for a new epoch.
 
         On a hit, a fresh producer hold is taken on every backing segment
         (plain ``retain`` — the republished batch is in flight again, exactly
@@ -274,36 +237,16 @@ class BatchCache:
         """
         with self._lock:
             entry = self._entries.get(index)
-            if entry is None or not isinstance(entry.value, BatchPayload):
-                self._protected.discard(index)
+            self._protected.discard(index)  # served (or gone): evictable again
+            if entry is None:
                 return None
             self._entries.move_to_end(index)
-            self._protected.discard(index)  # served: evictable again
             self.hits += 1
             for name in entry.segment_names:
                 self.pool.retain(name)
-            payload: BatchPayload = entry.value
+            payload = entry.value
         _HITS.inc()
         return dataclasses.replace(payload, epoch=epoch, is_last_in_epoch=is_last_in_epoch)
-
-    def republish_staged(self, index: int):
-        """Serve a staged flexible-mode producer batch from cache.
-
-        Returns the staged ``{name: Tensor}`` mapping with a fresh producer
-        hold per segment, or ``None`` on a miss.
-        """
-        with self._lock:
-            entry = self._entries.get(index)
-            if entry is None or isinstance(entry.value, BatchPayload):
-                self._protected.discard(index)
-                return None
-            self._entries.move_to_end(index)
-            self._protected.discard(index)  # served: evictable again
-            self.hits += 1
-            _HITS.inc()
-            for name in entry.segment_names:
-                self.pool.retain(name)
-            return entry.value
 
     def record_miss(self, count: int = 1) -> None:
         """Count misses decided outside the cache (planned loads)."""
@@ -315,11 +258,10 @@ class BatchCache:
     def put(
         self,
         index: int,
-        value,
+        value: BatchPayload,
         *,
         segment_names: Tuple[str, ...],
         nbytes: int,
-        rows: Optional[int] = None,
     ) -> bool:
         """Retain a just-published batch under the policy; True if inserted.
 
@@ -363,7 +305,7 @@ class BatchCache:
             for name in segment_names:
                 self.pool.retain_cached(name)
             self._entries[index] = _CacheEntry(
-                value=value, segment_names=segment_names, nbytes=nbytes, rows=rows
+                value=value, segment_names=segment_names, nbytes=nbytes
             )
             self._bytes += nbytes
             self.insertions += 1
@@ -381,7 +323,6 @@ class BatchCache:
         self._bytes -= entry.nbytes
         self.evictions += 1
         _EVICTIONS.inc()
-        self._complete_epoch_len = None
         for name in entry.segment_names:
             self.pool.release_cached(name)
         return True
@@ -396,7 +337,6 @@ class BatchCache:
                     self.pool.release_cached(name)
             self._entries.clear()
             self._bytes = 0
-            self._complete_epoch_len = None
             self._protected.clear()
             self._epoch_composition = None
         return cleared

@@ -31,7 +31,7 @@ producer keeps its normal full-loader path, including multi-worker prefetch.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cache.batch_cache import BatchCache
 from repro.data.samplers import epoch_batches
@@ -43,15 +43,26 @@ __all__ = ["CachedEpochSource"]
 class CachedEpochSource:
     """Plan one epoch against the cache; load only what the cache cannot serve."""
 
-    def __init__(self, cache: BatchCache, loader, *, epoch: int, collate: bool = True) -> None:
+    def __init__(
+        self,
+        cache: BatchCache,
+        loader,
+        *,
+        epoch: int,
+        collate: bool = True,
+        batches: Optional[Sequence[Sequence[int]]] = None,
+    ) -> None:
         self.cache = cache
         self.loader = loader
         self.epoch = epoch
         #: False: misses come back as uncollated item lists (the runner
         #: collates them into shared memory), like ``prefetch_iter(collate=False)``.
         self.collate = collate
+        #: The epoch's batches when the runner cut them (flexible batching);
+        #: ``None``: the loader's own.
+        self.batches = batches
         try:
-            self.total: Optional[int] = len(loader)
+            self.total: Optional[int] = len(loader if batches is None else batches)
         except TypeError:
             self.total = None
         self.plan = cache.plan_epoch(self.total)
@@ -85,8 +96,8 @@ class CachedEpochSource:
             # The composition of the epoch that filled the cache; falling
             # back to a fresh sampler draw only when none was recorded (a
             # non-reshuffling sampler produces the same list anyway).
-            self._sampled_batches = self.cache.epoch_composition or epoch_batches(
-                self.loader.batch_sampler
+            self._sampled_batches = self.cache.epoch_composition or (
+                epoch_batches(self.loader.batch_sampler) if self.batches is None else self.batches
             )
         return self._sampled_batches[index]
 
@@ -164,13 +175,6 @@ class CachedEpochSource:
             segment_names=payload.segment_names,
             nbytes=payload.tensor_nbytes,
         )
-
-    def finish(self, published: int, *, complete: bool) -> None:
-        """Epoch bookkeeping: lift hit protection; a fully-published epoch
-        may become replayable."""
-        self.cache.end_epoch()
-        if complete and published > 0:
-            self.cache.mark_epoch_complete(published)
 
     def __repr__(self) -> str:
         return (

@@ -15,9 +15,9 @@ experiments and the baselines reuse them:
   acknowledgement for which batch, and when a batch's memory can be released.
 * :class:`~repro.core.batch_buffer.BatchBuffer` — the consumer-side bounded
   buffer that lets consumers drift at most N batches apart.
-* :class:`~repro.core.flexible_batch.FlexibleBatcher` — producer-batch
-  collation, per-consumer slicing, offsets, shuffling and repetition
-  accounting (paper Section 3.2.6/3.2.7 and Figure 5).
+* :class:`~repro.core.flexible_batch.FlexibleBatcher` — per-consumer slice
+  plans over producer batches, offsets, shuffling and repetition accounting
+  (paper Section 3.2.6/3.2.7 and Figure 5).
 * :class:`~repro.core.rubberband.RubberbandPolicy` — the join window at the
   start of an epoch and its admission rule (Section 3.2.5).
 * :class:`~repro.core.producer.TensorProducer` /

@@ -37,7 +37,9 @@ class ProducerConfig:
     producer_batch_size:
         Row count of a producer batch under flexible batching.  Should be at
         least twice the largest consumer batch size to bound repetition below
-        50%; when ``None`` it is sized automatically from consumer requests.
+        50%; a consumer asking for more than it is refused.  When ``None`` it
+        is sized each epoch from the batch sizes of the consumers registered
+        as the epoch opens (the loader's batch size when none announced one).
     shuffle_slices / consumer_offsets:
         Batch-order variation knobs (Section 3.2.7): shuffle the order of each
         consumer's slices within a producer batch, and start each consumer's

@@ -11,7 +11,10 @@ Internally the consumer registers with the producer (HELLO), receives pointer
 payloads over the PUB/SUB data channel, rebuilds tensors zero-copy (step 4 in
 Figure 4), buffers up to N pending batches, acknowledges each batch once the
 training loop moves past it (step 6), emits heartbeats, and departs cleanly
-with BYE.  It resolves no address: :func:`repro.attach` (or a session's
+with BYE.  Under flexible batching a delivered batch is a producer batch: the
+consumer trains on its own row ranges of it (views; a wrapped range is the
+one local copy) and acknowledges it once, after the last.  It resolves no
+address: :func:`repro.attach` (or a session's
 :meth:`~repro.core.session.SharedLoaderSession.consumer`) hands it the hub,
 the pool and, for a remote attach, the connection it must release.
 
@@ -46,7 +49,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import counter, histogram
 from repro.tensor.payload import BatchPayload
 from repro.tensor.shared_memory import SharedMemoryPool
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, cat
 
 #: Registry instruments (process-wide; see repro.obs.metrics).  The ``stall.``
 #: counters accumulate seconds and feed repro.obs.stall's attribution.
@@ -97,6 +100,9 @@ class TensorConsumer:
         self._token = uuid.uuid4().hex
 
         self._buffer = BatchBuffer(self.config.buffer_size)
+        #: Flexible batching: the producer batch being trained on, its
+        #: unpacked tensors and the row ranges of its batches not taken yet.
+        self._slicing: Optional[Tuple[BatchPayload, Dict[str, Tensor], list]] = None
         self._core = ConsumerProtocol(self.consumer_id, self._token, self.config.max_epochs)
         self._closed = False
         # The HELLO went out.  ``_answered``: a REPLY to it went by (the
@@ -365,42 +371,74 @@ class TensorConsumer:
         nothing is available yet, or ``_DONE`` when the stream has ended
         (epoch limit or producer shutdown; a refusal raises instead).  This
         is the engine under both :meth:`iter_batches` and the group merge —
-        the merge drives many members through it from one thread.
+        the merge drives many members through it from one thread.  A sliced
+        producer batch hands out one of this consumer's batches per step;
+        call :meth:`_passed` once the loop is done with each.
         """
         core = self._core
         while True:
-            # The producer sends EPOCH_END after the epoch's batches and the
-            # reactor keeps per-channel order into the mailbox, so the core
-            # sees the epoch close only after it saw the epoch's batches.
-            while not core.ended:
-                try:
-                    message = self._mailbox.get_nowait()
-                except queue.Empty:
-                    break
-                self._ingest(message)
-            payload = self._buffer.get()
-            verdict = core.take(payload)
-            if verdict is TRAIN:
+            if self._slicing is not None:
+                payload, batch, rows = self._next_slice()
+            else:
+                # The producer sends EPOCH_END after the epoch's batches and
+                # the reactor keeps per-channel order into the mailbox, so the
+                # core sees the epoch close only after it saw its batches.
+                while not core.ended:
+                    try:
+                        message = self._mailbox.get_nowait()
+                    except queue.Empty:
+                        break
+                    self._ingest(message)
+                payload = self._buffer.get()
+                verdict = core.take(payload)
+                if verdict is SKIP:
+                    # Admitted earlier than the group: this member's pre-group
+                    # epochs are not trained on, but their holds must be returned.
+                    self._acknowledge(payload)
+                    continue
+                if verdict is not TRAIN:
+                    if verdict is not DONE:
+                        return _WAIT
+                    # Acknowledge and drop whatever is left so the producer
+                    # does not wait on us.
+                    if payload is not None:
+                        self._acknowledge(payload)
+                    self._drop_buffered()
+                    self._raise_if_refused()
+                    return _DONE
                 batch = payload.unpack(self.pool)
-                self.batches_consumed += 1
-                self.samples_consumed += payload.batch_size
-                _BATCHES.inc()
-                _SAMPLES.inc(payload.batch_size)
-                return (payload, batch)
-            if verdict is SKIP:
-                # Admitted earlier than the group: this member's pre-group
-                # epochs are not trained on, but their holds must be returned.
-                self._acknowledge(payload)
-                continue
-            if verdict is not DONE:
-                return _WAIT
-            # Acknowledge and drop whatever is left so the producer does not
-            # wait on us.
-            if payload is not None:
-                self._acknowledge(payload)
-            self._drop_buffered()
-            self._raise_if_refused()
-            return _DONE
+                if payload.slices is not None and payload.slices.get(self.consumer_id):
+                    self._slicing = (payload, batch, list(payload.slices[self.consumer_id]))
+                    continue
+                rows = payload.batch_size
+            self.batches_consumed += 1
+            self.samples_consumed += rows
+            _BATCHES.inc()
+            _SAMPLES.inc(rows)
+            return (payload, batch)
+
+    def _next_slice(self) -> Tuple[BatchPayload, Dict[str, Tensor], int]:
+        """The next of this consumer's batches of the producer batch it is
+        slicing: a view of the slab, or for a wrapped range the one copy."""
+        payload, whole, ranges = self._slicing
+        batch_ranges = ranges.pop(0)
+        if not ranges:
+            self._slicing = None
+        if len(batch_ranges) == 1:
+            ((start, stop),) = batch_ranges
+            batch = {key: t.slice_rows(start, stop) for key, t in whole.items()}
+        else:
+            batch = {
+                key: cat([t.slice_rows(start, stop) for start, stop in batch_ranges])
+                for key, t in whole.items()
+            }
+        return payload, batch, sum(stop - start for start, stop in batch_ranges)
+
+    def _passed(self, payload: BatchPayload) -> None:
+        """The loop is done with a batch taken from ``payload``: acknowledge
+        it, unless batches of it are still to be taken."""
+        if self._slicing is None or self._slicing[0] is not payload:
+            self._acknowledge(payload)
 
     def _raise_if_refused(self) -> None:
         """A refused consumer's stream ends in the refusal, every time."""
@@ -469,7 +507,7 @@ class TensorConsumer:
                     trace["trained"] = trained_at
                 # The training loop finished with the batch: acknowledge it so
                 # the producer can release the shared memory.
-                self._acknowledge(payload)
+                self._passed(payload)
             # Acknowledge anything left in the buffer so nothing stays pinned.
             self._drop_buffered()
         finally:
@@ -523,6 +561,8 @@ class TensorConsumer:
         if self._closed:
             return
         self._closed = True
+        # Views of a producer batch the trainer left mid-way pin its mapping.
+        self._slicing = None
         self._timer.cancel()
         try:
             self._push(MessageKind.BYE, {"consumer_id": self.consumer_id, "token": self._token})

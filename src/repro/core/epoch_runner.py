@@ -2,7 +2,7 @@
 
 Historically the :class:`~repro.core.producer.TensorProducer` welded the
 epoch-running machinery (loader iteration, the staged pipeline, cache-aware
-interleaving, flexible-batch carving) to the connection machinery (consumer
+interleaving, flexible-batch slicing) to the connection machinery (consumer
 registration, heartbeats, flow control, the ack ledger).  This module is the
 epoch half, extracted behind a narrow interface so other hosts — most
 importantly the sharded producer groups in :mod:`repro.core.group`, where N
@@ -17,13 +17,21 @@ classic producer that is the producer itself:
 * ``wait_for_capacity()`` — block until every active consumer can take a
   batch (may raise :class:`SkipEpoch` to abandon the epoch);
 * ``active_consumer_ids()`` — who should receive the next publish;
-* ``publish(payload, consumers, topic=...)`` — record the batch in the ack
-  ledger, retain its segments per consumer, and send it;
+* ``publish(payload, consumers)`` — record the batch in the ack ledger,
+  retain its segments per consumer, and broadcast it;
 * ``retain_for_window(payload, index)`` — offer the payload to the host's
   rubberband replay window (the host takes over the producer hold when it
   returns True);
-* ``stopped`` / ``batch_size_for(consumer_id)`` / ``consumer_batch_sizes()``
-  — the flow-control flag and the flexible-batching geometry sources.
+* ``set_epoch_length(batches)`` — how many batches the epoch being opened
+  has (the rubberband window is a fraction of it);
+* ``stopped`` / ``consumer_batch_sizes()`` — the flow-control flag and the
+  batch sizes flexible batching slices for.
+
+One loop serves both modes.  By default a batch is a loader batch.  Under
+flexible batching (paper Section 3.2.6) the runner fixes the epoch's
+producer batch size when the epoch opens, cuts the epoch's sample order at
+it, and publishes each producer batch once with every sized consumer's row
+ranges in :attr:`~repro.tensor.payload.BatchPayload.slices`.
 
 At every epoch boundary the runner advances the loader's sampler epoch
 (``loader.set_epoch(epoch)`` when the loader supports it) *before* opening the
@@ -37,19 +45,21 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Iterator, List, Mapping, Optional, Protocol, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 from repro.cache import BatchCache, CachedEpochSource
 from repro.core.flexible_batch import FlexibleBatcher, recommend_producer_batch_size
 from repro.core.pipeline import StagedItem, StagePipeline
 from repro.data.collate import plan_collate
+from repro.data.dataloader import DataLoader
+from repro.data.samplers import EpochBatches, epoch_order
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import counter
 from repro.tensor.payload import BatchPayload
 from repro.tensor.shared_memory import SharedMemoryPool
 from repro.tensor.tensor import Tensor
 
-__all__ = ["EpochHost", "EpochRunner", "SkipEpoch", "staged_segment_names"]
+__all__ = ["EpochHost", "EpochRunner", "SkipEpoch"]
 
 #: Stall-attribution components (cumulative seconds) and volume counters.
 _LOAD_SECONDS = counter("repro.producer.stall.load_seconds")
@@ -60,15 +70,6 @@ _CACHE_REPLAYS = counter("repro.producer.cache_replays")
 
 class SkipEpoch(Exception):
     """Signal from the host: abandon the current epoch (e.g. every consumer left)."""
-
-
-def staged_segment_names(staged: Mapping[str, Tensor]) -> Tuple[str, ...]:
-    """Unique segment names backing a staged batch (for hold accounting)."""
-    return tuple(
-        dict.fromkeys(
-            tensor.segment.name for tensor in staged.values() if tensor.segment is not None
-        )
-    )
 
 
 class EpochHost(Protocol):
@@ -87,10 +88,8 @@ class EpochHost(Protocol):
     def active_consumer_ids(self) -> List[str]:
         """Consumers the next batch should be published to."""
 
-    def publish(
-        self, payload: BatchPayload, consumers: List[str], *, topic: str = "broadcast"
-    ) -> None:
-        """Retain per-consumer holds, record the batch in the ledger, send it."""
+    def publish(self, payload: BatchPayload, consumers: List[str]) -> None:
+        """Retain per-consumer holds, record the batch in the ledger, broadcast it."""
 
     def retain_for_window(self, payload: BatchPayload, batch_index: int) -> bool:
         """Offer the payload to the host's replay window.
@@ -99,8 +98,8 @@ class EpochHost(Protocol):
         must then not release it).
         """
 
-    def batch_size_for(self, consumer_id: str) -> Optional[int]:
-        """The batch size a consumer announced, if any (flexible batching)."""
+    def set_epoch_length(self, batches: int) -> None:
+        """The epoch being opened has this many batches (at least one)."""
 
     def consumer_batch_sizes(self) -> Dict[str, int]:
         """Announced batch sizes of every active consumer (flexible batching)."""
@@ -126,6 +125,13 @@ class EpochRunner:
         cache: Optional[BatchCache] = None,
         identity: str = "epoch-runner",
     ) -> None:
+        if config.flexible_batching and not (
+            isinstance(data_loader, DataLoader) and data_loader.sampler is not None
+        ):
+            raise TypeError(
+                f"flexible batching cuts the epoch's sample order itself, so it needs a "
+                f"repro.data.DataLoader with a sampler, not {type(data_loader).__name__}"
+            )
         self.loader = data_loader
         self.pool = pool
         self.config = config
@@ -138,31 +144,26 @@ class EpochRunner:
         #: Batches published so far in the current epoch (the host reads this
         #: for rubberband admission and the EPOCH_END announcement).
         self.batches_published_this_epoch = 0
-        #: Flexible-mode slice sequence number, reset every epoch.
-        self.publish_seq = 0
         #: Total batches staged over the runner's lifetime.
         self.batches_loaded = 0
-        #: The flexible batcher of the current epoch, if flexible mode is on.
-        self.flexible: Optional[FlexibleBatcher] = None
+        #: Under flexible batching, the current epoch's slice planner, set
+        #: once the epoch is cut (``None`` before that, and in default mode).
+        self.batcher: Optional[FlexibleBatcher] = None
+        #: The producer batch size the epoch cache's batches were cut at.
+        self._cached_cut: Optional[int] = None
 
     # ------------------------------------------------------------------ epoch lifecycle
     def begin_epoch(self, epoch: int) -> None:
-        """Reset per-epoch counters (eagerly, before the lazy generator runs).
-
-        Flexible-mode slice numbering restarts every epoch; without the
-        reset, batch indices drift upward epoch over epoch.
-        """
+        """Reset per-epoch state (eagerly, before the lazy generator runs)."""
         self.epoch = epoch
         self.batches_published_this_epoch = 0
-        self.publish_seq = 0
+        self.batcher = None
 
     def run(self, epoch: int) -> Iterator[int]:
         """One epoch's publish loop; yields running batch counts for progress."""
         self.epoch = epoch
         self._set_sampler_epoch(epoch)
-        if self.config.flexible_batching:
-            return self._run_epoch_flexible()
-        return self._run_epoch_default()
+        return self._run_epoch(self._cut_epoch() if self.config.flexible_batching else None)
 
     def _set_sampler_epoch(self, epoch: int) -> None:
         """Pin the sampler's permutation to this epoch before iterating.
@@ -183,6 +184,49 @@ class EpochRunner:
         except TypeError:
             return False
 
+    def _cut_epoch(self) -> EpochBatches:
+        """Flexible batching: fix this epoch's producer batch size and cut the
+        epoch's sample order at it.
+
+        The size is ``producer_batch_size``, or derived from the consumers
+        registered when the epoch opens (the wait is for them); with none
+        that announced a batch size, it is the loader's.  The last producer
+        batch is short unless the loader drops it.
+        """
+        self.host.wait_for_capacity()
+        sizes = self.host.consumer_batch_sizes()
+        cut = self.config.producer_batch_size or (
+            recommend_producer_batch_size(list(sizes.values())) if sizes else self.loader.batch_size
+        )
+        if self.cache is not None and cut != self._cached_cut:
+            # Cached batches were cut at another size: none of them is a hit.
+            self.cache.clear()
+            self._cached_cut = cut
+        self.batcher = FlexibleBatcher(
+            cut,
+            sizes,
+            use_offsets=self.config.consumer_offsets,
+            shuffle_slices=self.config.shuffle_slices,
+            seed=self.config.seed,
+        )
+        return EpochBatches(epoch_order(self.loader.sampler), cut, self.loader.drop_last)
+
+    def with_slices(self, payload: BatchPayload) -> BatchPayload:
+        """Flexible batching: ``payload`` carrying the row ranges of every
+        sized consumer active now — at publish, and again for a window replay
+        to a joiner."""
+        batcher = self.batcher
+        sizes = self.host.consumer_batch_sizes()
+        batcher.consumer_batch_sizes.update(sizes)
+        rows, index = payload.batch_size, payload.batch_index
+        slices = {
+            consumer_id: tuple(
+                spec.ranges for spec in batcher.plan_for(consumer_id, index, rows).slices
+            )
+            for consumer_id in sizes
+        }
+        return dataclasses.replace(payload, slices=slices)
+
     # ------------------------------------------------------------------ staging
     def _stage_batch(self, batch) -> Dict[str, Tensor]:
         """Put a loader batch into shared memory on the share device (step 2).
@@ -191,8 +235,8 @@ class EpochRunner:
         aligned offset of a single allocation, so the batch publishes as one
         handle — written by one copy per byte.  A list of uncollated items
         (see :meth:`_takes_items`) is collated straight into the reserved
-        segment; an already-collated mapping (custom ``collate_fn``, flexible
-        batching) is copied into it.
+        segment; an already-collated mapping (custom ``collate_fn``) is copied
+        into it.
 
         Runs on the stage worker when ``pipeline_depth > 1``; it only touches
         the pool (thread-safe) and the ``batches_loaded`` counter (written by
@@ -233,19 +277,6 @@ class EpochRunner:
             _LOAD_SECONDS.inc(t_loaded - t_sampled)
             yield index, (batch, t_sampled, t_loaded)
 
-    def _timed_iter(self, source) -> Iterator:
-        """Like :meth:`_timed_source` for a bare batch stream (flexible mode:
-        indices are assigned after re-chunking, so only load time is kept)."""
-        it = iter(source)
-        while True:
-            t_sampled = time.monotonic()
-            try:
-                batch = next(it)
-            except StopIteration:
-                return
-            _LOAD_SECONDS.inc(time.monotonic() - t_sampled)
-            yield batch
-
     # ------------------------------------------------------------------ pipeline plumbing
     def _pipeline_loader_workers(self) -> Optional[int]:
         """Loader worker threads the staged pipeline may use (None = loader default)."""
@@ -256,7 +287,7 @@ class EpochRunner:
         return min(4, self.config.pipeline_depth)
 
     def _takes_items(self) -> bool:
-        """Whether the default-mode epoch takes *uncollated* items off the loader.
+        """Whether the epoch takes *uncollated* items off the loader.
 
         True when the loader assembles batches with ``default_collate``: the
         runner then asks for each batch's item list and collates it into the
@@ -265,8 +296,9 @@ class EpochRunner:
         """
         return bool(getattr(self.loader, "uses_default_collate", False))
 
-    def _open_loader_iter(self, *, collate: bool = True):
-        """Start one epoch's iteration over the nested loader.
+    def _open_loader_iter(self, *, collate: bool, batches: Optional[Sequence] = None):
+        """Start one epoch's iteration over the nested loader, over its own
+        batches or over the runner's ``batches`` (flexible batching's cut).
 
         With an overlapped pipeline the loader is asked for a prefetching
         iterator whose in-flight budget matches ``pipeline_depth``, so the
@@ -277,9 +309,12 @@ class EpochRunner:
             return self.loader.prefetch_iter(
                 max_in_flight=depth,
                 num_workers=self._pipeline_loader_workers(),
+                batches=batches,
                 collate=collate,
             )
-        return iter(self.loader) if collate else self.loader.prefetch_iter(collate=False)
+        if collate and batches is None:
+            return iter(self.loader)
+        return self.loader.prefetch_iter(batches=batches, collate=collate)
 
     def _make_pipeline(self, source, stage_fn, source_close=None) -> StagePipeline:
         return StagePipeline(
@@ -296,9 +331,12 @@ class EpochRunner:
         for name in item.segment_names:
             self.pool.release_if_present(name)
 
-    # ------------------------------------------------------------------ default-mode epoch
-    def _run_epoch_default(self) -> Iterator[int]:
+    # ------------------------------------------------------------------ the epoch
+    def _run_epoch(self, batches: Optional[Sequence]) -> Iterator[int]:
         """Publish one epoch from a stream of already-staged payloads.
+
+        ``batches`` is the epoch's cut under flexible batching, and ``None``
+        when the loader's own batches are published.
 
         Load + stage run inside the :class:`StagePipeline` (inline at
         ``pipeline_depth=1``, on the stage worker otherwise); this loop only
@@ -315,12 +353,19 @@ class EpochRunner:
         published miss is offered to the cache post-stage.
         """
         host = self.host
-        total = len(self.loader) if self.loader_sized() else None
+        if batches is not None:
+            total: Optional[int] = len(batches)
+        else:
+            total = len(self.loader) if self.loader_sized() else None
+        if total:
+            host.set_epoch_length(total)
         epoch = self.epoch
         overlapped = self.config.pipeline_depth > 1
         collate = not self._takes_items()
         source = (
-            CachedEpochSource(self.cache, self.loader, epoch=epoch, collate=collate)
+            CachedEpochSource(
+                self.cache, self.loader, epoch=epoch, collate=collate, batches=batches
+            )
             if self.cache is not None
             else None
         )
@@ -356,7 +401,7 @@ class EpochRunner:
             # No cache, or nothing cached yet (epoch 0): the classic path —
             # the full loader, with its own prefetch workers, feeds the
             # pipeline directly.
-            loader_iter = self._open_loader_iter(collate=collate)
+            loader_iter = self._open_loader_iter(collate=collate, batches=batches)
             if source is not None and total is not None:
                 # Pin this sampler draw as THE composition future cached
                 # epochs serve — hits and reloaded misses alike — so a
@@ -414,6 +459,8 @@ class EpochRunner:
                     payload = pack_payload(item.index, item.value)
                     item.value = payload
                     item.segment_names = payload.segment_names
+                if self.batcher is not None:
+                    payload = self.with_slices(payload)
                 host.publish(payload, active)
                 if source is not None and not item.from_cache:
                     # Offer the freshly staged miss to the cache while the
@@ -427,11 +474,7 @@ class EpochRunner:
             if pipeline is not None:
                 pipeline.close()
             if source is not None:
-                source.finish(
-                    self.batches_published_this_epoch,
-                    complete=total is not None
-                    and self.batches_published_this_epoch == total,
-                )
+                self.cache.end_epoch()
 
     def _cached_item_stream(
         self, source: CachedEpochSource, miss_iter: Iterator[StagedItem]
@@ -478,200 +521,6 @@ class EpochRunner:
                     )
             else:
                 yield next(miss_iter)
-
-    # ------------------------------------------------------------------ flexible-mode epoch
-    def _build_flexible_batcher(self) -> FlexibleBatcher:
-        sizes = self.host.consumer_batch_sizes()
-        if not sizes:
-            raise RuntimeError(
-                "flexible batching requires every active consumer to announce a batch size"
-            )
-        producer_batch = self.config.producer_batch_size or recommend_producer_batch_size(
-            list(sizes.values())
-        )
-        return FlexibleBatcher(
-            producer_batch,
-            sizes,
-            use_offsets=self.config.consumer_offsets,
-            shuffle_slices=self.config.shuffle_slices,
-            seed=self.config.seed,
-        )
-
-    def _run_epoch_flexible(self) -> Iterator[int]:
-        host = self.host
-        # Wait for at least one consumer before fixing producer-batch geometry.
-        host.wait_for_capacity()
-        self.flexible = self._build_flexible_batcher()
-
-        # Flexible batching re-chunks the loader's sequential stream, so a
-        # *partial* cache cannot serve selected producer batches — replay is
-        # all-or-nothing.  A fully cached epoch with matching producer-batch
-        # geometry replays straight from shared memory; anything less is
-        # flushed (stale geometry or an incomplete epoch would pin segments
-        # that can never be hits).
-        if self.cache is not None:
-            replay_len = self.cache.replayable_epoch_length(
-                rows=self.flexible.producer_batch_size
-            )
-            if replay_len is not None:
-                yield from self._replay_epoch_flexible(replay_len)
-                return
-            if len(self.cache):
-                self.cache.clear()
-
-        loader_iter = self._open_loader_iter()
-
-        # With pipeline_depth > 1 this generator (and the staging below) runs
-        # on the stage worker.  It only touches the batcher's accumulation
-        # state (_carry, counters); the main thread touches only the slicing
-        # side (add_consumer / carve / has_consumer read-modify
-        # consumer_batch_sizes).  The two halves are disjoint, so no lock is
-        # needed between them.
-        def producer_batches():
-            index = 0
-            for batch in self._timed_iter(loader_iter):
-                if host.stopped:
-                    return
-                for producer_batch in self.flexible.add_loader_batch(batch):
-                    yield index, producer_batch
-                    index += 1
-
-        overlapped = self.config.pipeline_depth > 1
-
-        def stage(indexed) -> StagedItem:
-            index, producer_batch = indexed
-            if not overlapped:
-                # Depth 1: pass the producer batch through raw; staging
-                # happens in _emit_staged_batch after the capacity wait and
-                # active-consumer check, exactly like the classic loop.
-                return StagedItem(index=index, value=producer_batch)
-            staged = self._stage_batch(producer_batch)
-            return StagedItem(
-                index=index, value=staged, segment_names=staged_segment_names(staged)
-            )
-
-        pipeline = self._make_pipeline(
-            producer_batches(), stage, source_close=getattr(loader_iter, "close", None)
-        )
-        producer_batch_index = 0
-        completed = False
-        try:
-            for item in pipeline:
-                if host.stopped:
-                    self.release_staged(item)
-                    break
-                self._emit_staged_batch(item)
-                producer_batch_index = item.index + 1
-                yield producer_batch_index
-            else:
-                completed = not host.stopped
-        finally:
-            pipeline.close()
-        self.batches_published_this_epoch = producer_batch_index
-        if self.cache is not None and completed:
-            # Replayable only if every producer batch actually stayed
-            # resident (mark_epoch_complete re-verifies the index range).
-            self.cache.mark_epoch_complete(producer_batch_index)
-
-    def _replay_epoch_flexible(self, replay_len: int) -> Iterator[int]:
-        """Serve one flexible epoch entirely from cached producer batches.
-
-        Each staged producer batch is republished with a fresh producer hold
-        (no loader, no stage worker, no copy) and carved into per-consumer
-        slices by the regular emit path, which also returns the hold on every
-        exit.
-        """
-        producer_batch_index = 0
-        for index in range(replay_len):
-            if self.host.stopped:
-                break
-            staged = self.cache.republish_staged(index)
-            if staged is None:  # pragma: no cover - nothing evicts mid-replay
-                raise RuntimeError(
-                    f"cached producer batch {index} vanished during a full replay"
-                )
-            _CACHE_REPLAYS.inc()
-            item = StagedItem(
-                index=index,
-                value=staged,
-                segment_names=staged_segment_names(staged),
-                from_cache=True,
-            )
-            self._emit_staged_batch(item)
-            producer_batch_index = index + 1
-            yield producer_batch_index
-        self.batches_published_this_epoch = producer_batch_index
-
-    def _emit_staged_batch(self, item: StagedItem) -> None:
-        """Carve one already-staged producer batch into per-consumer slices.
-
-        The staging hold travels with ``item``; the ``finally`` returns it on
-        every exit path (publish, stop, skip-epoch) so an interrupted emit
-        cannot leak its producer batch.  At ``pipeline_depth=1`` the item
-        arrives raw and is staged here, after the capacity wait and
-        active-consumer check (the classic order); early exits then never
-        touch the pool.
-        """
-        host = self.host
-        index = item.index
-        try:
-            host.wait_for_capacity()
-            active = host.active_consumer_ids()
-            if not active or host.stopped:
-                return
-            # Consumers admitted after the batcher was built get their own
-            # slicing plan over the existing producer-batch geometry.
-            for consumer_id in active:
-                if not self.flexible.has_consumer(consumer_id):
-                    batch_size = host.batch_size_for(consumer_id)
-                    if batch_size:
-                        self.flexible.add_consumer(consumer_id, int(batch_size))
-            if not item.segment_names:  # raw item: stage now
-                staged = self._stage_batch(item.value)
-                item.value = staged
-                item.segment_names = staged_segment_names(staged)
-            staged = item.value
-            staged_at = time.monotonic()
-            for consumer_id in active:
-                if not self.flexible.has_consumer(consumer_id):
-                    continue
-                slices = self.flexible.carve(staged, consumer_id, index)
-                for slice_batch in slices:
-                    host.wait_for_capacity()
-                    if consumer_id not in host.active_consumer_ids():
-                        break
-                    self.publish_seq += 1
-                    # Flexible slices are re-chunked from the loader stream,
-                    # so per-slice sampled/loaded stamps do not exist; their
-                    # lifecycle trace starts at the staging step.
-                    payload = BatchPayload.pack(
-                        slice_batch,
-                        batch_index=self.publish_seq,
-                        epoch=self.epoch,
-                        producer_batch_id=index,
-                        metadata={
-                            "trace": {"staged": staged_at},
-                            "trace_origin": obs_trace.origin(),
-                        },
-                    )
-                    host.publish(payload, [consumer_id], topic=f"consumer/{consumer_id}")
-            self.batches_published_this_epoch = index + 1
-            if self.cache is not None and not item.from_cache:
-                # Retain the whole staged producer batch (pre-carve) so a
-                # repeat epoch can re-slice it for whatever consumers are
-                # registered then.
-                self.cache.record_miss()
-                first = next(iter(staged.values()))
-                self.cache.put(
-                    index,
-                    staged,
-                    segment_names=item.segment_names,
-                    nbytes=sum(t.nbytes for t in staged.values()),
-                    rows=first.shape[0] if first.shape else 0,
-                )
-        finally:
-            # The producer's own hold on the staged producer batch.
-            self.release_staged(item)
 
     def __repr__(self) -> str:
         return (

@@ -1,10 +1,10 @@
 """Flexible batch sizing: producer batches, per-consumer slices, repetition.
 
 Paper Section 3.2.6 and Figure 5.  Under flexible batching the producer
-collates the nested loader's output into large *producer batches* (a
-contiguous block of rows) and every consumer receives row-slices of its own
-requested batch size.  Consumers therefore traverse the data at the same rate
-even though their batch sizes differ.  When a consumer's batch size does not
+cuts the epoch's sample order into large *producer batches* (a contiguous
+block of rows, collated once) and every consumer takes row-slices of its own
+requested batch size out of each one.  Consumers therefore traverse the data
+at the same rate even though their batch sizes differ.  When a consumer's batch size does not
 divide the producer batch size, the last slice is completed by wrapping around
 to the start of the producer batch, repeating a few rows; the repetition per
 producer batch is bounded by ``max(consumer batch sizes) - 1`` and the paper
@@ -19,12 +19,11 @@ which a consumer visits its slices of a producer batch.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from repro.tensor.tensor import Tensor, cat
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,13 @@ class SliceSpec:
     @property
     def is_contiguous(self) -> bool:
         return self.wrapped is None
+
+    @property
+    def ranges(self) -> Tuple[Tuple[int, int], ...]:
+        """The ``(start, stop)`` row ranges of the slice, in order: one, or two
+        when it wraps."""
+        wrapped = self.wrapped
+        return (self.primary,) if wrapped is None else (self.primary, wrapped)
 
     def row_indices(self) -> np.ndarray:
         """The producer-batch row indices this slice covers, in order."""
@@ -102,7 +108,7 @@ def plan_slices(
     *,
     consumer_id: str = "consumer",
     offset: int = 0,
-    shuffle_seed: Optional[int] = None,
+    shuffle_seed: Union[int, Sequence[int], None] = None,
 ) -> ConsumerSlicePlan:
     """Plan how a consumer with ``consumer_batch_size`` traverses a producer batch.
 
@@ -162,11 +168,12 @@ def recommend_producer_batch_size(consumer_batch_sizes: Sequence[int]) -> int:
 
 
 class FlexibleBatcher:
-    """Builds producer batches and carves per-consumer slices from them.
+    """Plans how each consumer slices the producer batches of one epoch.
 
-    The batcher accumulates the nested loader's batches (whatever their size)
-    into a contiguous producer batch of ``producer_batch_size`` rows, carrying
-    any remainder over to the next producer batch so no loader rows are lost.
+    The producer batch size is fixed for the epoch; every consumer gets a
+    plan of slices of its own batch size over each producer batch.  A
+    consumer may join with no batch size: it is not planned for and takes
+    whole producer batches.
     """
 
     def __init__(
@@ -180,9 +187,7 @@ class FlexibleBatcher:
     ) -> None:
         if producer_batch_size < 1:
             raise ValueError("producer_batch_size must be positive")
-        if not consumer_batch_sizes:
-            raise ValueError("at least one consumer batch size is required")
-        largest = max(consumer_batch_sizes.values())
+        largest = max(consumer_batch_sizes.values(), default=0)
         if largest > producer_batch_size:
             raise ValueError(
                 f"producer batch size {producer_batch_size} is smaller than the largest "
@@ -193,76 +198,8 @@ class FlexibleBatcher:
         self.use_offsets = bool(use_offsets)
         self.shuffle_slices = bool(shuffle_slices)
         self.seed = int(seed)
-        self._carry: Optional[Dict[str, Tensor]] = None
-        self._producer_batches_built = 0
-        self.total_rows_consumed = 0
 
-    # -- accumulation ------------------------------------------------------------------
-    def add_loader_batch(self, batch: Mapping[str, Tensor]) -> List[Dict[str, Tensor]]:
-        """Feed one nested-loader batch; returns zero or more full producer batches."""
-        if self._carry is None:
-            merged = dict(batch)
-        else:
-            merged = {key: cat([self._carry[key], batch[key]]) for key in self._carry}
-        self._carry = merged
-        self.total_rows_consumed += _rows(batch)
-
-        ready: List[Dict[str, Tensor]] = []
-        while self._carry is not None and _rows(self._carry) >= self.producer_batch_size:
-            full = {
-                key: tensor.slice_rows(0, self.producer_batch_size)
-                for key, tensor in self._carry.items()
-            }
-            remaining_rows = _rows(self._carry) - self.producer_batch_size
-            if remaining_rows > 0:
-                self._carry = {
-                    key: tensor.slice_rows(self.producer_batch_size, _rows(self._carry))
-                    for key, tensor in self._carry.items()
-                }
-            else:
-                self._carry = None
-            ready.append(full)
-            self._producer_batches_built += 1
-        return ready
-
-    def flush(self) -> Optional[Dict[str, Tensor]]:
-        """Return any partial producer batch left at the end of an epoch."""
-        carry, self._carry = self._carry, None
-        return carry
-
-    @property
-    def pending_rows(self) -> int:
-        return _rows(self._carry) if self._carry is not None else 0
-
-    @property
-    def producer_batches_built(self) -> int:
-        return self._producer_batches_built
-
-    def add_consumer(self, consumer_id: str, batch_size: int) -> None:
-        """Register a consumer that joined after the batcher was built.
-
-        The producer-batch geometry stays fixed; the newcomer simply gets its
-        own slicing plan, so it can be admitted mid-epoch without disturbing
-        the existing consumers.
-        """
-        batch_size = int(batch_size)
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if batch_size > self.producer_batch_size:
-            raise ValueError(
-                f"consumer batch size {batch_size} exceeds producer batch size "
-                f"{self.producer_batch_size}"
-            )
-        self.consumer_batch_sizes[consumer_id] = batch_size
-
-    def remove_consumer(self, consumer_id: str) -> None:
-        """Forget a departed consumer's slicing plan."""
-        self.consumer_batch_sizes.pop(consumer_id, None)
-
-    def has_consumer(self, consumer_id: str) -> bool:
-        return consumer_id in self.consumer_batch_sizes
-
-    # -- carving -------------------------------------------------------------------------
+    # -- slicing -------------------------------------------------------------------------
     def offset_for(self, consumer_id: str) -> int:
         if not self.use_offsets:
             return 0
@@ -272,51 +209,32 @@ class FlexibleBatcher:
             return 0
         return (position * self.producer_batch_size) // len(ordered)
 
-    def plan_for(self, consumer_id: str, producer_batch_index: int = 0) -> ConsumerSlicePlan:
+    def plan_for(
+        self, consumer_id: str, producer_batch_index: int = 0, rows: Optional[int] = None
+    ) -> ConsumerSlicePlan:
+        """The consumer's slices of one producer batch of ``rows`` rows (the
+        producer batch size unless the epoch's last batch is short).  A batch
+        size above ``rows`` becomes one short slice of all of them."""
         try:
             batch_size = self.consumer_batch_sizes[consumer_id]
         except KeyError as exc:
             raise KeyError(f"unknown consumer {consumer_id!r}") from exc
+        rows = self.producer_batch_size if rows is None else rows
         shuffle_seed = None
         if self.shuffle_slices:
-            shuffle_seed = hash((self.seed, consumer_id, producer_batch_index)) & 0x7FFFFFFF
+            # Integers only: the hash of a str is salted per interpreter.
+            shuffle_seed = [
+                self.seed % (1 << 64),
+                producer_batch_index,
+                zlib.crc32(consumer_id.encode()),
+            ]
         return plan_slices(
-            self.producer_batch_size,
-            batch_size,
+            rows,
+            min(batch_size, rows),
             consumer_id=consumer_id,
             offset=self.offset_for(consumer_id),
             shuffle_seed=shuffle_seed,
         )
-
-    def carve(
-        self,
-        producer_batch: Mapping[str, Tensor],
-        consumer_id: str,
-        producer_batch_index: int = 0,
-    ) -> List[Dict[str, Tensor]]:
-        """Materialize the consumer's batches for one producer batch.
-
-        Contiguous slices are zero-copy views of the producer batch; wrapped
-        slices concatenate two views (copying only the wrapped rows).
-        """
-        rows = _rows(producer_batch)
-        if rows != self.producer_batch_size:
-            raise ValueError(
-                f"producer batch has {rows} rows, expected {self.producer_batch_size}"
-            )
-        plan = self.plan_for(consumer_id, producer_batch_index)
-        batches: List[Dict[str, Tensor]] = []
-        for spec in plan.slices:
-            start, stop = spec.primary
-            batch = {key: tensor.slice_rows(start, stop) for key, tensor in producer_batch.items()}
-            if spec.wrapped is not None:
-                wrap_start, wrap_stop = spec.wrapped
-                batch = {
-                    key: cat([batch[key], tensor.slice_rows(wrap_start, wrap_stop)])
-                    for key, tensor in producer_batch.items()
-                }
-            batches.append(batch)
-        return batches
 
     # -- analysis ------------------------------------------------------------------------
     def repetition_report(self) -> Dict[str, float]:
@@ -333,7 +251,3 @@ class FlexibleBatcher:
         report = self.repetition_report()
         return max(report.values()) if report else 0.0
 
-
-def _rows(batch: Mapping[str, Tensor]) -> int:
-    first = next(iter(batch.values()))
-    return first.shape[0]

@@ -303,7 +303,7 @@ class GroupConsumer:
                         yield batch
                         # The training loop moved past the batch: ack it so
                         # the member's producer can release the hold.
-                        members[rank]._acknowledge(payload)
+                        members[rank]._passed(payload)
                     continue
                 if len(done) == len(members) and not heads:
                     return
@@ -337,7 +337,7 @@ class GroupConsumer:
         finally:
             for rank, (payload, _batch) in heads.items():
                 try:
-                    members[rank]._acknowledge(payload)
+                    members[rank]._passed(payload)
                 except Exception:
                     pass
             for member in members:

@@ -89,11 +89,8 @@ class TensorProducer:
                 budget_bytes=self.config.cache_bytes,
             )
 
+        # Its epoch length is set by the runner as each epoch opens.
         self.rubberband = RubberbandPolicy(self.config.rubberband_fraction)
-        try:
-            self.rubberband.set_epoch_length(len(data_loader))
-        except TypeError:
-            pass
         self.protocol = ProducerProtocol(self.config, self.rubberband)
         self.ledger = self.protocol.ledger
 
@@ -146,7 +143,13 @@ class TensorProducer:
         return [peer.consumer_id for peer in tuple(self.protocol.peers.values()) if peer.active]
 
     def _admit(self, body: Mapping, now: float) -> None:
-        reply, replays = self.protocol.hello(body, now, self.runner.batches_published_this_epoch)
+        batcher = self.runner.batcher
+        reply, replays = self.protocol.hello(
+            body,
+            now,
+            self.runner.batches_published_this_epoch,
+            batcher.producer_batch_size if batcher is not None else None,
+        )
         if "error" not in reply:
             _BEATS_RECEIVED.inc()
         # Tell the consumer which epoch it starts in (or why it may not).
@@ -155,11 +158,14 @@ class TensorProducer:
 
     def _send_replays(self, consumer_id: str, replays: List[Replay]) -> None:
         """Send a rubberbanded consumer the batches it missed (personal topic),
-        holding the segments once more where the core took a new waiter."""
+        holding the segments once more where the core took a new waiter.  A
+        flexible batch is re-sent with slices planned for the joiner too."""
         for payload, hold in replays:
             if hold:
                 for name in payload.segment_names:
                     self.pool.retain(name)
+            if payload.slices is not None:
+                payload = self.runner.with_slices(payload)
             self._send(MessageKind.BATCH, payload, f"consumer/{consumer_id}")
 
     def _apply_drops(self, dropped: Iterable[Dropped]) -> None:
@@ -287,9 +293,7 @@ class TensorProducer:
                 continue
             self._process_control(wait_until=self.protocol.ack_deadline)
 
-    def publish(
-        self, payload: BatchPayload, consumers: List[str], *, topic: str = "broadcast"
-    ) -> None:
+    def publish(self, payload: BatchPayload, consumers: List[str]) -> None:
         started = time.monotonic()
         if self._last_publish is not None and self._last_publish[0] != payload.epoch:
             # The epoch boundary as every trainer feels it: nothing was on
@@ -313,7 +317,9 @@ class TensorProducer:
             trace["published"] = time.monotonic()
         self.hub.publish(
             self.config.data_address,
-            Message(topic=topic, kind=MessageKind.BATCH, sender=self.identity, body=payload),
+            Message(
+                topic="broadcast", kind=MessageKind.BATCH, sender=self.identity, body=payload
+            ),
         )
         self.payloads_published += 1
         _PUBLISHES.inc()
@@ -326,9 +332,8 @@ class TensorProducer:
         :meth:`~repro.core.protocol.ProducerProtocol.keep`)."""
         return self.protocol.keep(payload, batch_index)
 
-    def batch_size_for(self, consumer_id: str) -> Optional[int]:
-        peer = self.protocol.peers.get(consumer_id)
-        return peer.batch_size if peer is not None else None
+    def set_epoch_length(self, batches: int) -> None:
+        self.rubberband.set_epoch_length(batches)
 
     def consumer_batch_sizes(self) -> Dict[str, int]:
         return {

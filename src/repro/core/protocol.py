@@ -113,10 +113,16 @@ class ProducerProtocol:
 
     # ------------------------------------------------------------------ consumer messages
     def hello(
-        self, body: Mapping, now: float, published: int
+        self, body: Mapping, now: float, published: int, cut: Optional[int] = None
     ) -> Tuple[Dict[str, object], List[Replay]]:
         """Admit (or re-acknowledge, or refuse) a registering consumer;
-        ``published`` is how many batches of this epoch are out."""
+        ``published`` is how many batches of this epoch are out, and ``cut``
+        the epoch's producer batch size once flexible batching fixed it.
+
+        Under flexible batching a consumer that announces no batch size takes
+        whole producer batches.  One whose batch size is above a configured
+        ``producer_batch_size`` is refused; one above the size this epoch
+        derived waits for the next epoch, whose size is derived with it."""
         consumer_id = body["consumer_id"]
         token = body.get("token")
         reply: Dict[str, object] = {"consumer_id": consumer_id, "token": token}
@@ -136,7 +142,17 @@ class ProducerProtocol:
             peer.last_seen = now
             decision = "already-registered"
         else:
-            if self.rubberband.batches_per_epoch is not None:
+            size = body.get("batch_size") if self.config.flexible_batching else None
+            fixed = self.config.producer_batch_size
+            if size and fixed is not None and size > fixed:
+                reply["error"] = (
+                    f"consumer {consumer_id!r} asks for batch size {size}, above the "
+                    f"producer batch size {fixed} it would be sliced from"
+                )
+                return reply, []
+            if size and cut is not None and size > cut:
+                join = JoinDecision.WAIT_FOR_NEXT_EPOCH
+            elif self.rubberband.batches_per_epoch is not None:
                 join = self.rubberband.decide(consumer_id, published)
             elif published == 0:
                 join = JoinDecision.IMMEDIATE
@@ -426,5 +442,9 @@ class ConsumerProtocol:
             return DONE
         if self.min_epoch is not None and epoch < self.min_epoch:
             return SKIP
-        self.consumed_per_epoch[epoch] = self.consumed_per_epoch.get(epoch, 0) + 1
+        # A sliced producer batch is this consumer's batches of it.
+        mine = payload.slices.get(self.consumer_id) if payload.slices is not None else None
+        self.consumed_per_epoch[epoch] = self.consumed_per_epoch.get(epoch, 0) + (
+            len(mine) if mine else 1
+        )
         return TRAIN

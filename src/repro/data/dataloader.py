@@ -211,9 +211,10 @@ class DataLoader:
           iteration only — an outer pipeline can ask a synchronous loader for
           background workers so slow per-item transforms load in parallel;
         * ``batches`` replaces the sampler's batch list with an explicit one
-          (a sequence of per-batch index lists) — the epoch cache uses this
-          to load *only the cache misses* of a partially cached epoch through
-          the same worker machinery, in the caller's order;
+          (a sequence of per-batch index lists, kept as handed over) — the
+          epoch cache uses this to load *only the cache misses* of a partially
+          cached epoch through the same worker machinery, in the caller's
+          order, and flexible batching to load its producer batches;
         * ``collate=False`` yields each batch as its list of loaded
           (transformed) items and leaves assembling them to the caller — the
           producer stacks them straight into shared memory (see
@@ -270,9 +271,9 @@ class LoaderIterator:
         #: The epoch's batches, in order: the sampler's draw (an
         #: :class:`~repro.data.samplers.EpochBatches`, which cuts batch ``k``
         #: out of the epoch's order array when ``k`` is asked for) or the
-        #: caller's explicit list.
+        #: caller's explicit sequence (read, never written).
         self._batches: Sequence[Sequence[int]] = (
-            epoch_batches(loader.batch_sampler) if batches is None else list(batches)
+            epoch_batches(loader.batch_sampler) if batches is None else batches
         )
         self._next_to_yield = 0
         self.batches_loaded = 0

@@ -39,4 +39,6 @@ class AddressNotServedError(EndpointError):
 
 
 class DuplicateConsumerError(MessagingError):
-    """A consumer tried to register an id another live consumer already holds."""
+    """The producer refused a consumer's registration: another live consumer
+    already holds its id, or (flexible batching) its batch size is above the
+    configured producer batch size it would be sliced from."""

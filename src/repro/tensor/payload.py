@@ -17,14 +17,14 @@ Two payload kinds are provided:
 
 ``BatchPayload`` groups the per-tensor payloads of one batch (e.g. images and
 labels) together with bookkeeping the protocol needs: epoch, batch index,
-producer-batch id and slice bounds under flexible batching.
+and under flexible batching each consumer's row ranges of the batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -218,11 +218,11 @@ class BatchPayload:
         Epoch number the batch belongs to.
     tensors:
         Named tensor payloads, e.g. ``{"inputs": ..., "targets": ...}``.
-    producer_batch_id:
-        Monotonic id of the producer batch this consumer batch was carved
-        from (equals ``batch_index`` unless flexible batching is active).
-    slice_start / slice_stop:
-        Row range inside the producer batch, set under flexible batching.
+    slices:
+        Under flexible batching, each sized consumer's batches of this
+        producer batch: per consumer id, one tuple of ``(start, stop)`` row
+        ranges per batch (two ranges when the batch wraps around).  ``None``
+        otherwise; a consumer it does not name takes the whole batch.
     is_last_in_epoch:
         Marks the final batch of an epoch so consumers can roll their epoch
         counters without a separate control message.
@@ -231,9 +231,7 @@ class BatchPayload:
     batch_index: int
     epoch: int
     tensors: Mapping[str, TensorPayload]
-    producer_batch_id: Optional[int] = None
-    slice_start: Optional[int] = None
-    slice_stop: Optional[int] = None
+    slices: Optional[Mapping[str, Sequence[Sequence[Tuple[int, int]]]]] = None
     is_last_in_epoch: bool = False
     metadata: Mapping[str, object] = field(default_factory=dict)
 
@@ -244,9 +242,6 @@ class BatchPayload:
         *,
         batch_index: int,
         epoch: int,
-        producer_batch_id: Optional[int] = None,
-        slice_start: Optional[int] = None,
-        slice_stop: Optional[int] = None,
         is_last_in_epoch: bool = False,
         metadata: Optional[Mapping[str, object]] = None,
     ) -> "BatchPayload":
@@ -257,9 +252,6 @@ class BatchPayload:
             batch_index=batch_index,
             epoch=epoch,
             tensors=tensors,
-            producer_batch_id=producer_batch_id,
-            slice_start=slice_start,
-            slice_stop=slice_stop,
             is_last_in_epoch=is_last_in_epoch,
             metadata=dict(metadata or {}),
         )

@@ -172,7 +172,7 @@ class Tensor:
 
         This is the primitive used by flexible batch sizing: the producer batch
         is a large contiguous tensor and each consumer batch is a row-slice
-        view of it, so no bytes move when a consumer batch is carved out.
+        view of it, so no bytes move when a consumer batch is sliced out.
         """
         if self.ndim == 0:
             raise TensorError("cannot row-slice a 0-d tensor")

@@ -271,7 +271,7 @@ class TestBatchCache:
         assert not pool.contains(first.segment_names[0])  # evicted → unlinked eagerly
         cache.clear()
 
-    def test_plan_epoch_and_complete_marking(self):
+    def test_plan_epoch_serves_cached_indices_below_the_epoch_length(self):
         pool = SharedMemoryPool()
         cache = BatchCache(pool, policy="all")
         for i in (0, 1, 3):
@@ -279,10 +279,6 @@ class TestBatchCache:
             cache.put(i, payload, segment_names=payload.segment_names, nbytes=32)
         assert cache.plan_epoch(3) == {0, 1}
         assert cache.plan_epoch(None) == frozenset()
-        cache.mark_epoch_complete(3)  # index 2 missing → not replayable
-        assert cache.replayable_epoch_length() is None
-        cache.mark_epoch_complete(2)
-        assert cache.replayable_epoch_length() == 2
         cache.clear()
 
 
@@ -511,14 +507,61 @@ class TestFlexibleCachedEpochs:
         session.shutdown()
 
     def test_flexible_flushes_cache_on_geometry_change(self):
-        pool = SharedMemoryPool()
-        cache = BatchCache(pool, policy="all")
-        payload = stage_batch(pool, n=8)
-        cache.put(0, payload, segment_names=payload.segment_names, nbytes=32, rows=16)
-        cache.mark_epoch_complete(1)
-        assert cache.replayable_epoch_length(rows=16) == 1
-        assert cache.replayable_epoch_length(rows=32) is None
-        cache.clear()
+        # Epoch 0 is cut at 8 for a batch-4 consumer; a batch-16 consumer
+        # joining during it waits for epoch 1, which is cut at 32.  Epoch 1
+        # is not served from batches cut at 8; epoch 2 replays epoch 1.
+        session = repro.serve(
+            small_loader(),
+            address="inproc://cache-flex-geometry",
+            epochs=3,
+            cache="all",
+            flexible_batching=True,
+            start=False,
+        )
+        results = {}
+
+        def train_small():
+            consumer = session.consumer(
+                ConsumerConfig(consumer_id="small", batch_size=4, max_epochs=3, receive_timeout=20)
+            )
+            seen = []
+            for batch in consumer:
+                if not seen:
+                    large = session.consumer(
+                        ConsumerConfig(
+                            consumer_id="large", batch_size=16, max_epochs=2, receive_timeout=20
+                        )
+                    )
+                    assert large.wait_until_registered() == 1
+                    joiner = threading.Thread(target=train_large, args=(large,))
+                    joiner.start()
+                seen.append(tuple(batch["index"].tolist()))
+            results["small"] = seen
+            consumer.close()
+            joiner.join(timeout=30)
+
+        def train_large(consumer):
+            results["large"] = [tuple(batch["index"].tolist()) for batch in consumer]
+            consumer.close()
+
+        thread = threading.Thread(target=train_small)
+        thread.start()
+        time.sleep(0.2)
+        session.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        session.raise_producer_error()
+        metrics = session.metrics()
+        assert metrics["repro.producer.batches_loaded"] == 3 + 1
+        assert metrics["repro.cache"]["hits"] == 1
+        assert [len(batch) for batch in results["small"]] == [4] * 18
+        # One producer batch of 24 rows per epoch: 16 rows, then 8 wrapping to 8 more.
+        assert [len(batch) for batch in results["large"]] == [16] * 4
+        for epoch in range(3):
+            rows = results["small"][6 * epoch : 6 * epoch + 6]
+            assert sorted(i for batch in rows for i in batch) == list(range(24))
+        assert_drained(session)
+        session.shutdown()
 
 
 # ---------------------------------------------------------------------------

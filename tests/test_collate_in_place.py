@@ -535,7 +535,7 @@ class TestEveryFeedDeliversExactlyOnce:
             assert sorted(results["c0"][epoch]) == list(range(24))
         assert fills == {"fill_batch": 12, "share_batch": 0}
 
-    def test_flexible_batching_keeps_the_copy_fill(self, fills):
+    def test_flexible_batching_fills_each_producer_batch_in_place(self, fills):
         session = repro.serve(
             image_loader(),
             address="inproc://in-place-flexible",
@@ -552,7 +552,9 @@ class TestEveryFeedDeliversExactlyOnce:
         assert_drained(session.pool)
         session.shutdown()
         assert sorted(results[0]) == list(range(24))
-        assert fills == {"fill_batch": 0, "share_batch": 3}
+        # Three producer batches of 8, each collated into its slab once; the
+        # consumer's batches of 4 are views of them.
+        assert fills == {"fill_batch": 3, "share_batch": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -213,40 +213,25 @@ class TestPlanSlices:
 
 
 class TestFlexibleBatcher:
-    def _batch(self, rows, value=0.0):
-        return {
-            "inputs": from_numpy(np.full((rows, 3), value, dtype=np.float32)),
-            "targets": from_numpy(np.arange(rows, dtype=np.int64)),
-        }
+    def test_a_short_producer_batch_is_planned_over_its_own_rows(self):
+        batcher = FlexibleBatcher(8, {"a": 4, "b": 8})
+        assert [s.ranges for s in batcher.plan_for("a", 0, rows=6).slices] == [
+            ((0, 4),),
+            ((4, 6), (0, 2)),
+        ]
+        # A batch size above the rows left is one short batch of all of them.
+        assert [s.ranges for s in batcher.plan_for("b", 0, rows=6).slices] == [((0, 6),)]
 
-    def test_accumulates_loader_batches_into_producer_batches(self):
-        batcher = FlexibleBatcher(8, {"a": 4})
-        assert batcher.add_loader_batch(self._batch(5)) == []
-        ready = batcher.add_loader_batch(self._batch(5))
-        assert len(ready) == 1
-        assert ready[0]["inputs"].shape == (8, 3)
-        assert batcher.pending_rows == 2
-        leftover = batcher.flush()
-        assert leftover["inputs"].shape == (2, 3)
-        assert batcher.flush() is None
-
-    def test_carve_produces_views_for_contiguous_slices(self):
+    def test_plans_row_ranges_for_each_consumer(self):
         batcher = FlexibleBatcher(16, {"a": 4, "b": 7})
-        producer_batch = {
-            "inputs": from_numpy(np.arange(16 * 2, dtype=np.float32).reshape(16, 2)),
-        }
-        slices_a = batcher.carve(producer_batch, "a")
-        assert len(slices_a) == 4
-        assert all(s["inputs"].shape == (4, 2) for s in slices_a)
-        assert slices_a[0]["inputs"].shares_memory_with(producer_batch["inputs"])
-        slices_b = batcher.carve(producer_batch, "b")
-        assert len(slices_b) == 3
-        assert all(s["inputs"].shape == (7, 2) for s in slices_b)
+        ranges_a = [s.ranges for s in batcher.plan_for("a").slices]
+        assert ranges_a == [((0, 4),), ((4, 8),), ((8, 12),), ((12, 16),)]
+        ranges_b = [s.ranges for s in batcher.plan_for("b").slices]
+        # The last batch wraps: two ranges, 7 rows.
+        assert ranges_b == [((0, 7),), ((7, 14),), ((14, 16), (0, 5))]
 
-    def test_carve_rejects_wrong_row_count_and_unknown_consumer(self):
+    def test_plan_for_rejects_an_unknown_consumer(self):
         batcher = FlexibleBatcher(8, {"a": 4})
-        with pytest.raises(ValueError):
-            batcher.carve(self._batch(6), "a")
         with pytest.raises(KeyError):
             batcher.plan_for("ghost")
 
@@ -273,9 +258,9 @@ class TestFlexibleBatcher:
         with pytest.raises(ValueError):
             FlexibleBatcher(0, {"a": 4})
         with pytest.raises(ValueError):
-            FlexibleBatcher(8, {})
-        with pytest.raises(ValueError):
             FlexibleBatcher(8, {"a": 16})
+        # Consumers without a batch size take whole producer batches.
+        assert FlexibleBatcher(8, {}).repetition_report() == {}
 
 
 class _Batch:

@@ -1,5 +1,8 @@
 """Unit tests for shared segments, the pool, and payload pack/unpack."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -236,11 +239,11 @@ class TestBatchPayload:
             {"x": pool.allocate_tensor((4, 2))},
             batch_index=5,
             epoch=2,
-            producer_batch_id=1,
-            slice_start=8,
-            slice_stop=12,
             metadata={"origin": "test"},
         )
-        assert payload.producer_batch_id == 1
-        assert (payload.slice_start, payload.slice_stop) == (8, 12)
+        assert payload.slices is None
+        slices = {"a": (((0, 2),), ((2, 4),)), "b": (((2, 4), (0, 1)),)}
+        sliced = dataclasses.replace(payload, slices=slices)
+        assert pickle.loads(pickle.dumps(sliced)).slices == slices
+        assert sliced.key() == payload.key() == (2, 5)
         assert payload.metadata["origin"] == "test"

@@ -357,7 +357,7 @@ class TestPhantomHeartbeats:
 
 
 class TestFlexibleEpochDrift:
-    def test_publish_seq_resets_each_epoch(self):
+    def test_producer_batch_indices_restart_each_epoch(self):
         hub = InProcHub()
         producer = TensorProducer(
             tiny_loader(size=16, batch_size=4),
@@ -384,9 +384,8 @@ class TestFlexibleEpochDrift:
                 indices_by_epoch.setdefault(message.body.epoch, []).append(
                     message.body.batch_index
                 )
-        assert set(indices_by_epoch) == {0, 1}
-        # Without the reset, epoch 1 indices continued from epoch 0's.
-        assert min(indices_by_epoch[0]) == min(indices_by_epoch[1]) == 1
+        # One broadcast per producer batch of 8, numbered from 0 in each epoch.
+        assert indices_by_epoch == {0: [0, 1], 1: [0, 1]}
         consumer.close()
 
 
