@@ -85,7 +85,6 @@ def run_fanout(n_consumers, *, check_threads=False):
                     if t not in before
                     and not t.name.startswith("bench-trainer-")
                     and t.name not in ("repro-reactor", "repro-producer")
-                    and not t.name.endswith("-stage")
                     and not t.name.startswith("repro-loader-worker-")
                 }
             time.sleep(0.005)

@@ -4,7 +4,7 @@ The scenario the cache exists for: per-item preprocessing is expensive
 (>= 2 ms/item — decode + augment territory), trainers run several epochs, and
 the data fits the cache budget.  Epoch 0 pays the full load+decode+transform
 cost once; with ``cache="all"`` every later epoch republishes the staged
-segments — no loader, no stage worker, no copy — so its throughput is bounded
+segments — no loader, no copy — so its throughput is bounded
 by publish/ack work alone.
 
 Headline assertion (the issue's acceptance criterion): **>= 2x batches/sec on
@@ -43,13 +43,15 @@ EPOCHS = 3
 N_CONSUMERS = 2
 
 
-def make_loader(n_items=N_ITEMS):
+def make_loader(n_items=N_ITEMS, num_workers=0):
     dataset = SyntheticImageDataset(n_items, image_size=16, payload_bytes=32)
     pipeline = SleepTransform(
         Compose([DecodeJpeg(height=16, width=16), Normalize(), ToTensor()]),
         seconds_per_item=SECONDS_PER_ITEM,
     )
-    return DataLoader(dataset, batch_size=BATCH_SIZE, transform=pipeline)
+    return DataLoader(
+        dataset, batch_size=BATCH_SIZE, transform=pipeline, num_workers=num_workers
+    )
 
 
 def assert_session_drained(session, timeout=5.0):
@@ -67,15 +69,10 @@ def assert_session_drained(session, timeout=5.0):
 
 def run_epochs(address, *, cache=None, epochs=EPOCHS):
     """Run ``epochs`` epochs; returns per-epoch batches/sec seen by consumer 0."""
-    serve_kwargs = dict(
-        epochs=epochs,
-        pipeline_depth=4,
-        pipeline_workers=4,
-        start=False,
-    )
+    serve_kwargs = dict(epochs=epochs, start=False)
     if cache is not None:
         serve_kwargs["cache"] = cache
-    session = repro.serve(make_loader(), address=address, **serve_kwargs)
+    session = repro.serve(make_loader(num_workers=4), address=address, **serve_kwargs)
     expected = N_ITEMS // BATCH_SIZE
     epoch_times, counts = measure_epoch_throughput(
         session, epochs=epochs, batches_per_epoch=expected, consumers=N_CONSUMERS
@@ -188,11 +185,10 @@ def test_epoch_cache_tcp_with_late_attacher():
 
 def test_early_exit_stop_drains_cache():
     session = repro.serve(
-        make_loader(),
+        make_loader(num_workers=4),
         address="inproc://bench-cache-stop",
         epochs=None,
         cache="all",
-        pipeline_depth=4,
         start=False,
     )
     seen = []
@@ -266,11 +262,10 @@ def test_early_exit_skip_epoch_drains_cache():
     """Everyone leaves mid-epoch while a newcomer waits for the next one: the
     abandoned epoch's staged/cached holds must all come back."""
     session = repro.serve(
-        make_loader(),
+        make_loader(num_workers=2),
         address="inproc://bench-cache-skip",
         epochs=2,
         cache="all",
-        pipeline_depth=2,
         rubberband_fraction=0.0,  # newcomers always park for the next epoch
         start=False,
     )

@@ -14,7 +14,7 @@ runs), so the instrumented/uninstrumented ratio is still measured and printed
 but no longer asserted.
 
 The workload mirrors ``test_pipeline_overlap``'s end-to-end run (2 ms/item
-transform, two consumers, pipeline depth 4) — the shape the instrumentation
+transform, two consumers, four loader workers) — the shape the instrumentation
 actually rides in production, where per-batch bookkeeping is amortized over
 real load work.  ``set_enabled(False)`` turns every ``inc``/``observe`` into
 an early return without editing a single call site, so the A and B runs
@@ -42,15 +42,15 @@ SECONDS_PER_ITEM = 0.002
 BATCH_SIZE = 4
 N_ITEMS = 32 if TINY else 96
 N_CONSUMERS = 2
-DEPTH = 4
+NUM_WORKERS = 4
 ATTEMPTS = 1 if TINY else 3
 
 #: Instrument calls one delivery (a published batch reaching one consumer) may
 #: make, producer, reactor and consumer together.  A session of this shape
-#: makes 18 to 20 (14 to 16 ``inc``, 2 ``observe``, 2 ``record_span``); the
-#: rest is room for the calls that follow the clock rather than the batch
+#: makes 17.5 to 19.5 (13.5 to 15.5 ``inc``, 2 ``observe``, 2 ``record_span``);
+#: the rest is room for the calls that follow the clock rather than the batch
 #: (heartbeats, a trainer woken with nothing to take).
-MAX_CALLS_PER_DELIVERY = 30
+MAX_CALLS_PER_DELIVERY = 29
 
 
 def make_loader():
@@ -59,7 +59,9 @@ def make_loader():
         Compose([DecodeJpeg(height=16, width=16), Normalize(), ToTensor()]),
         seconds_per_item=SECONDS_PER_ITEM,
     )
-    return DataLoader(dataset, batch_size=BATCH_SIZE, transform=pipeline)
+    return DataLoader(
+        dataset, batch_size=BATCH_SIZE, transform=pipeline, num_workers=NUM_WORKERS
+    )
 
 
 def run_epoch(tag):
@@ -68,8 +70,6 @@ def run_epoch(tag):
         make_loader(),
         address=f"inproc://bench-obs-overhead-{tag}",
         epochs=1,
-        pipeline_depth=DEPTH,
-        pipeline_workers=4,
         start=False,
     )
     counts = {}

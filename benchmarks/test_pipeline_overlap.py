@@ -1,18 +1,18 @@
-"""Producer-pipeline overlap microbenchmark: slow transform x fast consumers.
+"""Producer overlap microbenchmark: slow transform x fast consumers.
 
-The scenario the overlapped pipeline exists for (ROADMAP: async + batching as
-the next scaling lever): per-item preprocessing is expensive, consumers train
-faster than the loader loads.  Strictly sequential (``pipeline_depth=1``) the
-producer alternates between loading and delivering, so consumers stall on
-every batch; with ``pipeline_depth > 1`` loading and staging run behind a
-bounded window and the publish loop stays busy.
+Per-item preprocessing is expensive and consumers train faster than the
+loader loads.  The producer runs no prefetcher of its own: it wraps the
+loader as it is.  With a synchronous loader (``num_workers=0``) it alternates
+between loading and delivering, so consumers stall on every batch; with the
+loader's own workers (``DataLoader(num_workers=4)``) loading runs ahead within
+the loader's prefetch budget and the publish loop stays busy.
 
-The headline measurement asserts the overlap is real: **>= 1.3x batches/sec at
-``pipeline_depth=4`` vs ``pipeline_depth=1``** with a >= 2 ms/item transform
-and two fast consumers on ``inproc://``.  (Expected gain is ~2-3x — the slow
-transform parallelizes across the pipeline's loader workers — so 1.3x leaves
-CI headroom.)  A ``tcp://`` variant measures the same pipeline across the
-broker path.
+The headline measurement asserts the overlap is real: **>= 1.3x batches/sec
+with ``num_workers=4`` vs ``num_workers=0``** with a >= 2 ms/item transform
+and two fast consumers on ``inproc://``.  (Expected gain is ~3x — the slow
+transform parallelizes across the loader's workers — so 1.3x leaves CI
+headroom.)  A ``tcp://`` variant measures the same producer across the broker
+path.
 
 Sizes are deliberately small; the suite doubles as the CI smoke test for a
 wedged pipeline (CI runs it under ``timeout``).
@@ -24,7 +24,7 @@ import time
 import pytest
 
 import repro
-from repro.core import ConsumerConfig, ProducerConfig
+from repro.core import ConsumerConfig
 from repro.core.group import attach_address
 from repro.data import DataLoader, SyntheticImageDataset
 from repro.data.transforms import Compose, DecodeJpeg, Normalize, SleepTransform, ToTensor
@@ -41,25 +41,20 @@ N_ITEMS = 32 if TINY else 96
 N_CONSUMERS = 2
 
 
-def make_loader():
+def make_loader(num_workers):
     dataset = SyntheticImageDataset(N_ITEMS, image_size=16, payload_bytes=32)
     pipeline = SleepTransform(
         Compose([DecodeJpeg(height=16, width=16), Normalize(), ToTensor()]),
         seconds_per_item=SECONDS_PER_ITEM,
     )
-    return DataLoader(dataset, batch_size=BATCH_SIZE, transform=pipeline)
-
-
-def run_epoch(address, depth, *, direct_consumer=False):
-    """One epoch at the given pipeline depth; returns (batches/sec, session pool)."""
-    session = repro.serve(
-        make_loader(),
-        address=address,
-        epochs=1,
-        pipeline_depth=depth,
-        pipeline_workers=None if depth == 1 else 4,
-        start=False,
+    return DataLoader(
+        dataset, batch_size=BATCH_SIZE, transform=pipeline, num_workers=num_workers
     )
+
+
+def run_epoch(address, num_workers, *, direct_consumer=False):
+    """One epoch over a loader with ``num_workers`` workers; returns batches/sec."""
+    session = repro.serve(make_loader(num_workers), address=address, epochs=1, start=False)
     counts = {}
 
     def consume(name):
@@ -83,7 +78,7 @@ def run_epoch(address, depth, *, direct_consumer=False):
         thread.join(timeout=60)
     elapsed = time.perf_counter() - started
     alive = [t for t in threads if t.is_alive()]
-    assert not alive, f"consumers wedged at depth={depth}: {alive}"
+    assert not alive, f"consumers wedged at num_workers={num_workers}: {alive}"
     # Leak check BEFORE shutdown(): pool.shutdown() zeroes the accounting, so
     # asserting afterwards would be vacuous.
     deadline = time.time() + 5
@@ -98,25 +93,25 @@ def run_epoch(address, depth, *, direct_consumer=False):
 
 @pytest.mark.overlap_ratio
 def test_pipeline_overlap_speedup_inproc(bench_record):
-    """Depth 4 must beat depth 1 by >= 1.3x on inproc:// (acceptance criterion).
+    """Four loader workers must beat none by >= 1.3x on inproc://.
 
     Marked ``overlap_ratio``: wall-clock sensitive, so CI's main test step
     deselects it and only the TINY smoke step (which skips the ratio
     assertion) runs it on shared runners.
     """
-    sequential = run_epoch("inproc://bench-overlap-d1", 1)
+    sequential = run_epoch("inproc://bench-overlap-w0", 0)
     overlapped = max(
-        run_epoch(f"inproc://bench-overlap-d4-{attempt}", 4) for attempt in range(2)
+        run_epoch(f"inproc://bench-overlap-w4-{attempt}", 4) for attempt in range(2)
     )
     ratio = overlapped / sequential
     bench_record(
-        depth_1_batches_per_sec=sequential,
-        depth_4_batches_per_sec=overlapped,
+        workers_0_batches_per_sec=sequential,
+        workers_4_batches_per_sec=overlapped,
         ratio=ratio,
     )
     print(
-        f"\n| pipeline_depth | batches/sec |\n|---|---|\n"
-        f"| 1 (sequential) | {sequential:.1f} |\n"
+        f"\n| num_workers | batches/sec |\n|---|---|\n"
+        f"| 0 (sequential) | {sequential:.1f} |\n"
         f"| 4 (overlapped) | {overlapped:.1f} |\n"
         f"ratio: {ratio:.2f}x"
     )
@@ -125,28 +120,28 @@ def test_pipeline_overlap_speedup_inproc(bench_record):
         assert ratio > 0
     else:
         assert ratio >= 1.3, (
-            f"overlapped pipeline only {ratio:.2f}x sequential "
+            f"loader workers only {ratio:.2f}x sequential "
             f"({overlapped:.1f} vs {sequential:.1f} batches/sec)"
         )
 
 
 def test_pipeline_overlap_tcp(bench_record):
-    """The overlapped pipeline behind the tcp:// broker: same delivery
-    guarantees (every batch once, pool drained); throughput is printed for
-    comparison with the inproc:// numbers, not asserted (loopback jitter)."""
+    """Loader workers behind the tcp:// broker: same delivery guarantees
+    (every batch once, pool drained); throughput is printed for comparison
+    with the inproc:// numbers, not asserted (loopback jitter)."""
     throughput = run_epoch("tcp://127.0.0.1:0", 4, direct_consumer=True)
-    bench_record(batches_per_sec=throughput, depth=4, transport="tcp")
-    print(f"\ntcp:// overlapped (depth 4): {throughput:.1f} batches/sec")
+    bench_record(batches_per_sec=throughput, num_workers=4, transport="tcp")
+    print(f"\ntcp:// overlapped (num_workers 4): {throughput:.1f} batches/sec")
     assert throughput > 0
 
 
-@pytest.mark.parametrize("depth", [1, 4])
-def test_pipeline_end_to_end_throughput(benchmark, bench_record, depth):
-    """pytest-benchmark timings per depth, for the bench_output.txt record."""
+@pytest.mark.parametrize("num_workers", [0, 4])
+def test_pipeline_end_to_end_throughput(benchmark, bench_record, num_workers):
+    """pytest-benchmark timings per worker count, for the bench_output.txt record."""
     batches = benchmark.pedantic(
-        lambda: run_epoch(f"inproc://bench-overlap-b{depth}", depth),
+        lambda: run_epoch(f"inproc://bench-overlap-b{num_workers}", num_workers),
         rounds=1,
         iterations=1,
     )
-    bench_record(batches_per_sec=batches, depth=depth)
+    bench_record(batches_per_sec=batches, num_workers=num_workers)
     assert batches > 0

@@ -4,7 +4,7 @@ TensorSocket's producer pays the load+decode+transform cost once per batch;
 this subsystem pays it once *ever*.  Batches staged for epoch 0 are retained
 in their shared-memory segments under a configurable byte budget
 (:class:`BatchCache`), and later epochs republish them — a fresh refcount on
-the same segments, no loader, no stage worker, no copy
+the same segments, no loader, no copy
 (:class:`CachedEpochSource`).  The policy knob mirrors CoorDL's partial-cache
 regimes (:class:`CachePolicy`): cache nothing, everything, or a budgeted
 LRU/MRU subset of the epoch's batch indices.

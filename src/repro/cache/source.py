@@ -2,9 +2,8 @@
 
 One :class:`CachedEpochSource` covers one epoch.  It splits the epoch's batch
 indices into *hits* (servable straight from the :class:`~repro.cache.BatchCache`
-— no loader, no stage worker, no copy) and *misses* (loaded and staged through
-the producer's existing :class:`~repro.core.pipeline.StagePipeline`, then
-inserted into the cache post-stage).  The producer interleaves the two streams
+— no loader, no copy) and *misses* (loaded and staged like any batch, then
+inserted into the cache once published).  The producer interleaves the two streams
 in batch-index order, so consumers observe one ordinary epoch regardless of
 how much of it came from memory.
 
@@ -20,10 +19,9 @@ is not, only batch 4's items may be loaded.  Two properties make that sound:
   filling epoch's composition, hits and reloaded misses alike (the
   documented replay semantics).
 * **Prefetched miss loading.**  The planned miss batches are fed through the
-  loader's own worker machinery (``DataLoader.prefetch_iter(batches=...)``)
-  bounded by the producer's pipeline depth, so a low-hit-rate budgeted cache
-  loads its misses just as parallel as epoch 0 did — not one blocking
-  ``_load_batch`` at a time on the stage worker.
+  loader's own worker machinery (``DataLoader.prefetch_iter(batches=...)``),
+  so a low-hit-rate budgeted cache loads its misses just as parallel as
+  epoch 0 did.
 
 When *nothing* is cached (epoch 0, or ``plan_epoch`` came up empty) the
 producer keeps its normal full-loader path, including multi-worker prefetch.
@@ -31,7 +29,7 @@ producer keeps its normal full-loader path, including multi-worker prefetch.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cache.batch_cache import BatchCache
 from repro.data.samplers import epoch_batches
@@ -106,37 +104,19 @@ class CachedEpochSource:
         load = self.loader._load_batch if self.collate else self.loader._load_items
         return load(self._batch_indices(index))
 
-    def open_misses(
-        self,
-        *,
-        max_in_flight: Optional[int] = None,
-        num_workers: Optional[int] = None,
-    ) -> Tuple[Iterable[Tuple[int, object]], Optional[Callable[[], None]]]:
+    def open_misses(self) -> Tuple[Iterator[Tuple[int, object]], Callable[[], None]]:
         """``(index, batch)`` for every planned miss, plus a close callable.
 
         The miss batches go through ``DataLoader.prefetch_iter`` with an
-        explicit batch list, so the loader's worker threads prefetch them
-        under the producer pipeline's in-flight bound exactly like an
-        uncached epoch; the returned close tears the workers down when the
-        epoch ends early.  Loaders without ``prefetch_iter`` fall back to
-        synchronous per-batch loading.
+        explicit batch list, so the loader's own worker threads prefetch
+        them exactly like an uncached epoch; the returned close tears the
+        workers down when the epoch ends early.
         """
         misses = self.miss_indices()
-        batch_lists = [self._batch_indices(i) for i in misses]
-        if hasattr(self.loader, "prefetch_iter"):
-            iterator = self.loader.prefetch_iter(
-                max_in_flight=max_in_flight,
-                num_workers=num_workers,
-                batches=batch_lists,
-                collate=self.collate,
-            )
-            return zip(misses, iterator), getattr(iterator, "close", None)
-
-        def sequential() -> Iterable[Tuple[int, object]]:
-            for index, batch_list in zip(misses, batch_lists):
-                yield index, self.loader._load_batch(batch_list)
-
-        return sequential(), None
+        iterator = self.loader.prefetch_iter(
+            batches=[self._batch_indices(i) for i in misses], collate=self.collate
+        )
+        return zip(misses, iterator), iterator.close
 
     # ------------------------------------------------------------------ serving
     def hit(self, index: int) -> Optional[BatchPayload]:

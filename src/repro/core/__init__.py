@@ -41,7 +41,6 @@ from repro.core.epoch_runner import EpochRunner, SkipEpoch
 from repro.core.flexible_batch import ConsumerSlicePlan, FlexibleBatcher, SliceSpec, plan_slices
 from repro.core.group import GroupConsumer
 from repro.core.manifest import MANIFEST_SCHEMA_VERSION, SessionManifest
-from repro.core.pipeline import StagedItem, StagePipeline
 from repro.core.producer import TensorProducer
 from repro.core.protocol import ProducerProtocol
 from repro.core.rubberband import JoinDecision, RubberbandPolicy
@@ -62,8 +61,6 @@ __all__ = [
     "plan_slices",
     "RubberbandPolicy",
     "JoinDecision",
-    "StagePipeline",
-    "StagedItem",
     "TensorProducer",
     "TensorConsumer",
     "SharedLoaderSession",

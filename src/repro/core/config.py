@@ -52,20 +52,6 @@ class ProducerConfig:
     share_device:
         Device batches are staged on before publishing (``"cuda:0"`` for the
         GPU-staging behaviour, ``"cpu"`` to share host tensors).
-    pipeline_depth:
-        Bound on batches kept loaded-and-staged ahead of publishing.  ``1``
-        (the default) keeps the classic strictly-sequential producer loop;
-        larger values run load + stage on a background pipeline
-        (:mod:`repro.core.pipeline`) so loading overlaps publish/ack work, at
-        the cost of up to ``pipeline_depth`` extra staged batches of shared
-        memory in flight.
-    pipeline_workers:
-        Loader worker threads the pipeline may use while prefetching.
-        ``None`` (auto) uses the nested loader's own ``num_workers`` when it
-        has any, otherwise up to ``min(4, pipeline_depth)`` threads; ``0``
-        forces source-side loading to stay synchronous (only staging
-        overlaps) — use it when the dataset or transform is not thread-safe.
-        Ignored at ``pipeline_depth=1``.
     cache_policy:
         Epoch-cache policy (:class:`repro.cache.CachePolicy`): ``"none"``
         (default — every epoch reloads), ``"all"`` (retain every staged
@@ -102,8 +88,6 @@ class ProducerConfig:
     wait_for_consumers: bool = True
     share_device: str = "cpu"
     seed: int = 0
-    pipeline_depth: int = 1
-    pipeline_workers: Optional[int] = None
     cache_policy: str = "none"
     cache_bytes: Optional[int] = None
     max_inflight_batches: Optional[int] = None
@@ -121,10 +105,6 @@ class ProducerConfig:
             raise ValueError("producer_batch_size must be positive when given")
         if self.heartbeat_timeout <= 0:
             raise ValueError("heartbeat_timeout must be positive")
-        if self.pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be at least 1")
-        if self.pipeline_workers is not None and self.pipeline_workers < 0:
-            raise ValueError("pipeline_workers must be non-negative when given")
         # Validates the policy name and the budget pairing early (a typo'd
         # policy must fail at construction, not mid-epoch).  Imported lazily:
         # repro.cache sits above repro.tensor, not above repro.core.

@@ -41,7 +41,12 @@ from repro.core.batch_buffer import BatchBuffer
 from repro.core.config import ConsumerConfig
 from repro.core.protocol import DELIVER, DONE, DROP, REACK, SKIP, TRAIN, ConsumerProtocol
 from repro.messaging.endpoint import Endpoint
-from repro.messaging.errors import DuplicateConsumerError, MessagingError, TimeoutError_
+from repro.messaging.errors import (
+    ConsumerRefusedError,
+    DuplicateConsumerError,
+    MessagingError,
+    TimeoutError_,
+)
 from repro.messaging.message import Message, MessageKind
 from repro.messaging.reactor import get_reactor, reactor_only
 from repro.messaging.transport import InProcHub
@@ -442,8 +447,10 @@ class TensorConsumer:
 
     def _raise_if_refused(self) -> None:
         """A refused consumer's stream ends in the refusal, every time."""
-        if self._core.refusal is not None:
-            raise DuplicateConsumerError(self._core.refusal)
+        core = self._core
+        if core.refusal is not None:
+            duplicate = core.refusal_reason == "duplicate_id"
+            raise (DuplicateConsumerError if duplicate else ConsumerRefusedError)(core.refusal)
 
     def __iter__(self) -> Iterator[Dict[str, Tensor]]:
         for _payload, batch in self.iter_batches():

@@ -1,16 +1,19 @@
 """The epoch runner: one epoch's load → stage → publish loop, host-agnostic.
 
 Historically the :class:`~repro.core.producer.TensorProducer` welded the
-epoch-running machinery (loader iteration, the staged pipeline, cache-aware
+epoch-running machinery (loader iteration, staging, cache-aware
 interleaving, flexible-batch slicing) to the connection machinery (consumer
 registration, heartbeats, flow control, the ack ledger).  This module is the
 epoch half, extracted behind a narrow interface so other hosts — most
 importantly the sharded producer groups in :mod:`repro.core.group`, where N
 runners cooperate on one dataset — drive the exact same code path.
 
-An :class:`EpochRunner` owns the loader, the shared-memory staging, the
-:class:`~repro.core.pipeline.StagePipeline` and the epoch-cache integration
-(:class:`~repro.cache.CachedEpochSource`).  Everything connection-shaped is
+An :class:`EpochRunner` owns the loader, the shared-memory staging and the
+epoch-cache integration (:class:`~repro.cache.CachedEpochSource`).  It runs
+no thread of its own: like the paper's TensorSocket it wraps the user's
+loader as it is, so loading overlaps publishing only through the loader's own
+``num_workers``, and every batch is staged into shared memory when it is
+published.  Everything connection-shaped is
 delegated to a *host* object implementing :class:`EpochHost` — for the
 classic producer that is the producer itself:
 
@@ -49,7 +52,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Protocol, Sequence, 
 
 from repro.cache import BatchCache, CachedEpochSource
 from repro.core.flexible_batch import FlexibleBatcher, recommend_producer_batch_size
-from repro.core.pipeline import StagedItem, StagePipeline
 from repro.data.collate import plan_collate
 from repro.data.dataloader import DataLoader
 from repro.data.samplers import EpochBatches, epoch_order
@@ -109,8 +111,8 @@ class EpochRunner:
     """Run epochs over a data loader, publishing through an :class:`EpochHost`.
 
     The runner is the paper's load (step 0/1) → stage (step 2) → publish
-    (step 3) loop with all of PR 3's overlap machinery and PR 4's epoch-cache
-    integration, but no sockets: the host supplies flow control and delivery.
+    (step 3) loop with the epoch-cache integration, but no sockets: the host
+    supplies flow control and delivery.
     One runner serves one loader; a sharded producer group instantiates one
     runner per shard.
     """
@@ -237,10 +239,6 @@ class EpochRunner:
         (see :meth:`_takes_items`) is collated straight into the reserved
         segment; an already-collated mapping (custom ``collate_fn``) is copied
         into it.
-
-        Runs on the stage worker when ``pipeline_depth > 1``; it only touches
-        the pool (thread-safe) and the ``batches_loaded`` counter (written by
-        exactly one staging thread).
         """
         started = time.monotonic()
         device = self.config.share_device
@@ -262,9 +260,7 @@ class EpochRunner:
         stages of the batch's lifecycle trace, and the delta accumulates into
         the load component of the producer's stall attribution.  When the
         loader hands over uncollated items, collating them is staging work:
-        it lands after ``loaded``, in the stage component.  (At
-        ``pipeline_depth > 1`` this runs on the stage worker, so load seconds
-        measure loader occupancy, which overlaps the publish loop.)
+        it lands after ``loaded``, in the stage component.
         """
         it = iter(pairs)
         while True:
@@ -277,15 +273,7 @@ class EpochRunner:
             _LOAD_SECONDS.inc(t_loaded - t_sampled)
             yield index, (batch, t_sampled, t_loaded)
 
-    # ------------------------------------------------------------------ pipeline plumbing
-    def _pipeline_loader_workers(self) -> Optional[int]:
-        """Loader worker threads the staged pipeline may use (None = loader default)."""
-        if self.config.pipeline_workers is not None:
-            return self.config.pipeline_workers
-        if getattr(self.loader, "num_workers", 0):
-            return None  # the loader already has its own workers; keep them
-        return min(4, self.config.pipeline_depth)
-
+    # ------------------------------------------------------------------ loader plumbing
     def _takes_items(self) -> bool:
         """Whether the epoch takes *uncollated* items off the loader.
 
@@ -298,59 +286,38 @@ class EpochRunner:
 
     def _open_loader_iter(self, *, collate: bool, batches: Optional[Sequence] = None):
         """Start one epoch's iteration over the nested loader, over its own
-        batches or over the runner's ``batches`` (flexible batching's cut).
-
-        With an overlapped pipeline the loader is asked for a prefetching
-        iterator whose in-flight budget matches ``pipeline_depth``, so the
-        pipeline's bound covers loader-internal prefetch too.
-        """
-        depth = self.config.pipeline_depth
-        if depth > 1 and hasattr(self.loader, "prefetch_iter"):
-            return self.loader.prefetch_iter(
-                max_in_flight=depth,
-                num_workers=self._pipeline_loader_workers(),
-                batches=batches,
-                collate=collate,
-            )
+        batches or over the runner's ``batches`` (flexible batching's cut)."""
         if collate and batches is None:
             return iter(self.loader)
         return self.loader.prefetch_iter(batches=batches, collate=collate)
 
-    def _make_pipeline(self, source, stage_fn, source_close=None) -> StagePipeline:
-        return StagePipeline(
-            source,
-            stage_fn,
-            depth=self.config.pipeline_depth,
-            release_fn=self.release_staged,
-            source_close=source_close,
-            name=f"repro-{self.identity}-stage",
-        )
-
-    def release_staged(self, item: StagedItem) -> None:
-        """Return the producer holds of a staged item that will never publish."""
-        for name in item.segment_names:
-            self.pool.release_if_present(name)
+    def release_staged(self, payload: Optional[BatchPayload]) -> None:
+        """Return the producer holds of a staged payload: a cache hit that
+        will never publish, or a published batch nobody retained."""
+        if payload is not None:
+            for name in payload.segment_names:
+                self.pool.release_if_present(name)
 
     # ------------------------------------------------------------------ the epoch
     def _run_epoch(self, batches: Optional[Sequence]) -> Iterator[int]:
-        """Publish one epoch from a stream of already-staged payloads.
+        """Publish one epoch, loading and staging each batch on the way.
 
         ``batches`` is the epoch's cut under flexible batching, and ``None``
         when the loader's own batches are published.
 
-        Load + stage run inside the :class:`StagePipeline` (inline at
-        ``pipeline_depth=1``, on the stage worker otherwise); this loop only
-        does capacity waits, publishing and control work.  Every staged item
-        that cannot be published (stop, skip-epoch, no consumers) has its
-        producer hold released before the loop moves on, and the ``finally``
-        drain covers whatever the pipeline still had in flight.
+        A loaded batch waits on the heap through the capacity wait and is
+        staged into shared memory only when it is about to publish, so the
+        pool holds nothing for a batch that is never published and a skipped
+        batch never touches it.  The loader's own workers, if it has any, are
+        the only prefetch.
 
         With an epoch cache enabled, the epoch is planned against a
         :class:`~repro.cache.CachedEpochSource`: cached batch indices are
         republished straight from their retained segments (no loader, no
-        stage worker, no copy — just a fresh producer hold and a re-keyed
-        payload), only the misses flow through the pipeline, and every
-        published miss is offered to the cache post-stage.
+        copy — just a fresh producer hold and a re-keyed payload), only the
+        misses are loaded, and every published miss is offered to the cache.
+        A hit is the one item that carries a producer hold before it
+        publishes; it is returned whenever the hit is not published.
         """
         host = self.host
         if batches is not None:
@@ -360,7 +327,6 @@ class EpochRunner:
         if total:
             host.set_epoch_length(total)
         epoch = self.epoch
-        overlapped = self.config.pipeline_depth > 1
         collate = not self._takes_items()
         source = (
             CachedEpochSource(
@@ -385,22 +351,10 @@ class EpochRunner:
                 metadata={"trace": trace, "trace_origin": obs_trace.origin()},
             )
 
-        def stage(indexed) -> StagedItem:
-            index, loaded = indexed
-            if not overlapped:
-                # Depth 1 keeps the classic order — load, wait for capacity,
-                # *then* reserve and fill: the loaded batch (its items, on
-                # the heap) passes through raw and is staged at publish time,
-                # so no shared memory is held during waits and skipped
-                # batches never touch the pool.
-                return StagedItem(index=index, value=loaded)
-            payload = pack_payload(index, loaded)
-            return StagedItem(index=index, value=payload, segment_names=payload.segment_names)
-
+        close = None
         if source is None or source.all_miss:
-            # No cache, or nothing cached yet (epoch 0): the classic path —
-            # the full loader, with its own prefetch workers, feeds the
-            # pipeline directly.
+            # No cache, or nothing cached yet (epoch 0): the full loader, with
+            # its own prefetch workers.
             loader_iter = self._open_loader_iter(collate=collate, batches=batches)
             if source is not None and total is not None:
                 # Pin this sampler draw as THE composition future cached
@@ -409,82 +363,66 @@ class EpochRunner:
                 sampled = getattr(loader_iter, "sampled_batches", None)
                 if sampled is not None:
                     self.cache.remember_composition(sampled)
-            pipeline: Optional[StagePipeline] = self._make_pipeline(
-                self._timed_source(enumerate(loader_iter)),
-                stage,
-                source_close=getattr(loader_iter, "close", None),
-            )
-            stream: Iterator[StagedItem] = iter(pipeline)
+            close = getattr(loader_iter, "close", None)
+            stream = self._timed_source(enumerate(loader_iter))
         elif source.full_replay:
-            # Every batch is cached: the loader is never opened and no
-            # pipeline runs; the epoch is pure republishing.
-            pipeline = None
+            # Every batch is cached: the loader is never opened; the epoch is
+            # pure republishing.
             stream = self._cached_item_stream(source, iter(()))
         else:
-            # Partial cache: only the misses are loaded — through the
-            # loader's own prefetch workers, from the composition the cache
-            # was filled with — and staged; the hit stream interleaves with
-            # them in batch-index order.
-            misses, miss_close = source.open_misses(
-                max_in_flight=self.config.pipeline_depth if overlapped else None,
-                num_workers=self._pipeline_loader_workers() if overlapped else 0,
-            )
-            pipeline = self._make_pipeline(
-                self._timed_source(misses), stage, source_close=miss_close
-            )
-            stream = self._cached_item_stream(source, iter(pipeline))
+            # Partial cache: only the misses are loaded — on the loader's own
+            # workers, from the composition the cache was filled with — and
+            # the hits interleave with them in batch-index order.
+            misses, close = source.open_misses()
+            stream = self._cached_item_stream(source, self._timed_source(misses))
         try:
-            for item in stream:
+            for index, loaded in stream:
+                # A cache hit arrives as a payload holding a producer hold.
+                hit = loaded if isinstance(loaded, BatchPayload) else None
                 if host.stopped:
-                    self.release_staged(item)
+                    self.release_staged(hit)
                     break
                 try:
                     host.wait_for_capacity()
                 except SkipEpoch:
-                    self.release_staged(item)
+                    self.release_staged(hit)
                     raise
                 if host.stopped:
-                    self.release_staged(item)
+                    self.release_staged(hit)
                     break
                 active = host.active_consumer_ids()
                 if not active:
                     # Nobody to serve right now (free-running mode, or the
-                    # wait was cut short by stop()): skip this batch and
-                    # return its staging hold, if it has one.
-                    self.release_staged(item)
+                    # wait was cut short by stop()): skip this batch.
+                    self.release_staged(hit)
                     continue
-                if isinstance(item.value, BatchPayload):
-                    payload: BatchPayload = item.value
-                else:
-                    payload = pack_payload(item.index, item.value)
-                    item.value = payload
-                    item.segment_names = payload.segment_names
+                payload = hit if hit is not None else pack_payload(index, loaded)
                 if self.batcher is not None:
                     payload = self.with_slices(payload)
                 host.publish(payload, active)
-                if source is not None and not item.from_cache:
+                if source is not None and hit is None:
                     # Offer the freshly staged miss to the cache while the
                     # publish holds still pin its segments.
-                    source.record(item.index, payload)
-                if not host.retain_for_window(payload, item.index):
-                    self.release_staged(item)
-                self.batches_published_this_epoch = item.index + 1
-                yield item.index + 1
+                    source.record(index, payload)
+                if not host.retain_for_window(payload, index):
+                    self.release_staged(payload)
+                self.batches_published_this_epoch = index + 1
+                yield index + 1
         finally:
-            if pipeline is not None:
-                pipeline.close()
+            if close is not None:
+                close()
             if source is not None:
                 self.cache.end_epoch()
 
     def _cached_item_stream(
-        self, source: CachedEpochSource, miss_iter: Iterator[StagedItem]
-    ) -> Iterator[StagedItem]:
-        """Interleave cache hits with pipeline-staged misses in index order.
+        self, source: CachedEpochSource, misses: Iterator[Tuple[int, Tuple]]
+    ) -> Iterator[Tuple[int, object]]:
+        """Interleave cache hits with the loaded misses in index order.
 
-        A hit that was evicted between planning and use falls back to a
-        synchronous load (passed on raw and staged at publish time like a
-        depth-1 miss; uncollated when the misses are) so the epoch never
-        loses a batch.
+        Yields ``(index, payload)`` for a hit and ``(index, (batch,
+        t_sampled, t_loaded))`` for a miss.  A hit that was evicted between
+        planning and use falls back to a synchronous load (uncollated when
+        the misses are), so the epoch never loses a batch.
         """
         for index in range(source.total):
             if index in source.plan:
@@ -495,14 +433,14 @@ class EpochRunner:
                     batch = source.load_batch(index)
                     t_loaded = time.monotonic()
                     _LOAD_SECONDS.inc(t_loaded - t_sampled)
-                    yield StagedItem(index=index, value=(batch, t_sampled, t_loaded))
+                    yield index, (batch, t_sampled, t_loaded)
                 else:
                     # The cached entry's metadata dict is shared across
                     # replays; give the republished payload a fresh trace (a
                     # hit samples/loads/stages in one step) instead of
                     # mutating the shared dict.
                     _CACHE_REPLAYS.inc()
-                    payload = dataclasses.replace(
+                    yield index, dataclasses.replace(
                         payload,
                         metadata={
                             "trace": {
@@ -513,14 +451,8 @@ class EpochRunner:
                             "trace_origin": obs_trace.origin(),
                         },
                     )
-                    yield StagedItem(
-                        index=index,
-                        value=payload,
-                        segment_names=payload.segment_names,
-                        from_cache=True,
-                    )
             else:
-                yield next(miss_iter)
+                yield next(misses)
 
     def __repr__(self) -> str:
         return (

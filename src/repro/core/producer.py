@@ -2,7 +2,7 @@
 
 The producer is the *connection and flow-control shell* around an
 :class:`~repro.core.epoch_runner.EpochRunner`.  The runner owns the nested
-loader, the staging pipeline, flexible batching and the epoch cache; the
+loader, the shared-memory staging, flexible batching and the epoch cache; the
 paper's connection mechanisms — consumer registration and heartbeats, flow
 control through the consumer batch buffer, rubberbanding for late joiners,
 and the acknowledgement ledger that releases shared memory once every

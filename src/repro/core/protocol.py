@@ -135,6 +135,7 @@ class ProducerProtocol:
                 f"consumer_id {consumer_id!r} is already registered with "
                 f"this producer; choose a unique consumer_id"
             )
+            reply["reason"] = "duplicate_id"
             return reply, []
         replays: List[Replay] = []
         if peer is not None:
@@ -149,6 +150,7 @@ class ProducerProtocol:
                     f"consumer {consumer_id!r} asks for batch size {size}, above the "
                     f"producer batch size {fixed} it would be sliced from"
                 )
+                reply["reason"] = "batch_size"
                 return reply, []
             if size and cut is not None and size > cut:
                 join = JoinDecision.WAIT_FOR_NEXT_EPOCH
@@ -359,6 +361,8 @@ class ConsumerProtocol:
         #: acknowledged untrained and do not count toward ``max_epochs``.
         self.min_epoch: Optional[int] = None
         self.refusal: Optional[str] = None
+        #: Why: ``"duplicate_id"`` or ``"batch_size"`` (the REPLY's ``reason``).
+        self.refusal_reason: Optional[str] = None
         #: A refusal or SHUTDOWN was processed: the stream is over.
         self.ended = False
         #: Dedupe window, keys delivered and acked in open epochs: keys are
@@ -377,11 +381,12 @@ class ConsumerProtocol:
         return mine and body.get("token") in (None, self.token)
 
     def reply(self, body: Mapping) -> Union[int, str, None]:
-        """The admitted epoch, the refusal reason, or ``None``: not mine."""
+        """The admitted epoch, the refusal message, or ``None``: not mine."""
         if not self.mine(body):
             return None
         if body.get("error"):
             self.refusal, self.ended = str(body["error"]), True
+            self.refusal_reason = body.get("reason")
             return self.refusal
         self.admitted_epoch = int(body.get("admitted_epoch", 0))
         return self.admitted_epoch

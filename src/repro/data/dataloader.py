@@ -192,43 +192,25 @@ class DataLoader:
 
     def prefetch_iter(
         self,
-        max_in_flight: Optional[int] = None,
-        num_workers: Optional[int] = None,
         batches: Optional[Sequence[Sequence[int]]] = None,
         collate: bool = True,
     ) -> "LoaderIterator":
-        """An epoch iterator with explicit prefetch control.
+        """An epoch iterator over explicit batches, or over uncollated items.
 
-        This is how an outer pipeline (e.g. the producer's staged pipeline in
-        :mod:`repro.core.pipeline`) composes with the loader's own worker
-        parallelism without multiplying prefetch budgets:
-
-        * ``max_in_flight`` caps how many batches the loader keeps loaded but
-          not yet yielded (instead of the default
-          ``num_workers * prefetch_factor``), so the *outer* pipeline's depth
-          bounds total batches in memory;
-        * ``num_workers`` overrides the loader's worker count for this
-          iteration only — an outer pipeline can ask a synchronous loader for
-          background workers so slow per-item transforms load in parallel;
         * ``batches`` replaces the sampler's batch list with an explicit one
           (a sequence of per-batch index lists, kept as handed over) — the
           epoch cache uses this to load *only the cache misses* of a partially
-          cached epoch through the same worker machinery, in the caller's
+          cached epoch through the loader's own workers, in the caller's
           order, and flexible batching to load its producer batches;
         * ``collate=False`` yields each batch as its list of loaded
           (transformed) items and leaves assembling them to the caller — the
           producer stacks them straight into shared memory (see
           :attr:`uses_default_collate`).
 
-        All default to the loader's configured values.
+        Workers and prefetch budget are the loader's own (``num_workers``,
+        ``prefetch_factor``).
         """
-        return LoaderIterator(
-            self,
-            num_workers=num_workers,
-            max_in_flight=max_in_flight,
-            batches=batches,
-            collate=collate,
-        )
+        return LoaderIterator(self, batches=batches, collate=collate)
 
     @property
     def uses_default_collate(self) -> bool:
@@ -253,7 +235,13 @@ class DataLoader:
 
 
 class LoaderIterator:
-    """One epoch's iteration state, with optional worker threads."""
+    """One epoch's iteration state, with optional worker threads.
+
+    With workers, at most ``num_workers * prefetch_factor`` batches are loaded
+    but not yet yielded.  Nothing here wakes up to look: a worker blocks on a
+    prefetch permit and then on the task queue, ``__next__`` on the result it
+    needs, and :meth:`close` wakes each of them.
+    """
 
     _SENTINEL = object()
 
@@ -261,8 +249,6 @@ class LoaderIterator:
         self,
         loader: DataLoader,
         *,
-        num_workers: Optional[int] = None,
-        max_in_flight: Optional[int] = None,
         batches: Optional[Sequence[Sequence[int]]] = None,
         collate: bool = True,
     ) -> None:
@@ -277,23 +263,17 @@ class LoaderIterator:
         )
         self._next_to_yield = 0
         self.batches_loaded = 0
-        workers = loader.num_workers if num_workers is None else int(num_workers)
-        if workers < 0:
-            raise ValueError("num_workers must be non-negative")
-        if max_in_flight is not None and max_in_flight < 1:
-            raise ValueError("max_in_flight must be positive when given")
-
+        workers = loader.num_workers
         if workers == 0:
             self._mode = "sync"
             return
 
         self._mode = "threaded"
-        self._task_queue: "queue.Queue" = queue.Queue()
+        self._task_queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._results_lock = threading.Condition()
         self._results: Dict[int, Dict[str, Tensor]] = {}  #: guarded by _results_lock
         self._stop = threading.Event()
-        budget = workers * loader.prefetch_factor if max_in_flight is None else int(max_in_flight)
-        self._in_flight = threading.Semaphore(max(1, budget))
+        self._in_flight = threading.Semaphore(workers * loader.prefetch_factor)
 
         for position, indices in enumerate(self._batches):
             self._task_queue.put((position, indices))
@@ -319,16 +299,9 @@ class LoaderIterator:
             # stops popping (it needs that task), so no permit is ever
             # released.  Permit-first, tasks are claimed in sampler order and
             # every claimed task can always be loaded and posted.
-            if not self._in_flight.acquire(timeout=0.1):
-                continue
-            try:
-                task = self._task_queue.get(timeout=0.1)
-            except queue.Empty:
-                # close() may have drained the queue (sentinels included).
-                self._in_flight.release()
-                continue
-            if task is self._SENTINEL:
-                self._in_flight.release()
+            self._in_flight.acquire()
+            task = self._task_queue.get()
+            if task is self._SENTINEL or self._stop.is_set():
                 return
             position, indices = task
             try:
@@ -365,10 +338,9 @@ class LoaderIterator:
                 while self._next_to_yield not in self._results:
                     if self._stop.is_set():
                         # Closed mid-epoch: the workers are gone and this
-                        # batch will never arrive.  End iteration instead of
-                        # spinning on the condition forever.
+                        # batch will never arrive.
                         raise StopIteration
-                    self._results_lock.wait(timeout=0.1)
+                    self._results_lock.wait()
                 batch = self._results.pop(self._next_to_yield)
             self._in_flight.release()
             if isinstance(batch, Exception):
@@ -379,18 +351,25 @@ class LoaderIterator:
         return batch
 
     def close(self) -> None:
-        if self._mode == "threaded":
-            self._stop.set()
-            # Drain remaining tasks so worker threads can exit promptly.
-            try:
-                while True:
-                    self._task_queue.get_nowait()
-            except queue.Empty:
-                pass
-            # Wake anyone parked in __next__ waiting for a result that will
-            # never be produced.
-            with self._results_lock:
-                self._results_lock.notify_all()
+        """Stop the workers and wake every thread this iteration parks.
+
+        Idempotent.  The tasks still queued are dropped and each worker is
+        handed a sentinel and a permit, so one blocked on a full prefetch
+        budget or on the task queue exits; ``__next__`` is woken to end.
+        """
+        if self._mode != "threaded" or self._stop.is_set():
+            return
+        self._stop.set()
+        try:
+            while True:
+                self._task_queue.get_nowait()
+        except queue.Empty:
+            pass
+        for _ in self._workers:
+            self._task_queue.put(self._SENTINEL)
+            self._in_flight.release()
+        with self._results_lock:
+            self._results_lock.notify_all()
 
     def __del__(self) -> None:  # pragma: no cover - best-effort cleanup
         try:

@@ -46,6 +46,7 @@ from repro.messaging.errors import (
     AddressError,
     AddressInUseError,
     AddressNotServedError,
+    ConsumerRefusedError,
     DuplicateConsumerError,
     EndpointClosedError,
     EndpointError,
@@ -93,5 +94,6 @@ __all__ = [
     "UnknownSchemeError",
     "AddressInUseError",
     "AddressNotServedError",
+    "ConsumerRefusedError",
     "DuplicateConsumerError",
 ]

@@ -38,7 +38,12 @@ class AddressNotServedError(EndpointError):
     """Connecting to an address nothing is currently serving."""
 
 
-class DuplicateConsumerError(MessagingError):
-    """The producer refused a consumer's registration: another live consumer
-    already holds its id, or (flexible batching) its batch size is above the
-    configured producer batch size it would be sliced from."""
+class ConsumerRefusedError(MessagingError):
+    """The producer refused a consumer's registration, e.g. (flexible
+    batching) for a batch size above the configured producer batch size it
+    would be sliced from.  Catch this to catch every refusal."""
+
+
+class DuplicateConsumerError(ConsumerRefusedError):
+    """The producer refused a consumer's registration because another live
+    consumer already holds its id."""

@@ -312,9 +312,8 @@ class SharedMemoryPool:
     size per owner.
 
     Thread-safety: every mutation and every accounting read takes the pool
-    lock, so a background stage worker may ``share_batch``/``allocate_tensor``
-    concurrently with the publish thread calling ``retain``/``release`` on
-    *other* segments (a live name maps to exactly one record, so the two never
+    lock, so one thread may ``share_batch``/``allocate_tensor`` concurrently
+    with another calling ``retain``/``release`` on *other* segments (a live name maps to exactly one record, so the two never
     contend on one record).  Check-then-act sequences over the same segment
     still race between lock acquisitions; use :meth:`release_if_present`
     instead of ``contains()`` + ``release()``, and only ever release a hold

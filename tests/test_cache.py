@@ -338,14 +338,13 @@ class TestCacheConfig:
 
 
 class TestCachedEpochs:
-    @pytest.mark.parametrize("depth", [1, 3])
-    def test_repeat_epochs_skip_the_loader(self, depth):
+    @pytest.mark.parametrize("num_workers", [0, 2])
+    def test_repeat_epochs_skip_the_loader(self, num_workers):
         session = repro.serve(
-            small_loader(),
-            address=f"inproc://cache-epochs-{depth}",
+            small_loader(num_workers=num_workers),
+            address=f"inproc://cache-epochs-{num_workers}",
             epochs=3,
             cache="all",
-            pipeline_depth=depth,
             start=False,
         )
         results = {}
@@ -572,11 +571,10 @@ class TestFlexibleCachedEpochs:
 class TestCacheDrains:
     def test_stop_mid_epoch_drains_cache_holds(self):
         session = repro.serve(
-            small_loader(size=64, batch_size=4),
+            small_loader(size=64, batch_size=4, num_workers=2),
             address="inproc://cache-stop",
             epochs=None,
             cache="all",
-            pipeline_depth=3,
             start=False,
         )
         results = {}
@@ -624,13 +622,12 @@ class TestCacheDrains:
 
     def test_skip_epoch_with_cache_drains(self):
         """All consumers leave mid-epoch while a newcomer waits: the epoch is
-        abandoned; staged, cached and window holds must all be returned."""
+        abandoned; cached and window holds must all be returned."""
         session = repro.serve(
-            small_loader(size=48, batch_size=4),
+            small_loader(size=48, batch_size=4, num_workers=2),
             address="inproc://cache-skip",
             epochs=2,
             cache="all",
-            pipeline_depth=2,
             rubberband_fraction=0.0,  # newcomers always wait for next epoch
             start=False,
         )
@@ -684,10 +681,9 @@ class TestCachedEpochSource:
         assert source.plan == {0, 2}
         assert not source.all_miss and not source.full_replay
         assert source.miss_indices() == [1, 3]
-        missed_iter, close = source.open_misses(num_workers=0)
+        missed_iter, close = source.open_misses()
         missed = list(missed_iter)
-        if close is not None:
-            close()
+        close()
         assert [index for index, _ in missed] == [1, 3]
         # Miss batches carry the right samples for their epoch positions.
         assert missed[0][1]["index"].tolist() == [4, 5, 6, 7]
@@ -744,8 +740,7 @@ class TestCachedEpochSource:
 
     def test_partial_cache_misses_use_loader_workers(self):
         """Miss loading of a partially cached epoch goes through the loader's
-        prefetch machinery (bounded, parallel), not blocking per-batch loads
-        on the stage worker."""
+        prefetch machinery (bounded, parallel), not blocking per-batch loads."""
         pool = SharedMemoryPool()
         cache = BatchCache(pool, policy="all")
         loader = small_loader(size=32, batch_size=4, num_workers=2)
@@ -760,14 +755,57 @@ class TestCachedEpochSource:
             cache.put(index, payload, segment_names=payload.segment_names,
                       nbytes=payload.tensor_nbytes)
         source = CachedEpochSource(cache, loader, epoch=1)
-        misses, close = source.open_misses(max_in_flight=3, num_workers=2)
+        misses, close = source.open_misses()
         first_index, first_batch = next(iter(misses))
         assert first_index == 2
         assert first_batch["index"].tolist() == [8, 9, 10, 11]
-        assert close is not None
         close()
         cache.clear()
         pool.shutdown()
+
+    def test_a_served_partial_epoch_loads_its_misses_on_the_loader_workers(self):
+        """A partially cached epoch of a threaded loader loads its misses on
+        that loader's workers, like the uncached epoch before it, not
+        synchronously on the producer thread."""
+        dataset = SyntheticImageDataset(24, image_size=8, payload_bytes=16)
+        pipeline = Compose([DecodeJpeg(height=8, width=8), Normalize(), ToTensor()])
+        loaded_on = []
+
+        def transform(item):
+            loaded_on.append(threading.current_thread().name)
+            return pipeline(item)
+
+        pool = SharedMemoryPool()
+        batch = next(iter(DataLoader(dataset, batch_size=4, transform=pipeline)))
+        staged = {name: pool.share_tensor(t) for name, t in batch.items()}
+        batch_nbytes = sum(t.nbytes for t in staged.values())
+        pool.shutdown()
+        loader = DataLoader(dataset, batch_size=4, transform=transform, num_workers=2)
+
+        session = repro.serve(
+            loader,
+            address="inproc://cache-partial-workers",
+            epochs=2,
+            cache="lru",
+            cache_bytes=3 * batch_nbytes,  # half the epoch
+            start=False,
+        )
+        results = {}
+        threads = run_consumers(session, 1, 2, results)
+        time.sleep(0.2)
+        session.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        metrics = session.metrics()
+        assert_drained(session)
+        session.shutdown()
+        assert metrics["repro.cache"]["hits"] == 3
+        # Epoch 0 loaded 24 items, epoch 1 its 3 missed batches of 4.
+        assert len(loaded_on) == 24 + 12
+        assert all(name.startswith("repro-loader-worker-") for name in loaded_on), (
+            sorted(set(loaded_on))
+        )
 
     def test_unsized_loader_plans_nothing(self):
         pool = SharedMemoryPool()

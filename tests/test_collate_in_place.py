@@ -4,7 +4,7 @@ A loader that collates with ``default_collate`` hands the producer uncollated
 items; the runner reserves the batch's one segment and stacks the items
 straight into it.  These tests pin what that change could break:
 
-* the depth-1 order (load items → wait for capacity → reserve → fill →
+* the one order (load items → wait for capacity → reserve → fill →
   publish): no shared memory is held while the producer waits, and a batch
   that is skipped never touches the pool;
 * the copy count on the served path — one per byte, on the share device, on
@@ -265,15 +265,18 @@ class TestFillBatch:
 
 
 # ---------------------------------------------------------------------------
-# (a) depth 1 keeps the classic order: no shared memory during a wait
+# (a) a batch is staged when it publishes: no shared memory during a wait
 # ---------------------------------------------------------------------------
 
 
 class TestDepthOneOrder:
-    def test_a_consumer_that_never_acks_bounds_what_the_producer_stages(self, fills):
+    @pytest.mark.parametrize("num_workers", [0, 2])
+    def test_a_consumer_that_never_acks_bounds_what_the_producer_stages(
+        self, num_workers, fills
+    ):
         buffer_size = 2
         session = SharedLoaderSession(
-            image_loader(n=40, batch_size=4),
+            image_loader(n=40, batch_size=4, num_workers=num_workers),
             producer_config=ProducerConfig(
                 epochs=1, buffer_size=buffer_size
             ),
@@ -286,8 +289,9 @@ class TestDepthOneOrder:
             time.sleep(0.005)
         time.sleep(0.2)  # the producer is now parked in its capacity wait
         assert session.producer.payloads_published == buffer_size
-        # The next batch's items are loaded and waiting on the heap; its
-        # segment has not been reserved.
+        # The next batch's items are loaded and waiting on the heap (with
+        # workers, the loader's prefetch budget too); no segment is reserved
+        # for any of them.
         assert fills["fill_batch"] == buffer_size
         assert session.pool.live_segments == buffer_size
         assert session.pool.bytes_in_flight == buffer_size * batch_nbytes(4)
@@ -447,23 +451,22 @@ class TestOneCopy:
 
 class TestEveryFeedDeliversExactlyOnce:
     @pytest.mark.parametrize(
-        "loader_kwargs, config",
+        "loader_kwargs",
         [
-            ({}, {"pipeline_depth": 4}),
-            ({"num_workers": 2}, {}),
-            ({"num_workers": 2}, {"pipeline_depth": 3}),
-            ({"shuffle": True, "seed": 3}, {"pipeline_depth": 2, "pipeline_workers": 0}),
+            {"num_workers": 4},
+            {"num_workers": 2},
+            {"num_workers": 2, "prefetch_factor": 3},
+            {"shuffle": True, "seed": 3},
         ],
-        ids=["depth-4", "workers-2", "workers-2-depth-3", "shuffled-depth-2-sync-load"],
+        ids=["workers-4", "workers-2", "workers-2-prefetch-3", "shuffled-sync-load"],
     )
-    def test_pipelined_and_threaded_loading(self, loader_kwargs, config, fills):
+    def test_pipelined_and_threaded_loading(self, loader_kwargs, fills):
         # 26 items: the last batch of every epoch is short.
         session = repro.serve(
             image_loader(n=26, **loader_kwargs),
             address="inproc://in-place-feeds",
             epochs=2,
             start=False,
-            **config,
         )
         results = run_session(session, consumers=2, max_epochs=2)
         assert_drained(session.pool)
@@ -473,15 +476,14 @@ class TestEveryFeedDeliversExactlyOnce:
             assert sorted(results["c0"][epoch]) == list(range(26))
         assert fills == {"fill_batch": 14, "share_batch": 0}
 
-    @pytest.mark.parametrize("depth", [1, 3])
-    def test_partial_cache_epoch_loads_only_its_misses_in_place(self, depth, fills):
+    @pytest.mark.parametrize("num_workers", [0, 2])
+    def test_partial_cache_epoch_loads_only_its_misses_in_place(self, num_workers, fills):
         session = repro.serve(
-            image_loader(),
+            image_loader(num_workers=num_workers),
             address="inproc://in-place-partial-cache",
             epochs=3,
             cache="mru",
             cache_bytes=3 * batch_nbytes(4),
-            pipeline_depth=depth,
             start=False,
         )
         results = run_session(session, max_epochs=3)
@@ -598,17 +600,16 @@ FAILURES = {
 
 class TestFailurePath:
     @pytest.mark.parametrize("name", sorted(FAILURES))
-    @pytest.mark.parametrize("depth", [1, 3])
-    def test_the_reservation_comes_back_and_the_error_surfaces(self, name, depth):
+    @pytest.mark.parametrize("num_workers", [0, 2])
+    def test_the_reservation_comes_back_and_the_error_surfaces(self, name, num_workers):
         loader_kwargs, error = FAILURES[name]
         with pytest.raises(error):  # what default_collate / the loader raises today
             list(image_loader(**loader_kwargs))
 
         session = repro.serve(
-            image_loader(**loader_kwargs),
+            image_loader(num_workers=num_workers, **loader_kwargs),
             address="inproc://in-place-failure",
             epochs=1,
-            pipeline_depth=depth,
             start=False,
         )
         consumers = [

@@ -381,7 +381,8 @@ class TestDataLoader:
 
 
 class TestPrefetchIter:
-    """Edge cases of the explicit-prefetch iterator an outer pipeline uses."""
+    """Edge cases of the loader's prefetching iterator: its budget is
+    ``num_workers * prefetch_factor`` batches loaded ahead."""
 
     def _loader(self, size=24, batch_size=4, **kwargs):
         dataset = SyntheticImageDataset(size, payload_bytes=16)
@@ -389,23 +390,25 @@ class TestPrefetchIter:
         return DataLoader(dataset, batch_size=batch_size, transform=pipeline, **kwargs)
 
     def test_zero_workers_stays_synchronous(self):
-        """num_workers=0 must load inline — no threads, no semaphore — even
-        when the loader itself was configured with workers (the PR 3 deadlock
-        fix lives on the threaded path; this pins the zero-worker regression)."""
-        loader = self._loader(num_workers=3)
-        iterator = loader.prefetch_iter(max_in_flight=2, num_workers=0)
+        """num_workers=0 must load inline — no threads, no semaphore — over
+        the sampler's batches and over explicit ones alike."""
+        loader = self._loader()
+        iterator = loader.prefetch_iter()
         assert iterator._mode == "sync"
         assert not hasattr(iterator, "_workers")
         indices = [batch["index"].tolist() for batch in iterator]
-        assert indices == [batch["index"].tolist() for batch in self._loader()]
+        assert indices == [batch["index"].tolist() for batch in self._loader(num_workers=3)]
+        explicit = loader.prefetch_iter(batches=[[5, 6]], collate=False)
+        assert explicit._mode == "sync"
+        assert [[item["index"] for item in items] for items in explicit] == [[5, 6]]
 
     def test_max_in_flight_one_is_strictly_bounded(self):
-        """The tightest budget: one permit.  Every batch must still arrive in
-        sampler order, and at no point may more than max_in_flight + 1
-        batches have been loaded beyond what the consumer took (the worker
-        may hold at most the single permitted batch)."""
-        loader = self._loader(size=32, num_workers=3)
-        iterator = loader.prefetch_iter(max_in_flight=1)
+        """The tightest budget: one worker, one batch of prefetch, one permit.
+        Every batch must still arrive in sampler order, and at no point may
+        more than the one permitted batch be posted beyond what the consumer
+        took."""
+        loader = self._loader(size=32, num_workers=1, prefetch_factor=1)
+        iterator = loader.prefetch_iter()
         seen = []
         for batch in iterator:
             seen.append(batch["index"].tolist())
@@ -416,8 +419,8 @@ class TestPrefetchIter:
         assert seen == [batch["index"].tolist() for batch in self._loader(size=32)]
 
     def test_close_mid_iteration_unblocks_and_stops(self):
-        loader = self._loader(size=64, num_workers=2)
-        iterator = loader.prefetch_iter(max_in_flight=2)
+        loader = self._loader(size=64, num_workers=2, prefetch_factor=1)
+        iterator = loader.prefetch_iter()
         first = next(iterator)
         assert first["index"].tolist() == [0, 1, 2, 3]
         iterator.close()
@@ -434,7 +437,7 @@ class TestPrefetchIter:
         assert not any(w.is_alive() for w in iterator._workers)
 
     def test_close_mid_iteration_synchronous_mode(self):
-        iterator = self._loader().prefetch_iter(num_workers=0)
+        iterator = self._loader().prefetch_iter()
         next(iterator)
         iterator.close()  # no-op in sync mode, must not raise
         assert next(iterator)["index"].tolist() == [4, 5, 6, 7]
@@ -445,7 +448,7 @@ class TestPrefetchIter:
         loader = self._loader(num_workers=2)
         full = list(loader.batch_sampler)
         subset = [full[4], full[1]]  # caller's order, not sampler order
-        iterator = loader.prefetch_iter(max_in_flight=2, batches=subset)
+        iterator = loader.prefetch_iter(batches=subset)
         batches = [batch["index"].tolist() for batch in iterator]
         assert batches == [[16, 17, 18, 19], [4, 5, 6, 7]]
         assert iterator.sampled_batches == [list(b) for b in subset]

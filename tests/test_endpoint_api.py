@@ -27,6 +27,7 @@ from repro.messaging.errors import (
     AddressError,
     AddressInUseError,
     AddressNotServedError,
+    ConsumerRefusedError,
     DuplicateConsumerError,
     UnknownSchemeError,
 )
@@ -372,8 +373,10 @@ class TestDuplicateConsumerIds:
         session.start()
         # The rightful owner consumes the whole epoch, unaffected.
         assert sum(1 for _ in first) == 4
-        with pytest.raises(DuplicateConsumerError, match="worker"):
+        with pytest.raises(DuplicateConsumerError, match="worker") as refused:
             list(impostor)
+        # Every refusal is a ConsumerRefusedError; this one names the id.
+        assert isinstance(refused.value, ConsumerRefusedError)
         session.shutdown()
 
     def test_rejected_duplicate_closing_does_not_drop_the_owner(self):

@@ -23,7 +23,7 @@ import repro
 from repro.core import ConsumerConfig, TensorProducer
 from repro.data import DataLoader
 from repro.data.dataset import Dataset
-from repro.messaging import DuplicateConsumerError, MessageKind
+from repro.messaging import ConsumerRefusedError, DuplicateConsumerError, MessageKind
 from repro.tensor import SharedMemoryPool
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -207,8 +207,8 @@ class TestAdmission:
                     joiner = session.consumer(config("large", 16, max_epochs=1))
                     try:
                         joined["epoch"] = joiner.wait_until_registered()
-                    except DuplicateConsumerError as exc:
-                        joined["error"] = str(exc)
+                    except ConsumerRefusedError as exc:
+                        joined["error"] = exc
                         joiner.close()
                     else:
                         joined["seen"] = {}
@@ -232,7 +232,11 @@ class TestAdmission:
             assert sizes(seen[epoch]) == [4] * 16
             assert flat(seen[epoch]) == list(range(64))
         if fixed:
-            assert "batch size 16" in joined["error"] and "producer batch size 8" in joined["error"]
+            # A size refusal, not a duplicate id: only the latter raises
+            # DuplicateConsumerError.
+            error = joined["error"]
+            assert not isinstance(error, DuplicateConsumerError)
+            assert "batch size 16" in str(error) and "producer batch size 8" in str(error)
         else:
             assert joined["epoch"] == 1
             assert list(joined["seen"]) == [1]

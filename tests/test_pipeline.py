@@ -1,12 +1,13 @@
-"""Tests for the overlapped producer pipeline and the hot-path fixes riding with it.
+"""Tests for the producer loop overlapping loading with publishing, and the
+hot-path fixes riding with it.
 
-Covers the :class:`~repro.core.pipeline.StagePipeline` primitive (ordering,
-bounded in-flight window, drain-on-close, error propagation), the producer
-running with ``pipeline_depth > 1`` (full delivery, mid-epoch stop, consumer
-churn, skip-epoch drain, flexible batching, leak-free shutdown), and the
-correctness fixes in the same hot path: duplicate delivery to rubberbanded
-joiners, the strict rubberband window boundary, ``TensorConsumer.__len__``,
-and heartbeat-sender restart.
+The only prefetch is the wrapped loader's own ``num_workers``: covers the
+producer over a threaded loader (full delivery, mid-epoch stop, consumer
+churn, skip-epoch drain, flexible batching, leak-free shutdown), the thread
+set and staging order of a synchronous one, and the correctness fixes in the
+same hot path: duplicate delivery to rubberbanded joiners, the strict
+rubberband window boundary, ``TensorConsumer.__len__``, and heartbeat-sender
+restart.
 """
 
 import threading
@@ -18,8 +19,6 @@ from repro.core import (
     ConsumerConfig,
     ProducerConfig,
     SharedLoaderSession,
-    StagedItem,
-    StagePipeline,
     TensorConsumer,
     TensorProducer,
 )
@@ -84,148 +83,34 @@ def run_consumer(session, name, results, max_epochs=1, delay=0.0, stop_after=Non
 
 
 # ---------------------------------------------------------------------------
-# StagePipeline primitive
-# ---------------------------------------------------------------------------
-
-
-class TestStagePipeline:
-    def stage(self, item):
-        return StagedItem(index=item, value=item * 10)
-
-    def test_depth_one_is_synchronous_and_lazy(self):
-        staged_log = []
-
-        def stage(item):
-            staged_log.append(item)
-            return StagedItem(index=item, value=item)
-
-        pipeline = StagePipeline(iter(range(5)), stage, depth=1)
-        assert not pipeline.is_background
-        assert staged_log == []  # nothing staged until pulled
-        first = next(pipeline)
-        assert first.value == 0 and staged_log == [0]
-        assert [item.value for item in pipeline] == [1, 2, 3, 4]
-        pipeline.close()
-
-    def test_background_mode_preserves_source_order(self):
-        pipeline = StagePipeline(iter(range(50)), self.stage, depth=4)
-        assert pipeline.is_background
-        values = [item.value for item in pipeline]
-        assert values == [i * 10 for i in range(50)]
-        pipeline.close()
-
-    def test_in_flight_window_is_bounded(self):
-        consumed = []
-        staged_count = [0]
-        max_ahead = [0]
-
-        def stage(item):
-            staged_count[0] += 1
-            max_ahead[0] = max(max_ahead[0], staged_count[0] - len(consumed))
-            return StagedItem(index=item, value=item)
-
-        depth = 3
-        pipeline = StagePipeline(iter(range(30)), stage, depth=depth)
-        for item in pipeline:
-            time.sleep(0.002)  # let the worker run ahead as far as it can
-            consumed.append(item.value)
-        pipeline.close()
-        assert consumed == list(range(30))
-        # The worker may hold one item in hand beyond the queue, and the
-        # consumer one more; anything past depth + 2 means the bound leaks.
-        assert max_ahead[0] <= depth + 2
-
-    def test_close_drains_and_releases_unconsumed_items(self):
-        released = []
-        pipeline = StagePipeline(
-            iter(range(100)),
-            self.stage,
-            depth=4,
-            release_fn=lambda item: released.append(item.index),
-        )
-        consumed = [next(pipeline).index for _ in range(3)]
-        pipeline.close()
-        pipeline.close()  # idempotent
-        assert consumed == [0, 1, 2]
-        # Whatever was staged beyond what we consumed was handed back.
-        assert pipeline.items_staged == len(consumed) + len(released)
-        assert not set(consumed) & set(released)
-
-    def test_source_error_propagates_to_consumer(self):
-        def broken():
-            yield 1
-            raise RuntimeError("loader died")
-
-        pipeline = StagePipeline(broken(), self.stage, depth=2)
-        assert next(pipeline).value == 10
-        with pytest.raises(RuntimeError, match="loader died"):
-            for _ in pipeline:
-                pass
-        pipeline.close()
-
-    def test_stage_error_propagates_to_consumer(self):
-        def stage(item):
-            if item == 2:
-                raise ValueError("bad batch")
-            return StagedItem(index=item, value=item)
-
-        pipeline = StagePipeline(iter(range(5)), stage, depth=2)
-        with pytest.raises(ValueError, match="bad batch"):
-            for _ in pipeline:
-                pass
-        pipeline.close()
-
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            StagePipeline(iter(()), self.stage, depth=0)
-
-
-# ---------------------------------------------------------------------------
 # DataLoader.prefetch_iter
 # ---------------------------------------------------------------------------
 
 
 class TestPrefetchIter:
-    def test_worker_override_delivers_every_batch_in_order(self):
-        loader = small_loader(size=40, batch_size=8)  # num_workers=0
-        batches = list(loader.prefetch_iter(max_in_flight=2, num_workers=2))
-        reference = list(iter(loader))
-        assert len(batches) == len(reference) == 5
-        for got, want in zip(batches, reference):
-            assert got["index"].tolist() == want["index"].tolist()
-
     def test_close_mid_epoch_stops_iteration(self):
-        loader = small_loader(size=80, batch_size=8)
-        iterator = loader.prefetch_iter(max_in_flight=2, num_workers=2)
+        loader = small_loader(size=80, batch_size=8, num_workers=2)
+        iterator = loader.prefetch_iter()
         first = next(iterator)
         assert first["index"].shape[0] == 8
         iterator.close()
         # After close the iterator ends instead of waiting forever on worker
         # results that will never arrive.
         remaining = sum(1 for _ in iterator)
-        assert remaining <= 2  # at most what was already in flight
-
-    def test_validation(self):
-        loader = small_loader(size=16)
-        with pytest.raises(ValueError):
-            loader.prefetch_iter(max_in_flight=0, num_workers=1)
-        with pytest.raises(ValueError):
-            loader.prefetch_iter(num_workers=-1)
+        assert remaining <= 4  # at most the prefetch budget already loaded
 
 
 # ---------------------------------------------------------------------------
-# Producer integration with pipeline_depth > 1
+# Producer integration with the loader's own workers
 # ---------------------------------------------------------------------------
 
 
 class TestPipelinedProducer:
-    @pytest.mark.parametrize("depth", [2, 4])
-    def test_every_batch_delivered_once_and_pool_drained(self, depth):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_every_batch_delivered_once_and_pool_drained(self, workers):
         session = SharedLoaderSession(
-            small_loader(),
-            producer_config=ProducerConfig(
-                epochs=2, pipeline_depth=depth
-            ),
+            small_loader(num_workers=workers),
+            producer_config=ProducerConfig(epochs=2),
         )
         results = {}
         threads = [
@@ -251,9 +136,7 @@ class TestPipelinedProducer:
     def test_pipeline_composes_with_loader_workers(self):
         session = SharedLoaderSession(
             small_loader(num_workers=2),
-            producer_config=ProducerConfig(
-                epochs=1, pipeline_depth=3
-            ),
+            producer_config=ProducerConfig(epochs=1),
         )
         results = {}
         session.start()
@@ -265,10 +148,8 @@ class TestPipelinedProducer:
 
     def test_mid_epoch_stop_releases_every_staged_batch(self):
         session = SharedLoaderSession(
-            small_loader(size=160, batch_size=8),
-            producer_config=ProducerConfig(
-                epochs=None, pipeline_depth=4
-            ),
+            small_loader(size=160, batch_size=8, num_workers=4),
+            producer_config=ProducerConfig(epochs=None),
         )
         results = {}
         session.start()
@@ -281,7 +162,7 @@ class TestPipelinedProducer:
         consumer_thread.join(timeout=30)
         assert not consumer_thread.is_alive()
         session.producer.stop()
-        # The staged batches in flight when stop() hit must all be drained
+        # The batches in flight when stop() hit must all be drained
         # (checked before shutdown(), which zeroes the accounting).
         assert_pool_drained(session)
         session.shutdown()
@@ -289,10 +170,8 @@ class TestPipelinedProducer:
 
     def test_consumer_churn_under_overlap(self):
         session = SharedLoaderSession(
-            small_loader(size=64, batch_size=8),
-            producer_config=ProducerConfig(
-                epochs=1, heartbeat_timeout=3, pipeline_depth=4
-            ),
+            small_loader(size=64, batch_size=8, num_workers=4),
+            producer_config=ProducerConfig(epochs=1, heartbeat_timeout=3),
         )
         results = {}
         quitter = threading.Thread(
@@ -314,14 +193,13 @@ class TestPipelinedProducer:
 
     def test_skip_epoch_drains_staged_batches(self):
         """All consumers leave mid-epoch while a newcomer waits for the next
-        epoch: the abandoned epoch's staged batches must not leak."""
+        epoch: the abandoned epoch's prefetched batches must not leak."""
         session = SharedLoaderSession(
-            small_loader(size=80, batch_size=8),
+            small_loader(size=80, batch_size=8, num_workers=4),
             producer_config=ProducerConfig(
                 epochs=2,
                 rubberband_fraction=0.0,  # newcomers always park to the next epoch
                 heartbeat_timeout=5,
-                pipeline_depth=4,
             ),
         )
         results = {}
@@ -348,14 +226,13 @@ class TestPipelinedProducer:
         # The late joiner was served a full fresh epoch.
         assert len(results["late"]) == 10
 
-    def test_flexible_batching_with_pipeline_depth(self):
+    def test_flexible_batching_with_loader_workers(self):
         session = SharedLoaderSession(
-            small_loader(size=64, batch_size=16),
+            small_loader(size=64, batch_size=16, num_workers=2),
             producer_config=ProducerConfig(
                 epochs=1,
                 flexible_batching=True,
                 producer_batch_size=32,
-                pipeline_depth=3,
             ),
         )
         sizes = {}
@@ -393,7 +270,7 @@ class TestPipelinedProducer:
         assert sizes["large"][1] >= 64
 
     def test_depth_one_stays_synchronous(self):
-        """The default depth spawns no stage worker (today's behaviour)."""
+        """A synchronous loader is served without a stage thread."""
         before = {t.name for t in threading.enumerate()}
         session = SharedLoaderSession(
             small_loader(size=16, batch_size=8),
@@ -407,11 +284,34 @@ class TestPipelinedProducer:
         assert len(results["c0"]) == 2
         assert not any("stage" in name for name in during)
 
+    def test_a_synchronous_loader_is_served_by_the_producer_and_reactor_only(self):
+        """A ``num_workers=0`` loader gets no threads behind the user's back:
+        while its epoch is served, the session's threads are the producer
+        and the reactor."""
+        before = set(threading.enumerate())
+        session = SharedLoaderSession(
+            small_loader(size=32, batch_size=8),
+            producer_config=ProducerConfig(epochs=1),
+        )
+        consumer = session.consumer(
+            ConsumerConfig(consumer_id="c0", max_epochs=1, receive_timeout=20)
+        )
+        session.start()
+        during = set()
+        seen = 0
+        for _batch in consumer:
+            seen += 1
+            during |= {t.name for t in threading.enumerate() if t not in before}
+        consumer.close()
+        session.shutdown()
+        assert seen == 4
+        assert "repro-producer" in during
+        assert during <= {"repro-producer", "repro-reactor"}
+
     def test_depth_one_does_not_stage_while_waiting_for_consumers(self):
-        """At the default depth the classic order holds: a batch is loaded
-        before the capacity wait but staged only at publish time, so no
-        shared memory is held while the producer idles for its first
-        consumer."""
+        """A batch is loaded before the capacity wait but staged only at
+        publish time, so no shared memory is held while the producer idles
+        for its first consumer."""
         session = SharedLoaderSession(
             small_loader(size=16, batch_size=8),
             producer_config=ProducerConfig(epochs=1),
@@ -426,12 +326,6 @@ class TestPipelinedProducer:
         assert_pool_drained(session)
         session.shutdown()
         assert len(results["c0"]) == 2
-
-    def test_pipeline_config_validation(self):
-        with pytest.raises(ValueError):
-            ProducerConfig(pipeline_depth=0)
-        with pytest.raises(ValueError):
-            ProducerConfig(pipeline_workers=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -274,8 +274,7 @@ class TestConstantThreadCount:
             attach_side = {
                 name
                 for name in new_names - serving_side
-                if not name.endswith("-stage")
-                and not name.startswith("repro-loader-worker-")
+                if not name.startswith("repro-loader-worker-")
             }
             assert attach_side <= {"repro-reactor"}, (
                 f"attach/iterate spawned unexpected threads: {sorted(attach_side)}"

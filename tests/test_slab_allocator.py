@@ -602,24 +602,26 @@ _BATCH_NBYTES = 4 * 8
 
 
 @pytest.mark.parametrize(
-    "consumers, serve_kwargs",
+    "consumers, num_workers, serve_kwargs",
     [
-        (1, {}),
-        (2, {}),
-        (1, {"pipeline_depth": 4}),
-        (1, {"buffer_size": 4}),
-        (2, {"shards": 2}),
-        (1, {"cache": "all"}),
-        (1, {"cache": "lru", "cache_bytes": 8 * _BATCH_NBYTES}),
+        (1, 0, {}),
+        (2, 0, {}),
+        (1, 2, {}),
+        (1, 0, {"buffer_size": 4}),
+        (2, 0, {"shards": 2}),
+        (1, 0, {"cache": "all"}),
+        (1, 0, {"cache": "lru", "cache_bytes": 8 * _BATCH_NBYTES}),
     ],
-    ids=["one-consumer", "two-consumers", "pipeline-depth-4", "buffer-size-4",
+    ids=["one-consumer", "two-consumers", "loader-workers-2", "buffer-size-4",
          "two-shards", "cache-all", "lru-8-batches"],
 )
-def test_a_session_creates_a_slab_only_when_every_slab_is_live(consumers, serve_kwargs):
+def test_a_session_creates_a_slab_only_when_every_slab_is_live(
+    consumers, num_workers, serve_kwargs
+):
     from repro.data import DataLoader
 
     session = repro.serve(
-        DataLoader(_RowDataset(), batch_size=4),
+        DataLoader(_RowDataset(), batch_size=4, num_workers=num_workers),
         address=f"inproc://slab-bound-{len(serve_kwargs)}-{consumers}-{id(serve_kwargs)}",
         epochs=3,
         start=False,

@@ -19,7 +19,6 @@ import pytest
 import repro
 from repro.core import ProducerConfig, SharedLoaderSession, TensorProducer
 from repro.core.ack_ledger import AckLedger
-from repro.core.pipeline import StagedItem, StagePipeline
 from repro.data import DataLoader
 from repro.data.dataset import Dataset
 from repro.messaging import InProcHub
@@ -117,7 +116,7 @@ class TestKnobsAreGone:
     def test_poll_interval_is_an_unknown_field(self):
         with pytest.raises(TypeError):
             ProducerConfig(poll_interval=0.002)
-        assert len(dataclasses.fields(ProducerConfig)) == 17
+        assert len(dataclasses.fields(ProducerConfig)) == 15
 
     def test_serve_rejects_poll_interval_like_any_unknown_field(self):
         with pytest.raises(TypeError):
@@ -491,43 +490,36 @@ class TestBrokerIdleSweep:
 
 
 # ---------------------------------------------------------------------------
-# the stage pipeline's hand-off
+# a loader worker's prefetch budget
 # ---------------------------------------------------------------------------
 
 
-class TestStagePipelineHandOff:
+class TestLoaderWorkerHandOff:
     def test_worker_blocked_on_a_full_hand_off_makes_no_calls_and_exits_on_close(self):
-        pool = SharedMemoryPool()
-        depth = 2
+        loader = DataLoader(IndexDataset(64), batch_size=2, num_workers=1, prefetch_factor=2)
         state = {"armed": False, "calls": 0}
 
         def profile(frame, event, arg):
-            if state["armed"] and threading.current_thread().name == "repro-stage-worker":
+            if state["armed"] and threading.current_thread().name.startswith(
+                "repro-loader-worker-"
+            ):
                 state["calls"] += 1
-
-        def stage(item):
-            tensor = pool.allocate_tensor((16,), "float32")
-            return StagedItem(index=item, value=tensor, segment_names=(tensor.segment.name,))
-
-        def release(item):
-            for name in item.segment_names:
-                pool.release(name)
 
         threading.setprofile(profile)
         try:
-            pipeline = StagePipeline(iter(range(100)), stage, depth=depth, release_fn=release)
+            iterator = loader.prefetch_iter()
         finally:
             threading.setprofile(None)
-        # ``depth`` items handed over, one more staged and in the worker's hand.
-        wait_for(lambda: pipeline.items_staged == depth + 1)
+        # The budget (num_workers * prefetch_factor) is loaded and nothing is
+        # taken: the worker waits for a permit.
+        wait_for(lambda: len(iterator._results) == 2)
         time.sleep(0.05)  # let it reach the blocking acquire
         state["armed"] = True
         time.sleep(0.3)
         state["armed"] = False
-        assert state["calls"] == 0  # a 50 ms retry loop makes dozens
-        assert pool.bytes_in_flight > 0
-        pipeline.close()
-        assert not pipeline._thread.is_alive()
-        assert pipeline.items_released_unconsumed == depth + 1
-        assert pool.bytes_in_flight == 0
-        pool.shutdown()
+        assert state["calls"] == 0  # a 100 ms retry loop makes calls every turn
+        iterator.close()
+        for worker in iterator._workers:
+            worker.join(timeout=5.0)
+            assert not worker.is_alive()
+        assert len(iterator._results) == 2
