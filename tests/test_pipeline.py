@@ -4,7 +4,9 @@ hot-path fixes riding with it.
 The only prefetch is the wrapped loader's own ``num_workers``: covers the
 producer over a threaded loader (full delivery, mid-epoch stop, consumer
 churn, skip-epoch drain, flexible batching, leak-free shutdown), the thread
-set and staging order of a synchronous one, and the correctness fixes in the
+set and staging order of a synchronous one, what those workers guarantee as
+the producer's prefetch (sampler order, a bounded window, no worker left
+running after a stop or a loader error), and the correctness fixes in the
 same hot path: duplicate delivery to rubberbanded joiners, the strict
 rubberband window boundary, ``TensorConsumer.__len__``, and heartbeat-sender
 restart.
@@ -23,7 +25,7 @@ from repro.core import (
     TensorProducer,
 )
 from repro.core.rubberband import JoinDecision, RubberbandPolicy
-from repro.data import DataLoader, SyntheticImageDataset
+from repro.data import DataLoader, Dataset, SyntheticImageDataset
 from repro.data.transforms import Compose, DecodeJpeg, Normalize, ToTensor
 import numpy as np
 
@@ -106,7 +108,7 @@ class TestPrefetchIter:
 
 
 class TestPipelinedProducer:
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_every_batch_delivered_once_and_pool_drained(self, workers):
         session = SharedLoaderSession(
             small_loader(num_workers=workers),
@@ -326,6 +328,191 @@ class TestPipelinedProducer:
         assert_pool_drained(session)
         session.shutdown()
         assert len(results["c0"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# The loader's workers as the producer's only prefetch
+# ---------------------------------------------------------------------------
+
+
+class CountingDataset(Dataset):
+    """A synthetic image dataset that records every item index it is asked for."""
+
+    def __init__(self, size):
+        self.inner = SyntheticImageDataset(size, image_size=16, payload_bytes=32)
+        self.read = []  # list.append is atomic: the loader's workers share it
+
+    def __len__(self):
+        return len(self.inner)
+
+    def __getitem__(self, index):
+        self.read.append(index)
+        return self.inner[index]
+
+    def batches_started(self, batch_size):
+        """How many batches a loader has begun reading (sequential sampler)."""
+        return len({index // batch_size for index in list(self.read)})
+
+
+def image_pipeline(*first):
+    return Compose([*first, DecodeJpeg(height=16, width=16), Normalize(), ToTensor()])
+
+
+def loader_threads(before):
+    return [
+        t
+        for t in threading.enumerate()
+        if t not in before and t.is_alive() and t.name.startswith("repro-loader-worker")
+    ]
+
+
+def wait_for_no_loader_threads(before, timeout=5.0):
+    deadline = time.time() + timeout
+    while loader_threads(before) and time.time() < deadline:
+        time.sleep(0.02)
+    return loader_threads(before)
+
+
+class TestLoaderWorkersUnderTheProducer:
+    """What a prefetch stage must guarantee — source order, a bounded
+    window, errors surfacing, nothing left running — held by the wrapped
+    loader's own workers when a producer drives them."""
+
+    def test_published_order_follows_a_shuffled_sampler(self):
+        dataset = SyntheticImageDataset(64, image_size=16, payload_bytes=32)
+        reference = DataLoader(dataset, batch_size=8, shuffle=True, seed=5, transform=image_pipeline())
+        reference.set_epoch(0)
+        expected = [tuple(batch["index"].tolist()) for batch in reference]
+        assert [i for batch in expected for i in batch] != list(range(64))
+        session = SharedLoaderSession(
+            DataLoader(
+                dataset,
+                batch_size=8,
+                shuffle=True,
+                seed=5,
+                transform=image_pipeline(),
+                num_workers=4,
+            ),
+            producer_config=ProducerConfig(epochs=1),
+        )
+        results = {}
+        session.start()
+        run_consumer(session, "c0", results)
+        assert_pool_drained(session)
+        session.shutdown()
+        assert results["c0"] == expected
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_the_producer_loads_ahead_at_most_the_loader_budget(self, workers):
+        dataset = CountingDataset(96)
+        loader = DataLoader(
+            dataset,
+            batch_size=4,
+            transform=image_pipeline(),
+            num_workers=workers,
+            prefetch_factor=1,
+        )
+        session = SharedLoaderSession(loader, producer_config=ProducerConfig(epochs=1))
+        consumer = session.consumer(
+            ConsumerConfig(consumer_id="slow", max_epochs=1, receive_timeout=20)
+        )
+        session.start()
+        seen = 0
+        ahead = 0
+        for _batch in consumer:
+            seen += 1
+            time.sleep(0.003)  # let the workers run ahead as far as they may
+            started = dataset.batches_started(4)
+            ahead = max(ahead, started - session.producer.payloads_published)
+        consumer.close()
+        assert_pool_drained(session)
+        session.shutdown()
+        assert seen == 24
+        # A worker takes a prefetch permit before it starts a batch, and the
+        # producer holds at most one loaded batch through its capacity wait.
+        assert ahead <= workers * loader.prefetch_factor + 1
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_a_producer_waiting_for_its_first_consumer_loads_at_most_the_budget(
+        self, workers
+    ):
+        dataset = CountingDataset(64)
+        loader = DataLoader(
+            dataset,
+            batch_size=8,
+            transform=image_pipeline(),
+            num_workers=workers,
+            prefetch_factor=1,
+        )
+        session = SharedLoaderSession(loader, producer_config=ProducerConfig(epochs=1))
+        session.start()
+        deadline = time.time() + 10
+        while dataset.batches_started(8) == 0 and time.time() < deadline:
+            time.sleep(0.02)
+        time.sleep(0.2)  # room to overrun the budget, were it leaking
+        started = dataset.batches_started(8)
+        assert session.producer.payloads_published == 0
+        assert session.pool.bytes_in_flight == 0
+        if workers == 0:
+            assert started == 1  # the batch held through the capacity wait
+        else:
+            assert 1 <= started <= workers * loader.prefetch_factor + 1
+        results = {}
+        run_consumer(session, "c0", results)
+        assert_pool_drained(session)
+        session.shutdown()
+        assert len(results["c0"]) == 8
+
+    def test_a_stop_mid_epoch_leaves_no_loader_worker_running(self):
+        before = set(threading.enumerate())
+        session = SharedLoaderSession(
+            small_loader(size=160, batch_size=8, num_workers=4),
+            producer_config=ProducerConfig(epochs=None),
+        )
+        results = {}
+        session.start()
+        run_consumer(session, "c0", results, max_epochs=None, stop_after=3)
+        assert len(results["c0"]) == 3
+        session.producer.stop()
+        session._threads[0].join(timeout=10)
+        assert not session.is_running
+        assert wait_for_no_loader_threads(before) == []
+        assert_pool_drained(session)
+        session.shutdown()
+
+    def test_a_loader_error_surfaces_and_leaves_no_loader_worker_running(self):
+        def fail_on_20(record):
+            if record.index == 20:
+                raise RuntimeError("item 20 is unreadable")
+            return record
+
+        before = set(threading.enumerate())
+        dataset = SyntheticImageDataset(64, image_size=16, payload_bytes=32)
+        session = SharedLoaderSession(
+            DataLoader(
+                dataset, batch_size=4, transform=image_pipeline(fail_on_20), num_workers=2
+            ),
+            producer_config=ProducerConfig(epochs=1),
+        )
+        consumer = session.consumer(
+            ConsumerConfig(consumer_id="c0", max_epochs=1, receive_timeout=20)
+        )
+        session.start()
+        # Batches 0-4 are good; batch 5 holds item 20.
+        seen = []
+        for batch in consumer:
+            seen.append(batch["index"].tolist()[0])
+            if len(seen) == 5:
+                break
+        assert seen == [0, 4, 8, 12, 16]
+        session._threads[0].join(timeout=10)
+        assert not session.is_running
+        assert wait_for_no_loader_threads(before) == []
+        consumer.close()
+        with pytest.raises(RuntimeError, match="item 20 is unreadable"):
+            session.raise_producer_error()
+        with pytest.raises(RuntimeError, match="item 20 is unreadable"):
+            session.shutdown()
 
 
 # ---------------------------------------------------------------------------

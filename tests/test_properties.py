@@ -239,13 +239,14 @@ def test_sequential_sampler_is_identity(size):
 
 
 class FakeBatch:
-    """What the producer's protocol core reads of a batch: its key, segment
-    names and size."""
+    """What the protocol cores read of a batch: its key, segment names, size
+    and flexible-batching slices (none: a whole batch per consumer)."""
 
     def __init__(self, epoch, index):
         self.epoch, self.batch_index = epoch, index
         self.segment_names = (f"seg-{epoch}-{index}",)
         self.tensor_nbytes = 8
+        self.slices = None
 
     def key(self):
         return (self.epoch, self.batch_index)
